@@ -48,11 +48,17 @@ class RunConfig:
         for item in (getattr(ns, "tol", None) or []):
             name, _, val = item.partition("=")
             cfg.tol[name] = float(val)
+        numeric = ns.cmd in ("solve", "scan") or (
+            ns.cmd == "verify" and cfg.suite != "algebra")
+        if numeric and cfg.dim != 1:
+            raise ConfigError("the numerical layer supports --dim 1 only (got "
+                              "%d); enumerate and verify --suite algebra take "
+                              "any dim" % cfg.dim)
         return cfg
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        text = FSPath(path).read_text()
+        text = _read_config_file(path)
         if path.endswith(".json"):
             data = json.loads(text)
         else:
@@ -109,6 +115,13 @@ class ConfigError(ValueError):
     pass
 
 
+def _read_config_file(path: str) -> str:
+    try:
+        return FSPath(path).read_text()
+    except OSError as exc:
+        raise ConfigError("cannot read file: %s" % exc) from exc
+
+
 def _parse_number(s: str) -> float:
     s = s.strip()
     return float(Fraction(s)) if "/" in s else float(s)
@@ -156,7 +169,7 @@ def _build_lift(cfg: RunConfig, grid, u, cg):
             grid, u, seeds, eps, kind=noise_kind if noise_kind != "zero" else "gauss")
         return liftmod.build_local_product(grid, u, xi, rmap=rmap, coalg=cg), rep
     if kind == "counterterm":
-        data = json.loads(FSPath(arg).read_text())
+        data = json.loads(_read_config_file(arg))
         values = {}
         for name, val in data.items():
             t = parse_tree(name, u.delta)
@@ -166,11 +179,17 @@ def _build_lift(cfg: RunConfig, grid, u, cg):
         rmap = liftmod.CountertermMap(u, values)
         return liftmod.build_local_product(grid, u, xi, rmap=rmap, coalg=cg), None
     if kind == "custom":
-        manifest = json.loads(FSPath(arg).read_text())
+        manifest = json.loads(_read_config_file(arg))
         custom = {}
         for name, relpath in manifest.items():
             t = parse_tree(name, u.delta)
-            _g, f = fieldmod.load_field(FSPath(arg).parent / relpath)
+            if t is None:
+                raise ConfigError("custom lift key %r vanishes" % name)
+            try:
+                _g, f = fieldmod.load_field(FSPath(arg).parent / relpath)
+            except OSError as exc:
+                raise ConfigError("cannot load custom field %r: %s"
+                                  % (name, exc)) from exc
             custom[t] = f
         return liftmod.build_local_product(grid, u, xi, custom=custom, coalg=cg), None
     raise ConfigError("unknown lift kind %r" % cfg.lift)

@@ -422,45 +422,50 @@ def solve_remainder(path: Path, coeffs: RemainderCoeffs, trace: BoundaryTrace,
 
 # -- modelled-distribution norms ---------------------------------------------------
 
+def _support(path: Path, build, *key) -> tuple:
+    """build(path, *key), computed once per path.
+
+    The truncated sums below run over a fixed tuple of trees for each level,
+    so their exact order comparisons and cut lookups are made once, not at
+    every point evaluation.  Each tuple keeps the order of the loop over N it
+    replaces, so the float sums over it are unchanged.
+    """
+    sup = path.supports.get((build, *key))
+    if sup is None:
+        sup = path.supports[(build, *key)] = build(path, *key)
+    return sup
+
+
+def _cut_terms(path: Path, t: Tree, cutoff: Fraction) -> tuple:
+    """(tb, C+(t, tb)) for tb in N below the cutoff with a non-empty cut."""
+    u, cg = path.u, path.cg
+    cuts = ((tb, cg.cplus(t, tb)) for tb in u.N if u.order(tb) < cutoff)
+    return tuple((tb, f) for tb, f in cuts if f is not None)
+
+
 def u_tau_at(path: Path, e, t: Tree, cutoff: Fraction, y, x) -> float:
     """Continuity error of the coefficient of t between base points y and x,
     truncated to trees of order below the cutoff."""
-    u = path.u
     acc = e.theta_at(t, y)
-    for tb in u.N:
-        if u.order(tb) >= cutoff:
-            continue
-        f = path.cg.cplus(t, tb)
-        if f is None:
-            continue
+    for tb, f in _support(path, _cut_terms, t, cutoff):
         acc -= e.theta_at(tb, x) * path.forest_at(f, y, x)
     return acc
 
 
-def _v_level(path: Path, e, level: Fraction, y, x) -> float:
+def _v_terms(path: Path, level: Fraction) -> tuple:
     u = path.u
-    acc = 0.0
-    for t in u.N:
-        if u.order(t) < level - 2:
-            acc += e.theta_at(t, x) * path.value_at(I(t), y, x)
-    return acc
+    return tuple(t for t in u.N if u.order(t) < level - 2)
 
 
-def _v2_level(path: Path, e, level: Fraction, y, x) -> float:
+def _v2_terms(path: Path, level: Fraction) -> tuple:
     u = path.u
-    acc = 0.0
-    for t1 in u.N:
-        o1 = u.order(t1)
-        for t2 in u.N:
-            if o1 + u.order(t2) < level - 4:
-                acc += (e.theta_at(t1, x) * e.theta_at(t2, x)
-                        * path.value_at(I(t1), y, x) * path.value_at(I(t2), y, x))
-    return acc
+    return tuple((t1, t2) for t1 in u.N for t2 in u.N
+                 if u.order(t1) + u.order(t2) < level - 4)
 
 
-def _v3_level(path: Path, e, level: Fraction, y, x) -> float:
+def _v3_terms(path: Path, level: Fraction) -> tuple:
     u = path.u
-    acc = 0.0
+    out = []
     for t1 in u.N:
         o1 = u.order(t1)
         for t2 in u.N:
@@ -469,11 +474,31 @@ def _v3_level(path: Path, e, level: Fraction, y, x) -> float:
                 continue
             for t3 in u.N:
                 if o1 + o2 + u.order(t3) < level - 6:
-                    acc += (e.theta_at(t1, x) * e.theta_at(t2, x)
-                            * e.theta_at(t3, x)
-                            * path.value_at(I(t1), y, x)
-                            * path.value_at(I(t2), y, x)
-                            * path.value_at(I(t3), y, x))
+                    out.append((t1, t2, t3))
+    return tuple(out)
+
+
+def _v_level(path: Path, e, level: Fraction, y, x) -> float:
+    acc = 0.0
+    for t in _support(path, _v_terms, level):
+        acc += e.theta_at(t, x) * path.value_at(I(t), y, x)
+    return acc
+
+
+def _v2_level(path: Path, e, level: Fraction, y, x) -> float:
+    acc = 0.0
+    for t1, t2 in _support(path, _v2_terms, level):
+        acc += (e.theta_at(t1, x) * e.theta_at(t2, x)
+                * path.value_at(I(t1), y, x) * path.value_at(I(t2), y, x))
+    return acc
+
+
+def _v3_level(path: Path, e, level: Fraction, y, x) -> float:
+    acc = 0.0
+    for t1, t2, t3 in _support(path, _v3_terms, level):
+        acc += (e.theta_at(t1, x) * e.theta_at(t2, x) * e.theta_at(t3, x)
+                * path.value_at(I(t1), y, x) * path.value_at(I(t2), y, x)
+                * path.value_at(I(t3), y, x))
     return acc
 
 
@@ -585,15 +610,10 @@ def _channel_pairs(path: Path, e, t: Tree, composite: Tree, cutoff: Fraction):
     """Factorize y -> diag(y) * U^t(y, x) into (running field, base field)
     pairs so its smoothing against the scaled kernel becomes a finite sum of
     smoothed global fields times base-point coefficients."""
-    u, cg, lp = path.u, path.cg, path.lp
+    cg, lp = path.cg, path.lp
     dg = path.diag[composite.uid]
     pairs = [(dg * e.theta(t), np.ones_like(dg))]
-    for tb in u.N:
-        if u.order(tb) >= cutoff:
-            continue
-        f = cg.cplus(t, tb)
-        if f is None:
-            continue
+    for tb, f in _support(path, _cut_terms, t, cutoff):
         for (lf, gf), c in cg.delta_forest(f).items():
             yf = dg * lp.forest_value(lf)
             xf = -float(c) * e.theta(tb) * path.cen_forest_field(gf)

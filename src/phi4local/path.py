@@ -77,6 +77,9 @@ class Path:
         self.diag_im[(1, XI.uid)] = self._im_diag(1, XI)
         self.mol = Mollifier(grid)
         self._moll_cache: dict = {}
+        # tree supports of the truncated sums in the equation module, built
+        # once per (builder, level) instead of at every point evaluation
+        self.supports: dict = {}
 
     def _im_diag(self, i: int, t: Tree) -> np.ndarray:
         u, lp = self.u, self.lp
@@ -113,7 +116,20 @@ class Path:
         return out
 
     def cen_at(self, p: Tree, x) -> float:
-        return float(self.cen_planted_field(p)[x])
+        """Scalar form of cen_planted_field(p)[x], read without building a
+        whole field."""
+        ch = p.child
+        if p.edge == EDGE_I:
+            if ch is ONE:
+                return 1.0
+            if ch.kind == GEN and ch.label == "X":
+                return float(-self.grid.xs[x[1]])
+            return float(self.cen_I[ch.uid][x])
+        if p.edge == EDGE_IP:
+            if ch.kind == GEN:
+                return 1.0
+            return float(self.cen_Ip[(p.index, ch.uid)][x])
+        raise KeyError("no centering value on %s" % tree_name(p))
 
     def cen_forest_at(self, forest, x) -> float:
         out = 1.0

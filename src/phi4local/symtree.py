@@ -9,7 +9,6 @@ equality is identity of the ``uid`` field.
 from __future__ import annotations
 
 import json
-import threading
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -21,7 +20,6 @@ EDGE_I = "I"
 EDGE_IP = "Ip"
 EDGE_IM = "Im"
 
-_intern_lock = threading.Lock()
 _intern_table: dict = {}
 _next_uid = 0
 
@@ -63,12 +61,6 @@ class Tree:
                 return c
         return 0
 
-    def is_planted(self) -> bool:
-        return self.kind == PLANTED
-
-    def is_unplanted(self) -> bool:
-        return self.kind != PLANTED
-
     def __repr__(self):
         return tree_name(self)
 
@@ -81,13 +73,12 @@ class Tree:
 
 def _intern(key, builder) -> Tree:
     global _next_uid
-    with _intern_lock:
-        t = _intern_table.get(key)
-        if t is None:
-            t = builder(_next_uid)
-            _intern_table[key] = t
-            _next_uid += 1
-        return t
+    t = _intern_table.get(key)
+    if t is None:
+        t = builder(_next_uid)
+        _intern_table[key] = t
+        _next_uid += 1
+    return t
 
 
 def _merge_mx(*parts: Iterable[tuple]) -> tuple:
@@ -247,6 +238,12 @@ def parse_tree(s: str, delta: Fraction) -> Optional[Tree]:
             fail("expected integer")
         return int(s[start:pos])
 
+    def expect(ch):
+        nonlocal pos
+        if pos >= len(s) or s[pos] != ch:
+            fail("expected %s" % ch)
+        pos += 1
+
     def parse_node():
         nonlocal pos
         skip_ws()
@@ -256,9 +253,7 @@ def parse_tree(s: str, delta: Fraction) -> Optional[Tree]:
             pos += 1
             kids = [parse_node(), parse_node(), parse_node()]
             skip_ws()
-            if pos >= len(s) or s[pos] != "]":
-                fail("expected ]")
-            pos += 1
+            expect("]")
             for k in kids:
                 if k is None:
                     return None
@@ -267,14 +262,10 @@ def parse_tree(s: str, delta: Fraction) -> Optional[Tree]:
             if s.startswith(prefix, pos) and pos + 2 < len(s) and s[pos + 2].isdigit():
                 pos += 2
                 i = parse_int()
-                if s[pos] != "(":
-                    fail("expected (")
-                pos += 1
+                expect("(")
                 inner = parse_node()
                 skip_ws()
-                if s[pos] != ")":
-                    fail("expected )")
-                pos += 1
+                expect(")")
                 if inner is None:
                     return None
                 return Ip(i, inner, delta) if mk == "Ip" else Im(i, inner)
@@ -282,9 +273,7 @@ def parse_tree(s: str, delta: Fraction) -> Optional[Tree]:
             pos += 2
             inner = parse_node()
             skip_ws()
-            if s[pos] != ")":
-                fail("expected )")
-            pos += 1
+            expect(")")
             return I(inner) if inner is not None else None
         if s.startswith("Xi", pos):
             pos += 2

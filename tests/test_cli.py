@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from phi4local.cli import RunConfig, main
+from phi4local.cli import RunConfig, build_parser, main
 
 
 def test_enumerate_exit_codes(tmp_path):
@@ -78,3 +78,44 @@ def test_solve_smoke(tmp_path):
     assert rc == 0
     data = json.loads((tmp_path / "solve.json").read_text())
     assert "norms" in data["run"]
+
+
+SMALL = ["--delta", "9/20", "--grid", "1/16,1/32,3"]
+
+
+def _custom_manifest(base, name):
+    p = base / "manifest.json"
+    p.write_text(json.dumps({name: "field"}))
+    return "custom:%s" % p
+
+
+@pytest.mark.parametrize("argv", [
+    lambda d: ["verify", "--suite", "path", "--lift",
+               "custom:%s" % (d / "missing.json")],
+    lambda d: ["verify", "--suite", "path", "--lift",
+               "counterterm:%s" % (d / "missing.json")],
+    lambda d: ["--config", str(d / "missing.cfg"), "verify", "--suite", "path"],
+    lambda d: ["verify", "--suite", "path", "--lift",
+               _custom_manifest(d, "I(I(Xi)")],
+    lambda d: ["verify", "--suite", "path", "--lift",
+               _custom_manifest(d, "Im1(One)")],
+    lambda d: ["verify", "--suite", "path", "--lift",
+               _custom_manifest(d, "[I(Xi) I(Xi) I(Xi)]")],
+    lambda d: ["verify", "--suite", "path", "--dim", "2"],
+    lambda d: ["verify", "--suite", "products", "--dim", "2"],
+    lambda d: ["verify", "--suite", "all", "--dim", "2"],
+    lambda d: ["solve", "--dim", "2"],
+    lambda d: ["scan", "--kind", "apriori", "--dim", "2"],
+], ids=["custom-missing", "counterterm-missing", "config-missing",
+        "custom-malformed-name", "custom-vanishing-name", "custom-missing-field",
+        "dim2-path", "dim2-products", "dim2-all", "dim2-solve", "dim2-scan"])
+def test_bad_config_exit_code(tmp_path, capsys, argv):
+    assert main(argv(tmp_path) + SMALL + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_dim2_stays_valid_for_algebra():
+    for argv in (["verify", "--suite", "algebra", "--dim", "2"],
+                 ["enumerate", "--dim", "2"]):
+        assert RunConfig.from_args(build_parser().parse_args(argv)).dim == 2
