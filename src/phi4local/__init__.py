@@ -9,8 +9,8 @@ from .symtree import (
 )
 from .coalgebra import Coalgebra, report_failures
 from .coeffs import (
-    UpsilonParams, check_coherence, check_cube_identity, classify_utau,
-    pick_gamma, upsilon, upsilon_monomial, upsilon_recursive,
+    check_coherence, check_cube_identity, classify_utau, pick_gamma,
+    upsilon_monomial,
 )
 from .field import (
     Grid, StabilityError, grad_x, heat_residual, heat_solve, load_field,

@@ -1,8 +1,9 @@
 """Command-line harness: enumeration, identity suites, solves and scans.
 
 Exit codes: 0 pass, 1 identity failure, 2 configuration error, 3 numerical
-abort.  All randomness is derived from the configured seed, so identical
-configurations produce byte-identical reports.
+abort, 4 internal error (any other exception; its type, message and
+traceback go to stderr).  All randomness is derived from the configured
+seed, so identical configurations produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path as FSPath
@@ -18,7 +20,7 @@ from pathlib import Path as FSPath
 import numpy as np
 
 from . import coalgebra, coeffs, equation, field as fieldmod, lift as liftmod, path as pathmod
-from .symtree import InadmissibleDelta, enumerate_universe, parse_delta, parse_tree
+from .symtree import I, InadmissibleDelta, enumerate_universe, parse_delta, parse_tree
 
 
 @dataclass
@@ -58,12 +60,11 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        text = _read_config_file(path)
         if path.endswith(".json"):
-            data = json.loads(text)
+            data = _read_json_object(path)
         else:
             data = {}
-            for line in text.splitlines():
+            for line in _read_config_file(path).splitlines():
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
@@ -122,6 +123,17 @@ def _read_config_file(path: str) -> str:
         raise ConfigError("cannot read file: %s" % exc) from exc
 
 
+def _read_json_object(path: str) -> dict:
+    try:
+        data = json.loads(_read_config_file(path))
+    except json.JSONDecodeError as exc:
+        raise ConfigError("%s is not valid JSON: %s" % (path, exc)) from exc
+    if not isinstance(data, dict):
+        raise ConfigError("%s must hold a JSON object, not a %s"
+                          % (path, type(data).__name__))
+    return data
+
+
 def _parse_number(s: str) -> float:
     s = s.strip()
     return float(Fraction(s)) if "/" in s else float(s)
@@ -131,8 +143,12 @@ def _emit(cfg: RunConfig, name: str, payload: dict) -> None:
     text = json.dumps(payload, indent=1, sort_keys=True, default=_json_default)
     if cfg.out:
         out = FSPath(cfg.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / (name + ".json")).write_text(text)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            (out / (name + ".json")).write_text(text)
+        except OSError as exc:
+            raise ConfigError("cannot write the report to %s: %s"
+                              % (cfg.out, exc)) from exc
     else:
         print(text)
 
@@ -169,7 +185,7 @@ def _build_lift(cfg: RunConfig, grid, u, cg):
             grid, u, seeds, eps, kind=noise_kind if noise_kind != "zero" else "gauss")
         return liftmod.build_local_product(grid, u, xi, rmap=rmap, coalg=cg), rep
     if kind == "counterterm":
-        data = json.loads(_read_config_file(arg))
+        data = _read_json_object(arg)
         values = {}
         for name, val in data.items():
             t = parse_tree(name, u.delta)
@@ -179,7 +195,7 @@ def _build_lift(cfg: RunConfig, grid, u, cg):
         rmap = liftmod.CountertermMap(u, values)
         return liftmod.build_local_product(grid, u, xi, rmap=rmap, coalg=cg), None
     if kind == "custom":
-        manifest = json.loads(_read_config_file(arg))
+        manifest = _read_json_object(arg)
         custom = {}
         for name, relpath in manifest.items():
             t = parse_tree(name, u.delta)
@@ -190,9 +206,20 @@ def _build_lift(cfg: RunConfig, grid, u, cg):
             except OSError as exc:
                 raise ConfigError("cannot load custom field %r: %s"
                                   % (name, exc)) from exc
+            if not np.all(np.isfinite(f)):
+                raise ConfigError("custom field %r has non-finite values" % name)
             custom[t] = f
         return liftmod.build_local_product(grid, u, xi, custom=custom, coalg=cg), None
     raise ConfigError("unknown lift kind %r" % cfg.lift)
+
+
+def _summary_row(identity: str, residuals, tol: float) -> dict:
+    """The report row of an identity from its largest residual.  np.max keeps
+    a NaN that max() would drop, and a non-finite maximum reads FAIL."""
+    worst = float(np.max(residuals)) if len(residuals) else 0.0
+    ok = math.isfinite(worst) and worst <= tol
+    return {"identity": identity, "tree": "*", "status": "pass" if ok else "FAIL",
+            "residual": worst}
 
 
 # -- commands -------------------------------------------------------------------
@@ -233,45 +260,22 @@ def cmd_verify(cfg: RunConfig) -> int:
         probe = grid.probe_mask()
         nodes = pathmod.sample_nodes(grid, probe, rng, 3 * 50)
         tol = cfg.tol.get("chen", 1e-8)
-        rows = []
-        worst = 0.0
-        for s in u.T:
-            for n in range(0, len(nodes) - 2, 3):
-                _a, rel = p.chen_residual(s, nodes[n], nodes[n + 1], nodes[n + 2])
-                worst = max(worst, rel)
-        rows.append({"identity": "chen", "tree": "*",
-                     "status": "pass" if worst <= tol else "FAIL",
-                     "residual": worst})
-        worst = 0.0
-        for t in u.N:
-            from .symtree import I as _I
-            for n in range(0, len(nodes) - 1, 2):
-                _a, rel = p.strong_chen_residual(_I(t), nodes[n], nodes[n + 1])
-                worst = max(worst, rel)
-        rows.append({"identity": "strong-chen", "tree": "*",
-                     "status": "pass" if worst <= tol else "FAIL",
-                     "residual": worst})
-        worst = 0.0
-        for t in u.T_r:
-            for n in range(0, len(nodes) - 1, 2):
-                z = nodes[n]
-                if not (0 < z[1] < grid.nx - 1):
-                    continue
-                _a, rel = p.derivative_residual(1, t, z, nodes[n + 1])
-                worst = max(worst, rel)
-        rows.append({"identity": "derivative-edge", "tree": "*",
-                     "status": "pass" if worst <= tol else "FAIL",
-                     "residual": worst})
+        triples = [nodes[n:n + 3] for n in range(0, len(nodes) - 2, 3)]
+        pairs = [nodes[n:n + 2] for n in range(0, len(nodes) - 1, 2)]
+        rows = [
+            _summary_row("chen", [p.chen_residual(s, z, uu, x)[1]
+                                  for s in u.T for z, uu, x in triples], tol),
+            _summary_row("strong-chen", [p.strong_chen_residual(I(t), x, y)[1]
+                                         for t in u.N for x, y in pairs], tol),
+            _summary_row("derivative-edge", [
+                p.derivative_residual(1, t, z, x)[1]
+                for t in u.T_r for z, x in pairs if 0 < z[1] < grid.nx - 1], tol),
+        ]
         if lp.rmap is not None:
             ruid = lp.rmap.as_uid_map()
-            worst = 0.0
-            for t in (t for t in u.T_r if t.kind == "prod"):
-                for n in range(0, len(nodes) - 1, 2):
-                    _a, rel = p.renorm_path_residual(ruid, t, nodes[n], nodes[n + 1])
-                    worst = max(worst, rel)
-            rows.append({"identity": "path-rewrite", "tree": "*",
-                         "status": "pass" if worst <= tol else "FAIL",
-                         "residual": worst})
+            rows.append(_summary_row("path-rewrite", [
+                p.renorm_path_residual(ruid, t, z, x)[1]
+                for t in u.T_r if t.kind == "prod" for z, x in pairs], tol))
             rows += liftmod.extension_consistency_report(lp)
         reports["path"] = rows
         failures.extend(coalgebra.report_failures(rows))
@@ -280,24 +284,17 @@ def cmd_verify(cfg: RunConfig) -> int:
         grid = cfg.make_grid()
         lp, _ = _build_lift(cfg, grid, u, cg)
         p = pathmod.Path(lp)
-        rows = []
         v1 = 0.5 + 0.3 * np.sin(2.0 * grid.x_field) * np.cos(1.5 * grid.t_field)
         rep = equation.cube_formula_check(p, lp.rmap, v1)
         tol = cfg.tol.get("cube", 1e-8 if lp.rmap is not None else 1e-10)
-        rows.append({"identity": "cube-formula", "tree": "*",
-                     "status": "pass" if rep["relative"] <= tol else "FAIL",
-                     "residual": rep["relative"]})
+        rows = [_summary_row("cube-formula", [rep["relative"]], tol)]
         e = equation.TreeExpansion(p, v1)
         gamma = coeffs.pick_gamma(u, Fraction(3, 2))
         mn = equation.modelled_norms(p, e, gamma, n_pairs=60, seed=cfg.seed)
         tol = cfg.tol.get("utau", 1e-8)
-        rows.append({"identity": "utau-classified", "tree": "*",
-                     "status": "pass" if mn.max_rel_mismatch <= tol else "FAIL",
-                     "residual": mn.max_rel_mismatch})
+        rows.append(_summary_row("utau-classified", [mn.max_rel_mismatch], tol))
         tp = equation.three_point_residual(p, e, gamma, n_triples=40, seed=cfg.seed)
-        rows.append({"identity": "three-point", "tree": "*",
-                     "status": "pass" if tp["max_rel_residual"] <= tol else "FAIL",
-                     "residual": tp["max_rel_residual"]})
+        rows.append(_summary_row("three-point", [tp["max_rel_residual"]], tol))
         reports["products"] = rows
         failures.extend(coalgebra.report_failures(rows))
 
@@ -395,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate")
     common(p)
-    p.add_argument("--format", default="json", choices=["json"])
 
     p = sub.add_parser("verify")
     common(p)
@@ -433,6 +429,10 @@ def main(argv=None) -> int:
     except equation.NumericalAbort as exc:
         print("numerical abort: %s" % exc, file=sys.stderr)
         return 3
+    except Exception as exc:
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

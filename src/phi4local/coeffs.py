@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .coalgebra import Coalgebra, _row
-from .symtree import GEN, ONE, PLANTED, XI, Tree, sign_of, tree_name
+from .symtree import PLANTED, Tree, sign_of, tree_name
 
 # A formal monomial: (coefficient, exponent of v1, sorted tuple of (i, exponent)).
 Monomial = tuple
@@ -23,19 +23,6 @@ def upsilon_monomial(t: Tree) -> Monomial:
     if t.kind == PLANTED:
         return upsilon_monomial(t.child)
     return (Fraction(sign_of(t)), t.m_one, t.mx_by)
-
-
-def upsilon_monomial_recursive(t: Tree) -> Monomial:
-    if t.kind == PLANTED:
-        return upsilon_monomial_recursive(t.child)
-    if t is XI:
-        return (Fraction(1), 0, ())
-    if t is ONE:
-        return (Fraction(1), 1, ())
-    if t.kind == GEN:
-        return (Fraction(1), 0, ((t.index, 1),))
-    parts = [upsilon_monomial_recursive(k.child) for k in t.children]
-    return monomial_product(parts, extra_coeff=Fraction(-1))
 
 
 def monomial_product(monos: Sequence[Monomial], extra_coeff=Fraction(1)) -> Monomial:
@@ -52,39 +39,6 @@ def monomial_product(monos: Sequence[Monomial], extra_coeff=Fraction(1)) -> Mono
 
 def upsilon_forest_monomial(forest) -> Monomial:
     return monomial_product([upsilon_monomial(t) for t in forest])
-
-
-@dataclass(frozen=True)
-class UpsilonParams:
-    v1: float
-    vX: tuple
-
-    def value(self, t: Tree) -> float:
-        c, p, mxb = upsilon_monomial(t)
-        out = float(c) * self.v1 ** p
-        for i, e in mxb:
-            out *= self.vX[i - 1] ** e
-        return out
-
-
-def upsilon(t: Tree, params: UpsilonParams) -> float:
-    """Numeric coefficient; planted trees delegate to their child."""
-    return params.value(t)
-
-
-def upsilon_recursive(t: Tree, params: UpsilonParams) -> float:
-    if t.kind == PLANTED:
-        return upsilon_recursive(t.child, params)
-    if t is XI:
-        return 1.0
-    if t is ONE:
-        return params.v1
-    if t.kind == GEN:
-        return params.vX[t.index - 1]
-    out = -1.0
-    for k in t.children:
-        out *= upsilon_recursive(k.child, params)
-    return out
 
 
 # -- identity scans ----------------------------------------------------------

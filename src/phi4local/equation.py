@@ -93,16 +93,26 @@ class PlantedExpansion:
 def dx_map(path: Path, v1: np.ndarray):
     """Generalized derivative map, as printed in the defining formula:
     the counterterm-corrected diagonal gradients minus the plain gradient."""
+    out = []
+    for i in range(1, path.u.d + 1):
+        acc = -grad_x(path.grid, v1)
+        for p, term in _dx_terms(path, i):
+            acc = acc + (term * v1 ** p if p else term)
+        out.append(acc)
+    return out
+
+
+def _dx_terms(path: Path, i: int) -> list:
+    """(p, c * X_{z,z} Im_i(t)) for the trees t of N_ring below order -1: the
+    corrections of the generalized derivative, each multiplying v^p."""
     u = path.u
     out = []
-    for i in range(1, u.d + 1):
-        acc = -grad_x(path.grid, v1)
-        for t in u.N_ring:
-            if u.order(t) < -1:
-                c, p, _mx = upsilon_monomial(t)
-                term = float(c) * path.diag_im[(i, t.uid)]
-                acc = acc + (term * v1 ** p if p else term)
-        out.append(acc)
+    for t in u.N_ring:
+        if u.order(t) < -1:
+            c, p, _mx = upsilon_monomial(t)
+            if p not in (0, 1):
+                raise AssertionError("unexpected coefficient power")
+            out.append((p, float(c) * path.diag_im[(i, t.uid)]))
     return out
 
 
@@ -261,15 +271,11 @@ def remainder_coeffs(path: Path) -> RemainderCoeffs:
     for i in range(1, u.d + 1):
         a = grid.zeros()
         b = grid.zeros()
-        for t in u.N_ring:
-            if u.order(t) < -1:
-                c, p, _mx = upsilon_monomial(t)
-                if p == 0:
-                    a += float(c) * path.diag_im[(i, t.uid)]
-                elif p == 1:
-                    b += float(c) * path.diag_im[(i, t.uid)]
-                else:
-                    raise AssertionError("unexpected coefficient power")
+        for p, term in _dx_terms(path, i):
+            if p:
+                b += term
+            else:
+                a += term
         dxA.append(a)
         dxB.append(b)
     return RemainderCoeffs(K0, K, dxA, dxB)
@@ -284,20 +290,27 @@ def _qx(mxb) -> int:
     return sum(e for _i, e in mxb)
 
 
-def remainder_rhs(path: Path, coeffs: RemainderCoeffs, v: np.ndarray,
-                  vX=None) -> np.ndarray:
-    """Right-hand side of the remainder equation for a field v on the grid."""
-    if vX is None:
-        vX = dx_map(path, v)
-    out = -v ** 3 + coeffs.K0
-    for (p, q), arr in coeffs.K.items():
+def _lower_order(K0, K: dict, A, B, v, dv):
+    """K0 + sum of K[p, q] * v^p * vX^q with vX = A + B * v - dv: the
+    remainder right-hand side without its cubic damping, on whole fields or
+    on one time row."""
+    vX = A + B * v - dv
+    out = K0.copy()
+    for (p, q), arr in K.items():
         term = arr
         if p:
             term = term * v ** p
         if q:
-            term = term * vX[0] ** q
-        out = out + term
+            term = term * vX ** q
+        out += term
     return out
+
+
+def remainder_rhs(path: Path, coeffs: RemainderCoeffs, v: np.ndarray) -> np.ndarray:
+    """Right-hand side of the remainder equation for a field v on the grid,
+    the formula solve_remainder marches."""
+    return -v ** 3 + _lower_order(coeffs.K0, coeffs.K, coeffs.dxA[0],
+                                  coeffs.dxB[0], v, grad_x(path.grid, v))
 
 
 @dataclass
@@ -336,10 +349,8 @@ class BoundaryTrace:
 
 @dataclass
 class SolveConfig:
-    k: float | None = None
     radii: tuple = (0.1, 0.2, 0.25, 0.4, 0.5)
     cap: float = 1e6
-    keep_field: bool = False
 
 
 def solve_remainder(path: Path, coeffs: RemainderCoeffs, trace: BoundaryTrace,
@@ -352,18 +363,14 @@ def solve_remainder(path: Path, coeffs: RemainderCoeffs, trace: BoundaryTrace,
     """
     config = config or SolveConfig()
     grid = path.grid
-    u = path.u
     h = grid.h
-    k = config.k or h * h / 4
+    k = h * h / 4
     mL = int(round((-1.0 + grid.S) / h))
     mR = int(round((1.0 + grid.S) / h))
     cols = slice(mL, mR + 1)
     xs = grid.xs[cols]
-    nD = xs.size
 
-    rows = {}
-    for name in ("K0",):
-        rows[name] = coeffs.K0[:, cols]
+    K0row = coeffs.K0[:, cols]
     Krows = {key: arr[:, cols] for key, arr in coeffs.K.items()}
     Arow = coeffs.dxA[0][:, cols]
     Brow = coeffs.dxB[0][:, cols]
@@ -378,19 +385,12 @@ def solve_remainder(path: Path, coeffs: RemainderCoeffs, trace: BoundaryTrace,
     nsteps = int(round(1.0 / k))
     sup = {R: 0.0 for R in config.radii}
     col_masks = {R: np.abs(xs) < 1.0 - R for R in config.radii}
-    snapshots = [] if config.keep_field else None
     t = 0.0
-    for step in range(nsteps):
-        K0r = at_time(rows["K0"], t)
-        vX = at_time(Arow, t) + at_time(Brow, t) * v - np.gradient(v, h)
-        rhs = K0r.copy()
-        for (p, q), arr in Krows.items():
-            term = at_time(arr, t)
-            if p:
-                term = term * v ** p
-            if q:
-                term = term * vX ** q
-            rhs += term
+    for _step in range(nsteps):
+        rhs = _lower_order(
+            at_time(K0row, t),
+            {key: at_time(arr, t) for key, arr in Krows.items()},
+            at_time(Arow, t), at_time(Brow, t), v, np.gradient(v, h))
         lap = np.zeros_like(v)
         lap[1:-1] = (v[2:] - 2 * v[1:-1] + v[:-2]) / (h * h)
         vh = v + k * (lap + rhs)
@@ -406,18 +406,12 @@ def solve_remainder(path: Path, coeffs: RemainderCoeffs, trace: BoundaryTrace,
         for R, msk in col_masks.items():
             if t > R * R and msk.any():
                 sup[R] = max(sup[R], float(np.max(np.abs(v[msk]))))
-        if snapshots is not None and step % 64 == 0:
-            snapshots.append(v.copy())
-    record = {
+    return {
         "trace": {"kind": trace.kind, "magnitude": trace.magnitude,
                   "seed": trace.seed},
         "k": k, "h": h, "steps": nsteps,
         "norms": {("%g" % R): sup[R] for R in config.radii},
     }
-    if snapshots is not None:
-        record["snapshots"] = np.array(snapshots)
-        record["xs"] = xs
-    return record
 
 
 # -- modelled-distribution norms ---------------------------------------------------
@@ -557,7 +551,6 @@ def modelled_norms(path: Path, e, gamma: Fraction, n_pairs: int = 100,
     xs_nodes = sample_nodes(grid, probe, rng, n_pairs)
     ys_nodes = sample_nodes(grid, probe, rng, n_pairs)
     rows = []
-    worst = 0.0
     for t in u.N:
         vals, cls_vals, dists = [], [], []
         for y, x in zip(ys_nodes, xs_nodes):
@@ -566,13 +559,14 @@ def modelled_norms(path: Path, e, gamma: Fraction, n_pairs: int = 100,
             vals.append(uv)
             cls_vals.append(cv)
             dists.append(grid.pdist(grid.node(*y), grid.node(*x)))
-        rel = max(abs(a - b) / max(1.0, abs(a), abs(b))
-                  for a, b in zip(vals, cls_vals))
-        worst = max(worst, rel)
+        rel = float(np.max([abs(a - b) / max(1.0, abs(a), abs(b))
+                            for a, b in zip(vals, cls_vals)]))
         expo = float(cutoff - u.order(t))
         semi = max((abs(v) / d ** expo) for v, d in zip(vals, dists) if d > 0)
         rows.append({"tree": tree_name(t), "mismatch": rel,
                      "seminorm": semi, "exponent": expo})
+    # np.max, unlike max, keeps a NaN mismatch
+    worst = float(np.max([0.0] + [r["mismatch"] for r in rows]))
     return ModelledNorms(gamma, rows, worst)
 
 
@@ -590,7 +584,7 @@ def three_point_residual(path: Path, e, gamma: Fraction, n_triples: int = 50,
     zs = sample_nodes(grid, probe, rng, n_triples)
     ys = sample_nodes(grid, probe, rng, n_triples)
     xs = sample_nodes(grid, probe, rng, n_triples)
-    worst = 0.0
+    residuals = [0.0]
     for z, y, x in zip(zs, ys, xs):
         lhs = (_v_level(path, e, gamma, z, x) - _v_level(path, e, gamma, z, y)
                + _v_level(path, e, gamma, y, y) - _v_level(path, e, gamma, y, x))
@@ -600,8 +594,8 @@ def three_point_residual(path: Path, e, gamma: Fraction, n_triples: int = 50,
                 continue
             rhs -= (u_tau_at(path, e, t, cutoff, y, x)
                     * path.value_at(I(t), z, y))
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
-    return {"max_rel_residual": worst, "gamma": str(gamma)}
+        residuals.append(abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
+    return {"max_rel_residual": float(np.max(residuals)), "gamma": str(gamma)}
 
 
 # -- reconstruction ---------------------------------------------------------------

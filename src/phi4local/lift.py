@@ -53,9 +53,6 @@ class CountertermMap:
     def as_uid_map(self) -> dict:
         return dict(self.table)
 
-    def is_zero(self) -> bool:
-        return not any(self.table.values())
-
     def describe(self) -> dict:
         names = {}
         for t in self.universe.Q:
@@ -331,17 +328,14 @@ def phi43_counterterms(grid: Grid, universe, seeds, eps: float,
     return CountertermMap(universe, values), report
 
 
-def random_counterterm_map(universe, rng, scale=Fraction(1), exact: bool = True,
-                           skip_x_support: bool = False) -> CountertermMap:
+def random_counterterm_map(universe, rng, exact: bool = True) -> CountertermMap:
     """Random permutation-invariant map on Q, one draw per canonical class."""
     classes: dict = {}
     for t in universe.Q:
         cu = canon(t)
-        if skip_x_support and cu.m_x:
-            continue
         if cu.uid not in classes:
             if exact:
-                classes[cu.uid] = (cu, Fraction(int(rng.integers(-9, 10)), 7) * scale)
+                classes[cu.uid] = (cu, Fraction(int(rng.integers(-9, 10)), 7))
             else:
-                classes[cu.uid] = (cu, float(rng.normal()) * float(scale))
+                classes[cu.uid] = (cu, float(rng.normal()))
     return CountertermMap(universe, {t: v for (t, v) in classes.values()})

@@ -17,7 +17,7 @@ import numpy as np
 from .field import Mollifier
 from .lift import LocalProduct
 from .symtree import (
-    EDGE_I, EDGE_IM, EDGE_IP, GEN, ONE, PLANTED, PROD, XI,
+    EDGE_I, EDGE_IP, GEN, ONE, PLANTED, PROD, XI,
     Tree, tree_name,
 )
 
@@ -45,13 +45,18 @@ class Path:
         self.diag: dict = {}     # X_{z,z} tau for product trees
         self.diag_im: dict = {}  # (i, uid) -> X_{z,z} Im_i(tau), tau in T_r
 
+        # X_{z,z} Im_i(tau) is the lift gradient on W and Xi; off W it is nu,
+        # which the Ip centering -nu cancels on N_tilde.  Entries share the
+        # arrays of nu and the lift, so nothing may write to them.
+        zero = grid.zeros()
+        zero.flags.writeable = False
         prods = sorted((t for t in u.T_r if t.kind == PROD),
                        key=lambda t: (t.edges, t.uid))
         for t in prods:
             if u.member("W", t):
                 self.diag[t.uid] = lp.value(t)
                 for i in range(1, u.d + 1):
-                    self.diag_im[(i, t.uid)] = self._im_diag(i, t)
+                    self.diag_im[(i, t.uid)] = lp.grad(i, t)
                 continue
             a = grid.zeros()
             nus = [grid.zeros() for _ in range(u.d)]
@@ -64,34 +69,21 @@ class Path:
                     nus[i - 1] += lp.grad(i, l) * cf
             self.A[t.uid] = a
             self.diag[t.uid] = dg
+            tilde = u.member("N_tilde", t)
+            cen = -a
             for i in range(1, u.d + 1):
                 self.nu[(i, t.uid)] = nus[i - 1]
-            cen = -a
-            if u.member("N_tilde", t):
-                for i in range(1, u.d + 1):
+                self.diag_im[(i, t.uid)] = zero if tilde else nus[i - 1]
+                if tilde:
                     cen = cen + grid.x_field * nus[i - 1]
                     self.cen_Ip[(i, t.uid)] = -nus[i - 1]
             self.cen_I[t.uid] = cen
-            for i in range(1, u.d + 1):
-                self.diag_im[(i, t.uid)] = self._im_diag(i, t)
-        self.diag_im[(1, XI.uid)] = self._im_diag(1, XI)
+        self.diag_im[(1, XI.uid)] = lp.grad(1, XI)
         self.mol = Mollifier(grid)
         self._moll_cache: dict = {}
         # tree supports of the truncated sums in the equation module, built
         # once per (builder, level) instead of at every point evaluation
         self.supports: dict = {}
-
-    def _im_diag(self, i: int, t: Tree) -> np.ndarray:
-        u, lp = self.u, self.lp
-        out = self.grid.zeros()
-        if t.kind == PROD and not u.member("W", t):
-            for (l, f), c in self.pairs[t.uid]:
-                out += float(c) * lp.grad(i, l) * self.cen_forest_field(f)
-        else:
-            out += lp.grad(i, t)
-        if u.member("N_tilde", t):
-            out = out + self.cen_Ip[(i, t.uid)]
-        return out
 
     # centering tables -------------------------------------------------------
 
@@ -159,11 +151,7 @@ class Path:
                 return float(self.grid.xs[z[1]] - self.grid.xs[x[1]])
             if u.member("W", ch):
                 return float(lp.ell(ch)[z])
-            acc = 0.0
-            for (l, f), c in self.cg.delta(s).items():
-                acc += float(c) * self._left_at(l, z) * self.cen_forest_at(f, x)
-            return acc
-        if s.edge == EDGE_IP:
+        elif s.edge == EDGE_IP:
             if ch.kind == GEN:
                 return 1.0
             acc = float(-self.nu[(s.index, ch.uid)][x])
@@ -173,7 +161,7 @@ class Path:
                 acc += (float(c) * float(self.nu[(s.index, l.uid)][z])
                         * self.forest_at(f, z, x))
             return acc
-        # EDGE_IM
+        # EDGE_I off W and EDGE_IM
         acc = 0.0
         for (l, f), c in self.cg.delta(s).items():
             acc += float(c) * self._left_at(l, z) * self.cen_forest_at(f, x)

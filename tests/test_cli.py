@@ -1,8 +1,12 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
+from phi4local import cli
 from phi4local.cli import RunConfig, build_parser, main
+from phi4local.field import save_field
 
 
 def test_enumerate_exit_codes(tmp_path):
@@ -89,6 +93,12 @@ def _custom_manifest(base, name):
     return "custom:%s" % p
 
 
+def _nan_manifest(base):
+    grid = RunConfig(grid=SMALL[3]).make_grid()
+    save_field(base / "field", grid, np.full((grid.nt, grid.nx), np.nan))
+    return _custom_manifest(base, "[I(One) I(Xi) I(Xi)]")
+
+
 @pytest.mark.parametrize("argv", [
     lambda d: ["verify", "--suite", "path", "--lift",
                "custom:%s" % (d / "missing.json")],
@@ -106,13 +116,43 @@ def _custom_manifest(base, name):
     lambda d: ["verify", "--suite", "all", "--dim", "2"],
     lambda d: ["solve", "--dim", "2"],
     lambda d: ["scan", "--kind", "apriori", "--dim", "2"],
+    lambda d: ["enumerate", "--out", str(_write(d, "taken", ""))],
+    lambda d: ["--config", str(_write(d, "list.json", '["x"]')),
+               "verify", "--suite", "path"],
+    lambda d: ["verify", "--suite", "path", "--lift",
+               "counterterm:%s" % _write(d, "list.json", '["x"]')],
+    lambda d: ["verify", "--suite", "path", "--lift",
+               "custom:%s" % _write(d, "list.json", '["x"]')],
+    lambda d: ["verify", "--suite", "path", "--lift", _nan_manifest(d)],
 ], ids=["custom-missing", "counterterm-missing", "config-missing",
         "custom-malformed-name", "custom-vanishing-name", "custom-missing-field",
-        "dim2-path", "dim2-products", "dim2-all", "dim2-solve", "dim2-scan"])
+        "dim2-path", "dim2-products", "dim2-all", "dim2-solve", "dim2-scan",
+        "out-is-a-file", "config-not-object", "counterterm-not-object",
+        "custom-not-object", "custom-nan-field"])
 def test_bad_config_exit_code(tmp_path, capsys, argv):
-    assert main(argv(tmp_path) + SMALL + ["--out", str(tmp_path / "out")]) == 2
+    args = argv(tmp_path) + SMALL
+    if "--out" not in args:
+        args += ["--out", str(tmp_path / "out")]
+    assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_internal_error_exit_code(monkeypatch, capsys):
+    def boom(cfg):
+        raise KeyError("lost")
+    monkeypatch.setattr(cli, "cmd_enumerate", boom)
+    assert main(["enumerate"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: KeyError: 'lost'\nTraceback")
+
+
+def test_summary_row_fails_on_nan():
+    assert cli._summary_row("chen", [0.0, 1e-12], 1e-8)["status"] == "pass"
+    assert cli._summary_row("chen", [], 1e-8)["status"] == "pass"
+    for bad in ([0.0, math.nan, 1e-12], [math.nan], [math.inf]):
+        row = cli._summary_row("chen", bad, 1e-8)
+        assert row["status"] == "FAIL" and not math.isfinite(row["residual"])
 
 
 def test_dim2_stays_valid_for_algebra():

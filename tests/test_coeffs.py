@@ -5,13 +5,57 @@ from hypothesis import given, settings, strategies as st
 
 from phi4local.coalgebra import Coalgebra, report_failures
 from phi4local.coeffs import (
-    UpsilonParams, check_coherence, check_cube_identity, classify_utau,
-    classification_table, is_resonant, order_gaps, pick_gamma,
-    upsilon, upsilon_monomial, upsilon_monomial_recursive, upsilon_recursive,
+    check_coherence, check_cube_identity, classify_utau, classification_table,
+    is_resonant, monomial_product, order_gaps, pick_gamma, upsilon_monomial,
 )
-from phi4local.symtree import ONE, XI, I, X, prod3, sign_of, tree_name
+from phi4local.symtree import GEN, ONE, PLANTED, XI, I, X, prod3, sign_of, tree_name
 
 D310 = Fraction(3, 10)
+
+
+# -- oracles: the coefficient map evaluated numerically and by recursion ------
+
+class UpsilonParams:
+    def __init__(self, v1: float, vX: tuple):
+        self.v1 = v1
+        self.vX = vX
+
+
+def upsilon(t, params: UpsilonParams) -> float:
+    """Numeric coefficient through the closed-form monomial."""
+    c, p, mxb = upsilon_monomial(t)
+    out = float(c) * params.v1 ** p
+    for i, e in mxb:
+        out *= params.vX[i - 1] ** e
+    return out
+
+
+def upsilon_recursive(t, params: UpsilonParams) -> float:
+    if t.kind == PLANTED:
+        return upsilon_recursive(t.child, params)
+    if t is XI:
+        return 1.0
+    if t is ONE:
+        return params.v1
+    if t.kind == GEN:
+        return params.vX[t.index - 1]
+    out = -1.0
+    for k in t.children:
+        out *= upsilon_recursive(k.child, params)
+    return out
+
+
+def upsilon_monomial_recursive(t):
+    if t.kind == PLANTED:
+        return upsilon_monomial_recursive(t.child)
+    if t is XI:
+        return (Fraction(1), 0, ())
+    if t is ONE:
+        return (Fraction(1), 1, ())
+    if t.kind == GEN:
+        return (Fraction(1), 0, ((t.index, 1),))
+    parts = [upsilon_monomial_recursive(k.child) for k in t.children]
+    return monomial_product(parts, extra_coeff=Fraction(-1))
 
 
 def cube():

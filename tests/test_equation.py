@@ -241,6 +241,13 @@ def test_utau_classified_crosscheck(coarse_path, u920):
         assert mn.max_rel_mismatch <= 1e-8
 
 
+def test_modelled_norms_keeps_nan(coarse_path, u920):
+    e = TreeExpansion(coarse_path, np.full_like(coarse_path.grid.ones(), np.nan))
+    mn = modelled_norms(coarse_path, e, pick_gamma(u920, Fraction(3, 2)),
+                        n_pairs=5, seed=3)
+    assert math.isnan(mn.max_rel_mismatch)
+
+
 def test_three_point_identity(coarse_path, u920):
     p = coarse_path
     grid = p.grid

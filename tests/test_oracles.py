@@ -1,11 +1,13 @@
-"""Loop forms of the point evaluators, truncated sums and heat march, kept as
-reference oracles.
+"""Loop forms of the point evaluators, truncated sums, heat march, diagonal
+derivative tables and remainder march, kept as reference oracles.
 
-The package versions read precomputed tree supports, scalar table entries and
-an in-place march; they must agree with these direct forms bit for bit, since
-they perform the same float operations in the same order.
+The package versions read precomputed tree supports, scalar table entries,
+shared tables and one right-hand side; they must agree with these direct
+forms bit for bit, since they perform the same float operations in the same
+order.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -13,10 +15,10 @@ import pytest
 
 from phi4local import equation
 from phi4local.coeffs import pick_gamma
-from phi4local.equation import TreeExpansion
+from phi4local.equation import BoundaryTrace, SolveConfig, TreeExpansion
 from phi4local.field import COARSE_GRID, DEFAULT_GRID, heat_solve, noise_field
 from phi4local.path import sample_nodes
-from phi4local.symtree import EDGE_I, EDGE_IP, GEN, ONE, I
+from phi4local.symtree import EDGE_I, EDGE_IP, GEN, ONE, PROD, XI, I
 
 # -- oracles --------------------------------------------------------------------
 
@@ -113,6 +115,69 @@ def v3_loop(path, e, level, y, x):
     return acc
 
 
+def im_diag_loop(path, i, t):
+    """X_{z,z} Im_i(t) summed again over the coproduct, plus the Ip centering."""
+    u, lp = path.u, path.lp
+    out = path.grid.zeros()
+    if t.kind == PROD and not u.member("W", t):
+        for (l, f), c in path.pairs[t.uid]:
+            out += float(c) * lp.grad(i, l) * path.cen_forest_field(f)
+    else:
+        out += lp.grad(i, t)
+    if u.member("N_tilde", t):
+        out = out + path.cen_Ip[(i, t.uid)]
+    return out
+
+
+def solve_remainder_loop(path, coeffs, trace, radii):
+    """The remainder march with its right-hand side written inline."""
+    grid = path.grid
+    h = grid.h
+    k = h * h / 4
+    mL = int(round((-1.0 + grid.S) / h))
+    mR = int(round((1.0 + grid.S) / h))
+    cols = slice(mL, mR + 1)
+    xs = grid.xs[cols]
+    K0row = coeffs.K0[:, cols]
+    Krows = {key: arr[:, cols] for key, arr in coeffs.K.items()}
+    Arow = coeffs.dxA[0][:, cols]
+    Brow = coeffs.dxB[0][:, cols]
+
+    def at_time(arr2, t):
+        j = (t - grid.t0) / grid.k_store
+        j0 = min(int(j), grid.nt - 2)
+        frac = j - j0
+        return (1 - frac) * arr2[j0] + frac * arr2[j0 + 1]
+
+    v = trace.initial(xs)
+    sup = {R: 0.0 for R in radii}
+    col_masks = {R: np.abs(xs) < 1.0 - R for R in radii}
+    t = 0.0
+    for _step in range(int(round(1.0 / k))):
+        K0r = at_time(K0row, t)
+        vX = at_time(Arow, t) + at_time(Brow, t) * v - np.gradient(v, h)
+        rhs = K0r.copy()
+        for (p, q), arr in Krows.items():
+            term = at_time(arr, t)
+            if p:
+                term = term * v ** p
+            if q:
+                term = term * vX ** q
+            rhs += term
+        lap = np.zeros_like(v)
+        lap[1:-1] = (v[2:] - 2 * v[1:-1] + v[:-2]) / (h * h)
+        vh = v + k * (lap + rhs)
+        v = vh / np.sqrt(1.0 + 2.0 * k * vh ** 2)
+        t += k
+        v[0] = trace.side(t, -1)
+        v[-1] = trace.side(t, +1)
+        assert math.isfinite(float(np.max(np.abs(v))))
+        for R, msk in col_masks.items():
+            if t > R * R and msk.any():
+                sup[R] = max(sup[R], float(np.max(np.abs(v[msk]))))
+    return {("%g" % R): sup[R] for R in radii}
+
+
 # -- comparisons ------------------------------------------------------------------
 
 FIXTURES = ["default_path_trig", "default_path_gauss"]
@@ -175,3 +240,25 @@ def test_truncated_sums_match_loops(request, name, smooth_v1):
         for y, x in pairs:
             assert (equation.u_tau_at(p, e, t, cutoff, y, x)
                     == u_tau_loop(p, e, t, cutoff, y, x))
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_diag_im_matches_loop(request, name):
+    p = request.getfixturevalue(name)
+    u = p.u
+    keys = [(i, t) for t in u.T_r if t.kind == PROD for i in range(1, u.d + 1)]
+    keys.append((1, XI))
+    assert sorted(p.diag_im) == sorted((i, t.uid) for i, t in keys)
+    for i, t in keys:
+        assert np.array_equal(p.diag_im[(i, t.uid)], im_diag_loop(p, i, t))
+
+
+def test_remainder_march_matches_inline_rhs(coarse_path):
+    co = equation.remainder_coeffs(coarse_path)
+    assert co.K
+    radii = (0.1, 0.2, 0.25, 0.4, 0.5)
+    for trace in (BoundaryTrace("smooth", 100.0, seed=3),
+                  BoundaryTrace("const", 2.0)):
+        rec = equation.solve_remainder(coarse_path, co, trace,
+                                       SolveConfig(radii=radii))
+        assert rec["norms"] == solve_remainder_loop(coarse_path, co, trace, radii)
