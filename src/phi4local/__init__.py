@@ -14,7 +14,7 @@ from .coeffs import (
 )
 from .field import (
     Grid, StabilityError, grad_x, heat_residual, heat_solve, load_field,
-    mollify, Mollifier, neg_holder_seminorm, noise_field, save_field,
+    Mollifier, neg_holder_seminorm, noise_field, save_field,
 )
 from .lift import (
     CountertermMap, LocalProduct, build_local_product, phi43_counterterms,

@@ -1,7 +1,8 @@
 """Command-line harness: enumeration, identity suites, solves and scans.
 
 Exit codes: 0 pass, 1 identity failure, 2 configuration error, 3 numerical
-abort, 4 internal error (any other exception; its type, message and
+abort (with --out, its diagnostics go to numerical-abort.json there, never
+into a report), 4 internal error (any other exception; its type, message and
 traceback go to stderr).  All randomness is derived from the configured
 seed, so identical configurations produce byte-identical reports.
 """
@@ -60,7 +61,8 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        if path.endswith(".json"):
+        as_json = path.endswith(".json")
+        if as_json:
             data = _read_json_object(path)
         else:
             data = {}
@@ -83,6 +85,9 @@ class RunConfig:
             if not hasattr(cfg, key):
                 raise ConfigError("unknown config key %r" % key)
             cur = getattr(cfg, key)
+            if as_json and not _json_type_fits(cur, val):
+                raise ConfigError("config key %r cannot take the JSON value %s"
+                                  % (key, json.dumps(val)))
             if isinstance(cur, int) and key != "tol":
                 val = int(val)
             setattr(cfg, key, val)
@@ -132,6 +137,18 @@ def _read_json_object(path: str) -> dict:
         raise ConfigError("%s must hold a JSON object, not a %s"
                           % (path, type(data).__name__))
     return data
+
+
+def _json_type_fits(cur, val) -> bool:
+    """Whether a JSON value can stand for a field whose default is cur (a
+    float cannot carry 9/20, so string fields take strings only)."""
+    if isinstance(cur, str):
+        return isinstance(val, str)
+    if isinstance(cur, int):
+        return isinstance(val, (int, str)) and not isinstance(val, bool)
+    return isinstance(val, dict) and all(
+        isinstance(x, (int, float)) and not isinstance(x, bool)
+        for x in val.values())
 
 
 def _parse_number(s: str) -> float:
@@ -428,6 +445,14 @@ def main(argv=None) -> int:
         return 2
     except equation.NumericalAbort as exc:
         print("numerical abort: %s" % exc, file=sys.stderr)
+        if cfg.out:     # a file of its own: diagnostics never enter a report
+            try:
+                _emit(cfg, "numerical-abort", {"message": str(exc),
+                                               "diagnostics": exc.diagnostics})
+                print("diagnostics written to %s"
+                      % FSPath(cfg.out, "numerical-abort.json"), file=sys.stderr)
+            except ConfigError as err:
+                print("error: %s" % err, file=sys.stderr)
         return 3
     except Exception as exc:
         print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)

@@ -244,12 +244,12 @@ class Coalgebra:
             report.append(_row("coassoc", s, lhs == rhs, lhs, rhs))
         return report
 
-    def verify_explicit_formula(self, trees=None) -> list:
+    def verify_explicit_formula(self) -> list:
         """delta against the cut-map table, plus the leaf-count identities."""
         u = self.u
         report = []
         candidates = u.N + tuple(t for t in u.W)
-        for t in (trees if trees is not None else candidates):
+        for t in candidates:
             rhs_planted: dict = {}
             for tb in candidates:
                 f = self.cplus(tb, t)
@@ -293,15 +293,15 @@ class Coalgebra:
                 report.append(_row("range-" + name, s, ok, None, None))
         return report
 
-    def verify_renorm_commute(self, rmap: dict, trees=None) -> list:
+    def verify_renorm_commute(self, rmap: dict) -> list:
         """delta R == (R x id) delta on product trees; compared after multiset
         normalization of forests (the raw ordered comparison is reported too).
         """
         u = self.u
         report = []
-        pool = trees if trees is not None else tuple(
-            t for t in u.T_r if t.kind == PROD)
-        for t in pool:
+        for t in u.T_r:
+            if t.kind != PROD:
+                continue
             lhs: dict = {}
             for f, c in self.renorm_expand(rmap, t).items():
                 for (fl, fr), c2 in self.delta_forest(f).items():

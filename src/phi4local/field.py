@@ -125,7 +125,7 @@ COARSE_GRID = Grid(h=1 / 16, k_store=1 / 32, substeps=32)
 FINE_GRID = Grid(h=1 / 64, k_store=1 / 1024, substeps=16)
 
 
-def heat_solve(grid: Grid, f: np.ndarray, cutoff: np.ndarray | None = None) -> np.ndarray:
+def heat_solve(grid: Grid, f: np.ndarray) -> np.ndarray:
     """March (d_t - Lap) u = cutoff * f forward from zero data at t0 with zero
     spatial boundary values; returns u on the stored levels.
 
@@ -133,8 +133,7 @@ def heat_solve(grid: Grid, f: np.ndarray, cutoff: np.ndarray | None = None) -> n
     as one block; each substep then updates the interior in place, with the
     elementwise operations of u + lam * (u[2:] - 2u + u[:-2]) + k * rhs in
     that order, so no row is allocated inside the march."""
-    rho = grid.cutoff if cutoff is None else cutoff
-    rf = rho * f
+    rf = grid.cutoff * f
     u = np.zeros(grid.nx)
     out = np.empty((grid.nt, grid.nx))
     out[0] = u
@@ -159,15 +158,14 @@ def heat_solve(grid: Grid, f: np.ndarray, cutoff: np.ndarray | None = None) -> n
     return out
 
 
-def heat_residual(grid: Grid, u: np.ndarray, f: np.ndarray,
-                  cutoff: np.ndarray | None = None) -> np.ndarray:
+def heat_residual(grid: Grid, u: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Discrete residual (d_t - Lap) u - cutoff*f on interior stored nodes."""
-    rho = grid.cutoff if cutoff is None else cutoff
+    rf = grid.cutoff * f
     dt = (u[1:] - u[:-1]) / grid.k_store
     lap = np.zeros_like(u)
     lap[:, 1:-1] = (u[:, 2:] - 2 * u[:, 1:-1] + u[:, :-2]) / grid.h ** 2
     mid = 0.5 * (lap[1:] + lap[:-1])
-    rfm = 0.5 * ((rho * f)[1:] + (rho * f)[:-1])
+    rfm = 0.5 * (rf[1:] + rf[:-1])
     return dt - mid - rfm
 
 
@@ -249,21 +247,14 @@ class Mollifier:
         return g, mask
 
 
-def mollify(grid: Grid, f: np.ndarray, L: float, n: int | None = None,
-            mollifier: Mollifier | None = None):
-    mol = mollifier or Mollifier(grid)
-    return mol.smooth(f, L, n)
-
-
 # -- norms ---------------------------------------------------------------------
 
 def neg_holder_seminorm(grid: Grid, f: np.ndarray, alpha: float,
-                        scales, mollifier: Mollifier | None = None,
-                        probe: np.ndarray | None = None) -> float:
+                        scales, probe: np.ndarray | None = None) -> float:
     """sup over the given scales of ||(f)_L|| * L^(-alpha), alpha < 0."""
     if alpha >= 0:
         raise ValueError("alpha must be negative")
-    mol = mollifier or Mollifier(grid)
+    mol = Mollifier(grid)
     best = 0.0
     seen = False
     for L in scales:
@@ -355,7 +346,7 @@ def noise_field(grid: Grid, kind: str, seed: int = 0, eps: float | None = None,
         rng = np.random.default_rng(seed)
         white = rng.standard_normal((grid.nt, grid.nx))
         white *= amp / math.sqrt(grid.k_store * grid.h)
-        g, mask = mollify(grid, white, eps)
+        g, mask = Mollifier(grid).smooth(white, eps)
         return np.where(mask, g, 0.0)
     raise ValueError("unknown noise kind %r" % kind)
 

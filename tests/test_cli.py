@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from phi4local import cli
+from phi4local import cli, equation
 from phi4local.cli import RunConfig, build_parser, main
 from phi4local.field import save_field
 
@@ -85,6 +85,13 @@ def test_solve_smoke(tmp_path):
 
 
 SMALL = ["--delta", "9/20", "--grid", "1/16,1/32,3"]
+# JSON config values whose type cannot be their field's
+JSON_TYPE_ERRORS = {
+    "tol-number": {"tol": 5}, "tol-string-value": {"tol": {"chen": "small"}},
+    "noise-number": {"noise": 7}, "lift-list": {"lift": ["x"]},
+    "delta-float": {"delta": 0.45}, "dim-float": {"dim": 1.7},
+    "seed-bool": {"seed": True}, "max-m-xi-list": {"max_m_xi": [3]},
+}
 
 
 def _custom_manifest(base, name):
@@ -124,11 +131,15 @@ def _nan_manifest(base):
     lambda d: ["verify", "--suite", "path", "--lift",
                "custom:%s" % _write(d, "list.json", '["x"]')],
     lambda d: ["verify", "--suite", "path", "--lift", _nan_manifest(d)],
+    *[lambda d, v=v: ["--config", str(_write(d, "typed.json", json.dumps(v))),
+                      "verify", "--suite", "products"]
+      for v in JSON_TYPE_ERRORS.values()],
 ], ids=["custom-missing", "counterterm-missing", "config-missing",
         "custom-malformed-name", "custom-vanishing-name", "custom-missing-field",
         "dim2-path", "dim2-products", "dim2-all", "dim2-solve", "dim2-scan",
         "out-is-a-file", "config-not-object", "counterterm-not-object",
-        "custom-not-object", "custom-nan-field"])
+        "custom-not-object", "custom-nan-field",
+        *["config-" + name for name in JSON_TYPE_ERRORS]])
 def test_bad_config_exit_code(tmp_path, capsys, argv):
     args = argv(tmp_path) + SMALL
     if "--out" not in args:
@@ -136,6 +147,23 @@ def test_bad_config_exit_code(tmp_path, capsys, argv):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_numerical_abort_sidecar(tmp_path, monkeypatch, capsys):
+    diagnostics = {"t": 0.5, "max": 2e6, "trace": {"kind": "smooth"}}
+
+    def abort(*args, **kwargs):
+        raise equation.NumericalAbort("cap exceeded", diagnostics)
+    monkeypatch.setattr(equation, "solve_remainder", abort)
+    out = tmp_path / "out"
+    assert main(["solve", *SMALL, "--out", str(out)]) == 3
+    assert sorted(p.name for p in out.iterdir()) == ["numerical-abort.json"]
+    data = json.loads((out / "numerical-abort.json").read_text())
+    assert data == {"message": "cap exceeded", "diagnostics": diagnostics}
+    assert str(out / "numerical-abort.json") in capsys.readouterr().err
+    # without --out nothing is written, not even to stdout
+    assert main(["solve", *SMALL]) == 3
+    assert capsys.readouterr().out == ""
 
 
 def test_internal_error_exit_code(monkeypatch, capsys):

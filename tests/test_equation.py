@@ -6,7 +6,9 @@ import pytest
 
 from phi4local.coeffs import pick_gamma
 from phi4local.field import COARSE_GRID, DEFAULT_GRID, Grid, grad_x, noise_field
-from phi4local.lift import CountertermMap, build_local_product, standard_families
+from phi4local.lift import (
+    CountertermMap, build_local_product, phi43_counterterms, standard_families,
+)
 from phi4local.path import Path
 from phi4local.equation import (
     BoundaryTrace, NumericalAbort, PlantedExpansion, ResonantLevel,
@@ -15,7 +17,7 @@ from phi4local.equation import (
     renorm_product, solve_remainder, telescoping_residual, three_point_residual,
     u_tau_at,
 )
-from phi4local.symtree import ONE, XI, I, X, prod3, sign_of, tree_name
+from phi4local.symtree import ONE, XI, I, X, parse_tree, prod3, sign_of, tree_name
 
 D = Fraction(9, 20)
 
@@ -153,7 +155,7 @@ def test_remainder_correspondence(default_path_trig, u920):
     grid = p.grid
     co = remainder_coeffs(p)
     v = 0.3 * np.sin(1.3 * grid.x_field) * np.cos(0.8 * grid.t_field)
-    rhs = remainder_rhs(p, co, v)
+    rhs = remainder_rhs(co, v)
     uu = grid.zeros()
     for w in u920.W:
         uu += sign_of(w) * p.lp.ell(w)
@@ -162,6 +164,34 @@ def test_remainder_correspondence(default_path_trig, u920):
         classical -= sign_of(w) * grid.cutoff * p.lp.value(w)
     inner = (grid.cutoff > 1.0 - 1e-12) & grid.probe_mask()
     assert np.max(np.abs((rhs - classical)[inner])) < 1e-10
+
+
+def test_remainder_coeffs_keyed_by_power(coarse_path, u920, u25, u310, cg920):
+    # the right-hand side is a polynomial in v alone, on every universe and
+    # lift kind: no coefficient multiplies the generalized derivative
+    grid = COARSE_GRID
+    xi = noise_field(grid, "trig", seed=0)
+    rmap, _ = phi43_counterterms(grid, u920, seeds=[0], eps=0.25, kind="trig")
+    w = prod3(I(XI), I(XI), I(XI), D)
+    paths = [coarse_path,
+             Path(build_local_product(grid, u25, xi)),
+             Path(build_local_product(grid, u310, xi)),
+             Path(build_local_product(grid, u920, xi, rmap=rmap, coalg=cg920)),
+             Path(build_local_product(grid, u920, xi, coalg=cg920,
+                                      custom={w: noise_field(grid, "bump")}))]
+    for p in paths:
+        co = remainder_coeffs(p)
+        assert co.K and all(type(key) is int for key in co.K)
+
+
+def test_remainder_coeffs_rejects_vx_term(coarse_path, monkeypatch):
+    # the one product carrying vX has a vanishing diagonal field; were it not
+    # zero, dropping the term would change the equation
+    t = parse_tree("[I(X1) I(Xi) I(Xi)]", D)
+    assert not np.any(coarse_path.diag[t.uid])
+    monkeypatch.setitem(coarse_path.diag, t.uid, coarse_path.grid.ones())
+    with pytest.raises(AssertionError):
+        remainder_coeffs(coarse_path)
 
 
 def test_solver_zero_case(u920, cg920):
@@ -212,6 +242,13 @@ def test_modelled_norms_rejects_resonant(coarse_path):
     e = TreeExpansion(coarse_path, coarse_path.grid.ones())
     with pytest.raises(ResonantLevel):
         modelled_norms(coarse_path, e, Fraction(2) + coarse_path.u.order(ONE))
+
+
+def test_modelled_norms_rejects_gamma_above_two(coarse_path, u920):
+    # above 2 the classified form is not an exact rewriting any more
+    e = TreeExpansion(coarse_path, coarse_path.grid.ones())
+    with pytest.raises(ValueError, match="not below 2"):
+        modelled_norms(coarse_path, e, pick_gamma(u920, Fraction(201, 100)))
 
 
 def test_utau_special_cases(coarse_path, u920):

@@ -6,7 +6,7 @@ import pytest
 from phi4local.field import (
     COARSE_GRID, DEFAULT_GRID, Grid, Mollifier, ResolutionError,
     StabilityError, grad_x, heat_residual, heat_solve, holder_seminorm,
-    load_field, mollify, neg_holder_seminorm, noise_field, save_field,
+    load_field, neg_holder_seminorm, noise_field, save_field,
 )
 
 G = DEFAULT_GRID
@@ -78,13 +78,13 @@ def test_kernel_support_radius():
 
 
 def test_mollify_spatial_symmetry():
-    out, mask = mollify(G, G.x_field.copy(), 0.25)
+    out, mask = Mollifier(G).smooth(G.x_field.copy(), 0.25)
     assert np.max(np.abs((out - G.x_field)[mask])) < 1e-12
 
 
 def test_mollify_below_resolution():
     with pytest.raises(ResolutionError):
-        mollify(G, G.ones(), G.h)
+        Mollifier(G).smooth(G.ones(), G.h)
 
 
 def test_semigroup_residuals():

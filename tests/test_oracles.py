@@ -23,9 +23,8 @@ from phi4local.symtree import EDGE_I, EDGE_IP, GEN, ONE, PROD, XI, I
 # -- oracles --------------------------------------------------------------------
 
 
-def heat_solve_loop(grid, f, cutoff=None):
-    rho = grid.cutoff if cutoff is None else cutoff
-    rf = rho * f
+def heat_solve_loop(grid, f):
+    rf = grid.cutoff * f
     u = np.zeros(grid.nx)
     out = np.empty((grid.nt, grid.nx))
     out[0] = u
@@ -130,7 +129,8 @@ def im_diag_loop(path, i, t):
 
 
 def solve_remainder_loop(path, coeffs, trace, radii):
-    """The remainder march with its right-hand side written inline."""
+    """The remainder march with its right-hand side K0 + sum_p K[p] v^p
+    written inline."""
     grid = path.grid
     h = grid.h
     k = h * h / 4
@@ -139,9 +139,7 @@ def solve_remainder_loop(path, coeffs, trace, radii):
     cols = slice(mL, mR + 1)
     xs = grid.xs[cols]
     K0row = coeffs.K0[:, cols]
-    Krows = {key: arr[:, cols] for key, arr in coeffs.K.items()}
-    Arow = coeffs.dxA[0][:, cols]
-    Brow = coeffs.dxB[0][:, cols]
+    Krows = {p: arr[:, cols] for p, arr in coeffs.K.items()}
 
     def at_time(arr2, t):
         j = (t - grid.t0) / grid.k_store
@@ -154,15 +152,11 @@ def solve_remainder_loop(path, coeffs, trace, radii):
     col_masks = {R: np.abs(xs) < 1.0 - R for R in radii}
     t = 0.0
     for _step in range(int(round(1.0 / k))):
-        K0r = at_time(K0row, t)
-        vX = at_time(Arow, t) + at_time(Brow, t) * v - np.gradient(v, h)
-        rhs = K0r.copy()
-        for (p, q), arr in Krows.items():
+        rhs = at_time(K0row, t).copy()
+        for p, arr in Krows.items():
             term = at_time(arr, t)
             if p:
                 term = term * v ** p
-            if q:
-                term = term * vX ** q
             rhs += term
         lap = np.zeros_like(v)
         lap[1:-1] = (v[2:] - 2 * v[1:-1] + v[:-2]) / (h * h)
@@ -206,10 +200,6 @@ def test_heat_solve_matches_loop(grid):
     for f in (noise_field(grid, "trig", seed=1),
               noise_field(grid, "gauss", seed=2, eps=1 / 8)):
         assert np.array_equal(heat_solve(grid, f), heat_solve_loop(grid, f))
-    bump = noise_field(grid, "bump")
-    rho = 0.5 + 0.5 * grid.t_field
-    assert np.array_equal(heat_solve(grid, bump, rho),
-                          heat_solve_loop(grid, bump, rho))
 
 
 @pytest.mark.parametrize("name", FIXTURES)
