@@ -157,7 +157,12 @@ def _parse_number(s: str) -> float:
 
 
 def _emit(cfg: RunConfig, name: str, payload: dict) -> None:
-    text = json.dumps(payload, indent=1, sort_keys=True, default=_json_default)
+    """Write payload as strict JSON: a non-finite float is written as the
+    string "NaN", "Infinity" or "-Infinity", never as a bare token."""
+    try:
+        text = _dumps(payload)
+    except ValueError:
+        text = _dumps(_nonfinite_as_str(payload))
     if cfg.out:
         out = FSPath(cfg.out)
         try:
@@ -170,6 +175,11 @@ def _emit(cfg: RunConfig, name: str, payload: dict) -> None:
         print(text)
 
 
+def _dumps(payload) -> str:
+    return json.dumps(payload, indent=1, sort_keys=True, default=_json_default,
+                      allow_nan=False)
+
+
 def _json_default(obj):
     if isinstance(obj, Fraction):
         return str(obj)
@@ -177,9 +187,20 @@ def _json_default(obj):
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
     raise TypeError(type(obj))
+
+
+def _nonfinite_as_str(obj):
+    """A copy of obj with each non-finite float replaced by its JSON name."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _nonfinite_as_str(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_nonfinite_as_str(v) for v in obj]
+    if isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
+        return "NaN" if math.isnan(obj) else "Infinity" if obj > 0 else "-Infinity"
+    return obj
 
 
 def _universe(cfg: RunConfig):

@@ -53,6 +53,7 @@ class Coalgebra:
         self._delta: Dict[int, dict] = {}
         self._cplus: Dict[Tuple[int, int], Optional[Forest]] = {}
         self._cminus: Dict[Tuple[int, int], Optional[Forest]] = {}
+        self._rcuts: Dict[int, Tuple[Tuple[int, Forest], ...]] = {}
 
     # -- coproduct ---------------------------------------------------------
 
@@ -216,15 +217,24 @@ class Coalgebra:
         """R(tau) = q_F(tau) + sum r(tau') C_-(tau', tau) as {forest: coeff}.
 
         rmap maps canonical uids to coefficients; it must vanish off Q.
+        The cuts come from an index keyed by tau.uid: the pairs
+        (canon(tq).uid, C_-(tq, tau)) for tq in Q, in Q order, where the cut
+        is defined.  It is built on first use, does not depend on rmap, and
+        lasts as long as this instance.
         """
+        cuts = self._rcuts.get(tau.uid)
+        if cuts is None:
+            pairs = []
+            for tq in self.u.Q:
+                f = self.cminus(tq, tau)
+                if f is not None:
+                    pairs.append((canon(tq).uid, f))
+            cuts = self._rcuts[tau.uid] = tuple(pairs)
         acc: dict = {}
         _add(acc, tuple(tau.children), 1)
-        for tq in self.u.Q:
-            c = rmap.get(canon(tq).uid)
-            if not c:
-                continue
-            f = self.cminus(tq, tau)
-            if f is not None:
+        for uid, f in cuts:
+            c = rmap.get(uid)
+            if c:
                 _add(acc, f, c)
         return acc
 

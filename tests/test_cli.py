@@ -183,6 +183,36 @@ def test_summary_row_fails_on_nan():
         assert row["status"] == "FAIL" and not math.isfinite(row["residual"])
 
 
+def _strict_loads(text):
+    def reject(token):
+        raise ValueError("bare %s token" % token)
+    return json.loads(text, parse_constant=reject)
+
+
+def test_emit_writes_nonfinite_floats_as_strings(tmp_path, monkeypatch, capsys):
+    finite = {"rows": [cli._summary_row("chen", [0.0, 1e-12], 1e-8)],
+              "x": np.arange(3.0), "c": np.float32(0.5)}
+    cli._emit(RunConfig(), "report", finite)
+    # finite reports keep the bytes of a plain dump
+    assert capsys.readouterr().out == json.dumps(
+        finite, indent=1, sort_keys=True, default=cli._json_default) + "\n"
+    row = cli._summary_row("chen", [0.0, math.nan], 1e-8)
+    cli._emit(RunConfig(), "report", {"rows": [row], "x": np.array([-math.inf])})
+    data = _strict_loads(capsys.readouterr().out)
+    assert data["rows"][0]["residual"] == "NaN" and data["x"] == ["-Infinity"]
+    assert data["rows"][0]["status"] == "FAIL"
+
+    diagnostics = {"t": 0.5, "max": math.inf}
+
+    def abort(*args, **kwargs):
+        raise equation.NumericalAbort("cap exceeded", diagnostics)
+    monkeypatch.setattr(equation, "solve_remainder", abort)
+    out = tmp_path / "out"
+    assert main(["solve", *SMALL, "--out", str(out)]) == 3
+    data = _strict_loads((out / "numerical-abort.json").read_text())
+    assert data["diagnostics"] == {"t": 0.5, "max": "Infinity"}
+
+
 def test_dim2_stays_valid_for_algebra():
     for argv in (["verify", "--suite", "algebra", "--dim", "2"],
                  ["enumerate", "--dim", "2"]):

@@ -1,10 +1,11 @@
 """Loop forms of the point evaluators, truncated sums, heat march, diagonal
-derivative tables and remainder march, kept as reference oracles.
+derivative tables, remainder march and renormalization operator, kept as
+reference oracles.
 
 The package versions read precomputed tree supports, scalar table entries,
-shared tables and one right-hand side; they must agree with these direct
-forms bit for bit, since they perform the same float operations in the same
-order.
+shared tables, one right-hand side and an index of the C- cuts; they must
+agree with these direct forms bit for bit, since they perform the same float
+operations in the same order.
 """
 
 import math
@@ -14,11 +15,13 @@ import numpy as np
 import pytest
 
 from phi4local import equation
+from phi4local.coalgebra import Coalgebra, _add
 from phi4local.coeffs import pick_gamma
 from phi4local.equation import BoundaryTrace, SolveConfig, TreeExpansion
 from phi4local.field import COARSE_GRID, DEFAULT_GRID, heat_solve, noise_field
+from phi4local.lift import random_counterterm_map
 from phi4local.path import sample_nodes
-from phi4local.symtree import EDGE_I, EDGE_IP, GEN, ONE, PROD, XI, I
+from phi4local.symtree import EDGE_I, EDGE_IP, GEN, ONE, PROD, XI, I, canon
 
 # -- oracles --------------------------------------------------------------------
 
@@ -172,6 +175,20 @@ def solve_remainder_loop(path, coeffs, trace, radii):
     return {("%g" % R): sup[R] for R in radii}
 
 
+def renorm_expand_loop(cg, rmap, tau):
+    """R(tau) with a scan over all of Q on every call."""
+    acc: dict = {}
+    _add(acc, tuple(tau.children), 1)
+    for tq in cg.u.Q:
+        c = rmap.get(canon(tq).uid)
+        if not c:
+            continue
+        f = cg.cminus(tq, tau)
+        if f is not None:
+            _add(acc, f, c)
+    return acc
+
+
 # -- comparisons ------------------------------------------------------------------
 
 FIXTURES = ["default_path_trig", "default_path_gauss"]
@@ -252,3 +269,19 @@ def test_remainder_march_matches_inline_rhs(coarse_path):
         rec = equation.solve_remainder(coarse_path, co, trace,
                                        SolveConfig(radii=radii))
         assert rec["norms"] == solve_remainder_loop(coarse_path, co, trace, radii)
+
+
+def test_renorm_expand_matches_loop(u310):
+    # one Coalgebra for all three maps: the cut index is built for the first
+    # map and must serve the others unchanged
+    cg = Coalgebra(u310)
+    rng = np.random.default_rng(5)
+    maps = [random_counterterm_map(u310, rng).as_uid_map(),
+            random_counterterm_map(u310, rng).as_uid_map(),
+            random_counterterm_map(u310, rng, exact=False).as_uid_map()]
+    taus = [t for t in u310.T_r if t.kind == PROD]
+    for rmap in maps:
+        for t in taus:
+            for tau in (t, *(l for (l, _f) in cg.delta(t))):
+                assert (list(cg.renorm_expand(rmap, tau).items())
+                        == list(renorm_expand_loop(cg, rmap, tau).items()))
