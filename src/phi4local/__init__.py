@@ -5,7 +5,7 @@ paths, renormalized products and the remainder equation."""
 from .symtree import (
     ONE, XI, I, Im, Ip, Tree, TreeUniverse, X, canon, check_delta_admissible,
     enumerate_universe, leq, order, parse_delta, parse_tree, prod3, sign_of,
-    subset, tree_name,
+    tree_name,
 )
 from .coalgebra import Coalgebra, report_failures
 from .coeffs import (
@@ -13,8 +13,8 @@ from .coeffs import (
     upsilon_monomial,
 )
 from .field import (
-    Grid, StabilityError, grad_x, heat_residual, heat_solve, load_field,
-    Mollifier, neg_holder_seminorm, noise_field, save_field,
+    Grid, StabilityError, grad_x, heat_solve, load_field, Mollifier,
+    noise_field, save_field,
 )
 from .lift import (
     CountertermMap, LocalProduct, build_local_product, phi43_counterterms,
@@ -22,7 +22,7 @@ from .lift import (
 )
 from .path import Path, OrderRow, fit_slope, order_scan, sample_nodes
 from .equation import (
-    BoundaryTrace, NumericalAbort, PlantedExpansion, RenormConstants,
+    BoundaryTrace, NumericalAbort, RenormConstants,
     SolveConfig, TreeExpansion, apriori_scan, cube_formula_check, dx_map,
     modelled_norms, reconstruction_check, remainder_coeffs, remainder_rhs,
     renorm_constants, renorm_product, solve_remainder, three_point_residual,

@@ -10,6 +10,7 @@ seed, so identical configurations produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -96,10 +97,13 @@ class RunConfig:
     def make_grid(self) -> fieldmod.Grid:
         if not self.grid:
             return fieldmod.DEFAULT_GRID
-        h_s, k_s, S_s = self.grid.split(",")
-        h = _parse_number(h_s)
-        k = _parse_number(k_s)
-        S = _parse_number(S_s)
+        parts = self.grid.split(",")
+        if len(parts) != 3:
+            raise ConfigError("grid takes h,k,S, got %r" % self.grid)
+        h, k, S = (_parse_number(x) for x in parts)
+        if not all(math.isfinite(v) and v > 0 for v in (h, k, S)):
+            raise ConfigError("grid h, k and S must be positive and finite, "
+                              "got %r" % self.grid)
         sub = max(1, int(math.ceil(k / (h * h / 4))))
         return fieldmod.Grid(S=S, h=h, k_store=k, substeps=sub)
 
@@ -153,7 +157,17 @@ def _json_type_fits(cur, val) -> bool:
 
 def _parse_number(s: str) -> float:
     s = s.strip()
-    return float(Fraction(s)) if "/" in s else float(s)
+    try:
+        return float(Fraction(s)) if "/" in s else float(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError("not a number: %r" % s) from exc
+
+
+def _parse_radii(text: str) -> tuple:
+    radii = tuple(_parse_number(x) for x in text.split(","))
+    if not all(0 < R < 1 for R in radii):
+        raise ConfigError("radii must lie in (0, 1), got %r" % text)
+    return radii
 
 
 def _emit(cfg: RunConfig, name: str, payload: dict) -> None:
@@ -204,7 +218,11 @@ def _nonfinite_as_str(obj):
 
 
 def _universe(cfg: RunConfig):
-    u = enumerate_universe(parse_delta(cfg.delta), cfg.dim)
+    try:
+        delta = parse_delta(cfg.delta)
+    except ZeroDivisionError as exc:
+        raise ConfigError("delta %r has a zero denominator" % cfg.delta) from exc
+    u = enumerate_universe(delta, cfg.dim)
     if cfg.max_m_xi:
         u = u.restrict(cfg.max_m_xi)
     return u
@@ -251,6 +269,18 @@ def _build_lift(cfg: RunConfig, grid, u, cg):
     raise ConfigError("unknown lift kind %r" % cfg.lift)
 
 
+def _build_path(cfg: RunConfig, cg):
+    """The Path of a numeric command over cg's universe, and the lift's
+    ensemble report (None unless the lift is phi43)."""
+    lp, lift_rep = _build_lift(cfg, cfg.make_grid(), cg.u, cg)
+    return pathmod.Path(lp), lift_rep
+
+
+def _smooth_v1(grid) -> np.ndarray:
+    """The smooth base function of the cube-formula checks."""
+    return 0.5 + 0.3 * np.sin(2.0 * grid.x_field) * np.cos(1.5 * grid.t_field)
+
+
 def _summary_row(identity: str, residuals, tol: float) -> dict:
     """The report row of an identity from its largest residual.  np.max keeps
     a NaN that max() would drop, and a non-finite maximum reads FAIL."""
@@ -290,10 +320,13 @@ def cmd_verify(cfg: RunConfig) -> int:
         reports["algebra"] = rows
         failures.extend(coalgebra.report_failures(rows))
 
+    @functools.cache
+    def path():
+        return _build_path(cfg, cg)[0]
+
     def run_path():
-        grid = cfg.make_grid()
-        lp, _ = _build_lift(cfg, grid, u, cg)
-        p = pathmod.Path(lp)
+        p = path()
+        grid, lp = p.grid, p.lp
         rng = np.random.default_rng(cfg.seed)
         probe = grid.probe_mask()
         nodes = pathmod.sample_nodes(grid, probe, rng, 3 * 50)
@@ -319,10 +352,9 @@ def cmd_verify(cfg: RunConfig) -> int:
         failures.extend(coalgebra.report_failures(rows))
 
     def run_products():
-        grid = cfg.make_grid()
-        lp, _ = _build_lift(cfg, grid, u, cg)
-        p = pathmod.Path(lp)
-        v1 = 0.5 + 0.3 * np.sin(2.0 * grid.x_field) * np.cos(1.5 * grid.t_field)
+        p = path()
+        lp = p.lp
+        v1 = _smooth_v1(p.grid)
         rep = equation.cube_formula_check(p, lp.rmap, v1)
         tol = cfg.tol.get("cube", 1e-8 if lp.rmap is not None else 1e-10)
         rows = [_summary_row("cube-formula", [rep["relative"]], tol)]
@@ -353,17 +385,13 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_solve(cfg: RunConfig, radii=(0.1, 0.2, 0.25, 0.4, 0.5)) -> int:
-    u = _universe(cfg)
-    cg = coalgebra.Coalgebra(u)
-    grid = cfg.make_grid()
-    lp, lift_rep = _build_lift(cfg, grid, u, cg)
-    p = pathmod.Path(lp)
+    p, lift_rep = _build_path(cfg, coalgebra.Coalgebra(_universe(cfg)))
+    u, grid = p.u, p.grid
     co = equation.remainder_coeffs(p)
     trace = equation.BoundaryTrace("smooth", 1.0, seed=cfg.seed)
     rec = equation.solve_remainder(p, co, trace,
                                    equation.SolveConfig(radii=tuple(radii)))
-    v1 = 0.5 + 0.3 * np.sin(2.0 * grid.x_field) * np.cos(1.5 * grid.t_field)
-    cube_rep = equation.cube_formula_check(p, lp.rmap, v1)
+    cube_rep = equation.cube_formula_check(p, p.lp.rmap, _smooth_v1(grid))
     rng = np.random.default_rng(cfg.seed)
     nodes = pathmod.sample_nodes(grid, grid.probe_mask(), rng, 9)
     chen = max(p.chen_residual(s, nodes[n], nodes[n + 1], nodes[n + 2])[1]
@@ -376,11 +404,8 @@ def cmd_solve(cfg: RunConfig, radii=(0.1, 0.2, 0.25, 0.4, 0.5)) -> int:
 
 
 def cmd_scan(cfg: RunConfig, kind: str, radii=(0.1, 0.2, 0.4)) -> int:
-    u = _universe(cfg)
-    cg = coalgebra.Coalgebra(u)
-    grid = cfg.make_grid()
-    lp, _ = _build_lift(cfg, grid, u, cg)
-    p = pathmod.Path(lp)
+    p, _ = _build_path(cfg, coalgebra.Coalgebra(_universe(cfg)))
+    u, grid = p.u, p.grid
     scales = [L for L in (1 / 16, 1 / 8, 1 / 4, 1 / 2) if L >= 2 * grid.h]
     if kind == "order":
         sigmas = [s for s in (u.T_cen + u.T_r) if s.m_xi <= 3]
@@ -458,8 +483,7 @@ def main(argv=None) -> int:
         if ns.cmd == "solve":
             return cmd_solve(cfg)
         if ns.cmd == "scan":
-            radii = tuple(float(x) for x in ns.radii.split(","))
-            return cmd_scan(cfg, ns.kind, radii)
+            return cmd_scan(cfg, ns.kind, _parse_radii(ns.radii))
         raise ConfigError("unknown command")
     except (ConfigError, InadmissibleDelta, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -175,13 +175,3 @@ def pick_gamma(universe, target: Fraction) -> Fraction:
             return g
         g += step
     raise RuntimeError("could not find non-resonant level near %s" % target)
-
-
-def order_gaps(universe) -> list:
-    """Sorted distinct orders of N with the midpoints of consecutive gaps."""
-    u = universe
-    xs = sorted({u.order(t) for t in u.N})
-    out = []
-    for a, b in zip(xs, xs[1:]):
-        out.append({"low": a, "high": b, "mid": (a + b) / 2})
-    return out

@@ -18,7 +18,7 @@ from .coeffs import is_resonant, monomial_product, upsilon_monomial
 from .field import grad_x
 from .lift import CountertermMap
 from .path import Path, fit_slope, sample_nodes
-from .symtree import ONE, PROD, I, Ip, Tree, canon, prod3, sign_of, tree_name
+from .symtree import ONE, PROD, I, Ip, Tree, prod3, sign_of, tree_name
 
 
 class NumericalAbort(RuntimeError):
@@ -35,13 +35,14 @@ class ResonantLevel(ValueError):
 
 class TreeExpansion:
     """Coefficient table z -> theta_z over N (constants over W), produced
-    through the closed-form coefficient map from (v1, vX)."""
+    through the closed-form coefficient map from v1 and its generalized
+    derivative vX = dx_map(path, v1)."""
 
-    def __init__(self, path: Path, v1: np.ndarray, vX=None):
+    def __init__(self, path: Path, v1: np.ndarray):
         self.path = path
         self.u = path.u
         self.v1 = v1
-        self.vX = list(vX) if vX is not None else dx_map(path, v1)
+        self.vX = dx_map(path, v1)
         self._cache: dict = {}
 
     def theta(self, t: Tree) -> np.ndarray:
@@ -67,29 +68,6 @@ class TreeExpansion:
         return out
 
 
-class PlantedExpansion:
-    """The implicit expansion of a stored rough factor: a single planted tree."""
-
-    def __init__(self, path: Path, w: Tree):
-        self.path = path
-        self.u = path.u
-        if not path.u.member("W", w):
-            raise ValueError("%s is not a rough tree" % tree_name(w))
-        self.w = w
-        self._cu = canon(w).uid
-
-    def theta(self, t: Tree):
-        if canon(t).uid == self._cu:
-            return self.path.grid.ones()
-        return None
-
-    def theta_at(self, t: Tree, node) -> float:
-        return 1.0 if canon(t).uid == self._cu else 0.0
-
-    def pointwise(self) -> np.ndarray:
-        return self.path.lp.ell(self.w)
-
-
 def dx_map(path: Path, v1: np.ndarray):
     """Generalized derivative map, as printed in the defining formula:
     the counterterm-corrected diagonal gradients minus the plain gradient."""
@@ -110,29 +88,19 @@ def dx_map(path: Path, v1: np.ndarray):
 
 # -- renormalized products -------------------------------------------------------
 
-def renorm_product(path: Path, e1, e2, e3, check_pre: bool = True) -> tuple:
+def renorm_product(path: Path, e1, e2, e3) -> tuple:
     """Pointwise product of three tree expansions defined through the diagonal
-    path values.  Returns (field, report)."""
+    path values.  Returns (field, report); the report carries the largest
+    precondition residual of the three expansions."""
     u = path.u
     out = path.grid.zeros()
     for t in u.T_r:
         if t.kind != PROD:
             continue
         k1, k2, k3 = (k.child for k in t.children)
-        t1 = e1.theta(k1)
-        if t1 is None:
-            continue
-        t2 = e2.theta(k2)
-        if t2 is None:
-            continue
-        t3 = e3.theta(k3)
-        if t3 is None:
-            continue
-        out += t1 * t2 * t3 * path.diag[t.uid]
-    report = {}
-    if check_pre:
-        report["precondition_residual"] = max(
-            _pointwise_residual(path, e) for e in (e1, e2, e3))
+        out += e1.theta(k1) * e2.theta(k2) * e3.theta(k3) * path.diag[t.uid]
+    report = {"precondition_residual": max(
+        _pointwise_residual(path, e) for e in (e1, e2, e3))}
     return out, report
 
 
@@ -141,8 +109,6 @@ def _pointwise_residual(path: Path, e) -> float:
     direct = path.grid.zeros()
     for t in u.N + tuple(u.W):
         th = e.theta(t)
-        if th is None:
-            continue
         if t is ONE:
             direct += th
         elif u.member("W", t):
@@ -649,34 +615,6 @@ def reconstruction_check(path: Path, e, w1: Tree, w2: Tree, scales,
     return {"scales": list(scales), "values": values,
             "measured_exponent": measured, "predicted_exponent": prediction,
             "terms": terms}
-
-
-def telescoping_residual(path: Path, f: np.ndarray, L: float, depth: int,
-                         probe=None) -> float:
-    """Dyadic telescoping of the smoothing operator, by the exact semigroup
-    property of the discrete kernels."""
-    grid = path.grid
-    probe = grid.probe_mask() if probe is None else probe
-    mol = path.mol
-    gL, mL_ = mol.smooth(f, L)
-    inner, mi = mol.smooth(f, L / 2 ** depth)
-    comp, mc = mol.smooth(inner, L, n=depth)
-    total = comp.copy()
-    mask = mL_ & mc & mi
-    for n in range(depth):
-        a, ma = mol.smooth(f, L / 2 ** n)
-        b0, mb = mol.smooth(f, L / 2 ** (n + 1))
-        b, mb2 = mol.smooth(b0, L / 2 ** n, n=1)
-        diff = a - b
-        if n:
-            diff, md = mol.smooth(diff, L, n=n)
-            mask &= md
-        total = total + diff
-        mask &= ma & mb & mb2
-    mask &= probe
-    if not mask.any():
-        raise ValueError("no admissible nodes for the telescoping check")
-    return float(np.max(np.abs((gL - total)[mask])))
 
 
 # -- a priori scan -----------------------------------------------------------------

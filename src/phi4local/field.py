@@ -71,13 +71,17 @@ class Grid:
     def ones(self) -> np.ndarray:
         return np.ones((self.nt, self.nx))
 
+    # The whole-grid fields below are cached on the grid and shared by every
+    # caller (the default grids are module globals), so they are read-only.
+
     @cached_property
     def x_field(self) -> np.ndarray:
-        return np.broadcast_to(self.xs, (self.nt, self.nx)).copy()
+        return _read_only(np.broadcast_to(self.xs, (self.nt, self.nx)).copy())
 
     @cached_property
     def t_field(self) -> np.ndarray:
-        return np.broadcast_to(self.ts[:, None], (self.nt, self.nx)).copy()
+        return _read_only(
+            np.broadcast_to(self.ts[:, None], (self.nt, self.nx)).copy())
 
     @cached_property
     def cutoff(self) -> np.ndarray:
@@ -87,14 +91,7 @@ class Grid:
         r = (np.abs(self.xs) - lo) / (hi - lo)
         r = np.clip(r, 0.0, 1.0)
         ramp = 1.0 - r * r * r * (r * (6 * r - 15) + 10)   # quintic smoothstep
-        return np.broadcast_to(ramp, (self.nt, self.nx)).copy()
-
-    def index_of(self, t: float, x: float) -> tuple:
-        j = int(round((t - self.t0) / self.k_store))
-        m = int(round((x + self.S) / self.h))
-        if not (0 <= j < self.nt and 0 <= m < self.nx):
-            raise IndexError("point (%g, %g) off grid" % (t, x))
-        return j, m
+        return _read_only(np.broadcast_to(ramp, (self.nt, self.nx)).copy())
 
     def node(self, j: int, m: int) -> tuple:
         return float(self.ts[j]), float(self.xs[m])
@@ -110,6 +107,11 @@ class Grid:
 
     def probe_mask(self, margin: float = 0.1) -> np.ndarray:
         return self.domain_mask(margin)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 class StabilityError(RuntimeError):
@@ -156,17 +158,6 @@ def heat_solve(grid: Grid, f: np.ndarray) -> np.ndarray:
             add(lap, row, out=inner)
         out[j + 1] = u
     return out
-
-
-def heat_residual(grid: Grid, u: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Discrete residual (d_t - Lap) u - cutoff*f on interior stored nodes."""
-    rf = grid.cutoff * f
-    dt = (u[1:] - u[:-1]) / grid.k_store
-    lap = np.zeros_like(u)
-    lap[:, 1:-1] = (u[:, 2:] - 2 * u[:, 1:-1] + u[:, :-2]) / grid.h ** 2
-    mid = 0.5 * (lap[1:] + lap[:-1])
-    rfm = 0.5 * (rf[1:] + rf[:-1])
-    return dt - mid - rfm
 
 
 def grad_x(grid: Grid, f: np.ndarray) -> np.ndarray:
@@ -245,77 +236,6 @@ class Mollifier:
             mask[na:, nb: grid.nx - nb] = True
         g = np.where(mask, g, 0.0)
         return g, mask
-
-
-# -- norms ---------------------------------------------------------------------
-
-def neg_holder_seminorm(grid: Grid, f: np.ndarray, alpha: float,
-                        scales, probe: np.ndarray | None = None) -> float:
-    """sup over the given scales of ||(f)_L|| * L^(-alpha), alpha < 0."""
-    if alpha >= 0:
-        raise ValueError("alpha must be negative")
-    mol = Mollifier(grid)
-    best = 0.0
-    seen = False
-    for L in scales:
-        g, mask = mol.smooth(f, L)
-        if probe is not None:
-            mask = mask & probe
-        if not mask.any():
-            continue
-        seen = True
-        best = max(best, float(np.abs(g[mask]).max()) * L ** (-alpha))
-    if not seen:
-        raise ValueError("no admissible nodes at any requested scale")
-    return best
-
-
-def _pair_offsets(grid: Grid, sep: float):
-    """Node offsets realizing parabolic separations close to `sep`."""
-    out = []
-    mj = int(round(sep ** 2 / grid.k_store))
-    mm = int(round(sep / grid.h))
-    if mm >= 1:
-        out.append((0, mm))
-        out.append((0, -mm))
-    if mj >= 1:
-        out.append((mj, 0))
-        out.append((-mj, 0))
-    if mm >= 1 and mj >= 1:
-        out.append((mj, mm))
-        out.append((-mj, -mm))
-    return out
-
-
-def holder_seminorm(grid: Grid, f: np.ndarray, alpha: float,
-                    seps=None, probe: np.ndarray | None = None) -> float:
-    """Sampled Hoelder seminorm at dyadic separations; for alpha in (1,2) the
-    first-order spatial term at the base node is subtracted."""
-    if not (0 < alpha < 2) or alpha == 1:
-        raise ValueError("alpha must lie in (0,1) or (1,2)")
-    if seps is None:
-        seps = [2 ** -j for j in range(0, 6)]
-    probe = grid.domain_mask(0.05) if probe is None else probe
-    g = grad_x(grid, f) if alpha > 1 else None
-    best = 0.0
-    jj, mm = np.where(probe)
-    for sep in seps:
-        for (oj, om) in _pair_offsets(grid, sep):
-            j2 = jj + oj
-            m2 = mm + om
-            ok = (j2 >= 0) & (j2 < grid.nt) & (m2 >= 0) & (m2 < grid.nx)
-            if not ok.any():
-                continue
-            a = f[jj[ok], mm[ok]]
-            b = f[j2[ok], m2[ok]]
-            dist = max(math.sqrt(abs(oj * grid.k_store)), abs(om * grid.h))
-            if dist == 0:
-                continue
-            inc = b - a
-            if alpha > 1:
-                inc = inc - g[jj[ok], mm[ok]] * (om * grid.h)
-            best = max(best, float(np.abs(inc).max()) / dist ** alpha)
-    return best
 
 
 # -- noise fixtures -------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 from .coalgebra import Coalgebra
 from .field import Grid, grad_x, heat_solve, noise_field
 from .symtree import (
-    EDGE_I, EDGE_IM, EDGE_IP, GEN, ONE, PROD, XI,
+    EDGE_I, EDGE_IP, GEN, ONE, PROD, XI,
     I, Tree, canon, prod3, tree_name,
 )
 
@@ -76,6 +76,8 @@ class LocalProduct:
         self._X: dict = {}
         self._ell: dict = {}
         self._grad: dict = {}
+        self._one = grid.ones()
+        self._one.flags.writeable = False
 
     # table access ----------------------------------------------------------
 
@@ -85,21 +87,20 @@ class LocalProduct:
 
     def planted_field(self, pt: Tree) -> np.ndarray:
         """X_z sigma for a planted tree: monomial fields for the polynomial
-        generators, heat solves otherwise, gradients for the Im edge."""
+        generators, heat solves otherwise, gradients for the Im edge.  Every
+        tree whose value is 1 reads one shared read-only field."""
         ch = pt.child
         if pt.edge == EDGE_I:
             if ch is ONE:
-                return self.grid.ones()
+                return self._one
             if ch.kind == GEN and ch.label == "X":
                 return self.grid.x_field
             return self._ell[canon(ch).uid]
         if pt.edge == EDGE_IP:
             if ch.kind == GEN and ch.label == "X":
-                return self.grid.ones()
+                return self._one
             raise KeyError("no field value on %s" % tree_name(pt))
-        # EDGE_IM
-        if ch.kind == GEN and ch.label == "X":
-            return self.grid.ones()
+        # EDGE_IM: never on X, since Im_i(X_i) is stored as Ip_i(X_i)
         return self._grad[(pt.index, canon(ch).uid)]
 
     def ell(self, t: Tree) -> np.ndarray:

@@ -18,7 +18,7 @@ from .field import Mollifier
 from .lift import LocalProduct
 from .symtree import (
     EDGE_I, EDGE_IP, GEN, ONE, PLANTED, PROD, XI,
-    Tree, tree_name,
+    I, Im, Tree, X, tree_name,
 )
 
 
@@ -38,12 +38,20 @@ class Path:
             if t.kind == PROD:
                 self.pairs[t.uid] = list(cg.delta(t).items())
 
-        self.A: dict = {}        # heat solve of the centered tree, on the diagonal
-        self.nu: dict = {}       # (i, uid) -> gradient of the same at the diagonal
-        self.cen_I: dict = {}    # centering values of planted trees over N_ring
-        self.cen_Ip: dict = {}   # (i, uid) -> centering of derivative trees
+        self.nu: dict = {}       # (i, uid) -> gradient of the centered solve
+                                 # at the diagonal; the Ip centering is -nu
+        self.cen_I: dict = {}    # uid -> centering field of I(tau) over N_ring,
+                                 # One and X (1 and -x, shared and read-only)
         self.diag: dict = {}     # X_{z,z} tau for product trees
         self.diag_im: dict = {}  # (i, uid) -> X_{z,z} Im_i(tau), tau in T_r
+        self.A: dict = {}        # not stored: kept empty for the benchmark
+        self.cen_Ip: dict = {}   # tracer (perfbench/tracing.py) reading them
+
+        self.cen_I[ONE.uid] = lp.planted_field(I(ONE))
+        neg_x = -grid.x_field
+        neg_x.flags.writeable = False
+        for i in range(1, u.d + 1):
+            self.cen_I[X(i).uid] = neg_x
 
         # X_{z,z} Im_i(tau) is the lift gradient on W and Xi; off W it is nu,
         # which the Ip centering -nu cancels on N_tilde.  Entries share the
@@ -58,7 +66,7 @@ class Path:
                 for i in range(1, u.d + 1):
                     self.diag_im[(i, t.uid)] = lp.grad(i, t)
                 continue
-            a = grid.zeros()
+            a = grid.zeros()     # heat solve of the centered tree, on the diagonal
             nus = [grid.zeros() for _ in range(u.d)]
             dg = grid.zeros()
             for (l, f), c in self.pairs[t.uid]:
@@ -67,7 +75,6 @@ class Path:
                 dg += lp.value(l) * cf
                 for i in range(1, u.d + 1):
                     nus[i - 1] += lp.grad(i, l) * cf
-            self.A[t.uid] = a
             self.diag[t.uid] = dg
             tilde = u.member("N_tilde", t)
             cen = -a
@@ -76,7 +83,6 @@ class Path:
                 self.diag_im[(i, t.uid)] = zero if tilde else nus[i - 1]
                 if tilde:
                     cen = cen + grid.x_field * nus[i - 1]
-                    self.cen_Ip[(i, t.uid)] = -nus[i - 1]
             self.cen_I[t.uid] = cen
         self.diag_im[(1, XI.uid)] = lp.grad(1, XI)
         self.mol = Mollifier(grid)
@@ -88,40 +94,28 @@ class Path:
     # centering tables -------------------------------------------------------
 
     def cen_planted_field(self, p: Tree) -> np.ndarray:
+        """Centering field of a planted tree: the cen_I entry of I(tau), 1 on
+        Ip(X_i) and -nu on Ip(tau) for a product tau."""
         ch = p.child
         if p.edge == EDGE_I:
-            if ch is ONE:
-                return self.grid.ones()
-            if ch.kind == GEN and ch.label == "X":
-                return -self.grid.x_field
             return self.cen_I[ch.uid]
         if p.edge == EDGE_IP:
             if ch.kind == GEN:
-                return self.grid.ones()
-            return self.cen_Ip[(p.index, ch.uid)]
+                return self.cen_I[ONE.uid]
+            return -self.nu[(p.index, ch.uid)]
         raise KeyError("no centering value on %s" % tree_name(p))
 
     def cen_forest_field(self, forest) -> np.ndarray:
-        out = self.grid.ones()
+        out = self.cen_I[ONE.uid]
         for p in forest:
             out = out * self.cen_planted_field(p)
         return out
 
     def cen_at(self, p: Tree, x) -> float:
-        """Scalar form of cen_planted_field(p)[x], read without building a
-        whole field."""
-        ch = p.child
-        if p.edge == EDGE_I:
-            if ch is ONE:
-                return 1.0
-            if ch.kind == GEN and ch.label == "X":
-                return float(-self.grid.xs[x[1]])
-            return float(self.cen_I[ch.uid][x])
-        if p.edge == EDGE_IP:
-            if ch.kind == GEN:
-                return 1.0
-            return float(self.cen_Ip[(p.index, ch.uid)][x])
-        raise KeyError("no centering value on %s" % tree_name(p))
+        """cen_planted_field(p)[x], read without building a whole field."""
+        if p.edge == EDGE_IP and p.child.kind != GEN:
+            return -float(self.nu[(p.index, p.child.uid)][x])
+        return float(self.cen_planted_field(p)[x])
 
     def cen_forest_at(self, forest, x) -> float:
         out = 1.0
@@ -164,28 +158,9 @@ class Path:
         # EDGE_I off W and EDGE_IM
         acc = 0.0
         for (l, f), c in self.cg.delta(s).items():
-            acc += float(c) * self._left_at(l, z) * self.cen_forest_at(f, x)
+            acc += (float(c) * float(lp.planted_field(l)[z])
+                    * self.cen_forest_at(f, x))
         return acc
-
-    def _left_at(self, l: Tree, z) -> float:
-                     # X_z on a left coproduct factor (planted or Im/Ip edges)
-        lp = self.lp
-        if l.kind == PLANTED:
-            ch = l.child
-            if l.edge == EDGE_I:
-                if ch is ONE:
-                    return 1.0
-                if ch.kind == GEN and ch.label == "X":
-                    return float(self.grid.xs[z[1]])
-                return float(lp.ell(ch)[z])
-            if l.edge == EDGE_IP:
-                if ch.kind == GEN:
-                    return 1.0
-                raise KeyError("unexpected left factor %s" % tree_name(l))
-            if ch.kind == GEN and ch.label == "X":
-                return 1.0
-            return float(lp.grad(l.index, ch)[z])
-        raise KeyError("unexpected left factor %s" % tree_name(l))
 
     def forest_at(self, forest, z, x) -> float:
         out = 1.0
@@ -217,21 +192,18 @@ class Path:
         return abs(lhs - rhs), abs(lhs - rhs) / scale
 
     def _has_cen(self, p: Tree) -> bool:
-        ch = p.child
-        return (ch is ONE or (ch.kind == GEN and ch.label == "X")
-                or ch.uid in self.cen_I)
+        return p.child.uid in self.cen_I
 
     def derivative_residual(self, i: int, t: Tree, z, x) -> tuple:
         """Spatial difference of the centered planted tree against the
         derivative-edge evaluator; exact for interior z by construction."""
-        from .symtree import I as _I, Im as _Im
         j, m = z
         if not (0 < m < self.grid.nx - 1):
             raise ValueError("needs an interior node")
-        s = _I(t)
+        s = I(t)
         fd = (self.value_at(s, (j, m + 1), x) - self.value_at(s, (j, m - 1), x)) \
             / (2 * self.grid.h)
-        sm = _Im(i, t)
+        sm = Im(i, t)
         direct = self.value_at(sm, z, x)
         scale = max(1.0, abs(fd), abs(direct))
         return abs(fd - direct), abs(fd - direct) / scale

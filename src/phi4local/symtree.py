@@ -55,12 +55,6 @@ class Tree:
     def m(self) -> int:
         return self.m_xi + self.m_one + self.m_x
 
-    def m_x_i(self, i: int) -> int:
-        for j, c in self.mx_by:
-            if j == i:
-                return c
-        return 0
-
     def __repr__(self):
         return tree_name(self)
 
@@ -538,14 +532,3 @@ def leq(a: Tree, b: Tree) -> bool:
     if b.kind != PROD:
         return False
     return all(leq(ka.child, kb.child) for ka, kb in zip(a.children, b.children))
-
-
-def subset(a: Tree, b: Tree) -> bool:
-    """True iff a == b or I(a) occurs somewhere inside b's expression."""
-    if a.kind == PLANTED or b.kind == PLANTED:
-        raise ValueError("subset compares unplanted trees")
-    if a is b:
-        return True
-    if b.kind != PROD:
-        return False
-    return any(k.child is a or subset(a, k.child) for k in b.children)

@@ -134,14 +134,25 @@ def _nan_manifest(base):
     *[lambda d, v=v: ["--config", str(_write(d, "typed.json", json.dumps(v))),
                       "verify", "--suite", "products"]
       for v in JSON_TYPE_ERRORS.values()],
+    lambda d: ["verify", "--suite", "path", "--grid", "0,1/256,3"],
+    lambda d: ["verify", "--suite", "path", "--grid", "nan,1/256,3"],
+    lambda d: ["verify", "--suite", "path", "--grid", "1/16,1/0,3"],
+    lambda d: ["verify", "--suite", "path", "--delta", "1/0"],
+    lambda d: ["scan", "--kind", "apriori", "--radii", "0,0.2"],
+    lambda d: ["scan", "--kind", "apriori", "--radii", "1.5,2"],
 ], ids=["custom-missing", "counterterm-missing", "config-missing",
         "custom-malformed-name", "custom-vanishing-name", "custom-missing-field",
         "dim2-path", "dim2-products", "dim2-all", "dim2-solve", "dim2-scan",
         "out-is-a-file", "config-not-object", "counterterm-not-object",
         "custom-not-object", "custom-nan-field",
-        *["config-" + name for name in JSON_TYPE_ERRORS]])
+        *["config-" + name for name in JSON_TYPE_ERRORS],
+        "grid-zero-step", "grid-nan-step", "grid-zero-denominator",
+        "delta-zero-denominator", "radii-zero", "radii-above-one"])
 def test_bad_config_exit_code(tmp_path, capsys, argv):
-    args = argv(tmp_path) + SMALL
+    args = argv(tmp_path)
+    for flag, value in zip(SMALL[::2], SMALL[1::2]):
+        if flag not in args:
+            args += [flag, value]
     if "--out" not in args:
         args += ["--out", str(tmp_path / "out")]
     assert main(args) == 2

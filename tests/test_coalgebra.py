@@ -120,7 +120,7 @@ def test_two_dimensional_symbolic_layer():
     import phi4local as pl
     u = pl.enumerate_universe(Fraction(9, 20), d=2)
     assert len(u.poly) == 3
-    assert any(t.m_x_i(2) == 1 for t in u.N_ring)
+    assert any(dict(t.mx_by).get(2) == 1 for t in u.N_ring)
     cg = Coalgebra(u)
     assert not report_failures(cg.verify_coassoc())
     assert not report_failures(cg.verify_explicit_formula())

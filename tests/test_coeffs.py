@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from phi4local.coalgebra import Coalgebra, report_failures
 from phi4local.coeffs import (
     check_coherence, check_cube_identity, classify_utau, classification_table,
-    is_resonant, monomial_product, order_gaps, pick_gamma, upsilon_monomial,
+    is_resonant, monomial_product, pick_gamma, upsilon_monomial,
 )
 from phi4local.symtree import GEN, ONE, PLANTED, XI, I, X, prod3, sign_of, tree_name
 
@@ -130,6 +130,16 @@ def test_classification(u920):
 def test_classify_rejects_outside_n(u920):
     with pytest.raises(ValueError):
         classify_utau(XI, u920)
+
+
+def order_gaps(universe) -> list:
+    """Sorted distinct orders of N with the midpoints of consecutive gaps."""
+    u = universe
+    xs = sorted({u.order(t) for t in u.N})
+    out = []
+    for a, b in zip(xs, xs[1:]):
+        out.append({"low": a, "high": b, "mid": (a + b) / 2})
+    return out
 
 
 def test_gamma_helpers(u920):

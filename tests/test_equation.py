@@ -11,11 +11,10 @@ from phi4local.lift import (
 )
 from phi4local.path import Path
 from phi4local.equation import (
-    BoundaryTrace, NumericalAbort, PlantedExpansion, ResonantLevel,
-    SolveConfig, TreeExpansion, cube_formula_check, dx_map, modelled_norms,
-    reconstruction_check, remainder_coeffs, remainder_rhs, renorm_constants,
-    renorm_product, solve_remainder, telescoping_residual, three_point_residual,
-    u_tau_at,
+    BoundaryTrace, NumericalAbort, ResonantLevel, SolveConfig, TreeExpansion,
+    cube_formula_check, dx_map, modelled_norms, reconstruction_check,
+    remainder_coeffs, remainder_rhs, renorm_constants, renorm_product,
+    solve_remainder, three_point_residual, u_tau_at,
 )
 from phi4local.symtree import ONE, XI, I, X, parse_tree, prod3, sign_of, tree_name
 
@@ -68,20 +67,11 @@ def test_renorm_product_constant_expansion(u920, cg920):
     lp = build_local_product(grid, u920, grid.zeros(), coalg=cg920)
     p = Path(lp)
     c = 1.7
-    e = TreeExpansion(p, c * grid.ones(), vX=[grid.zeros()])
-    out, _ = renorm_product(p, e, e, e, check_pre=False)
+    e = TreeExpansion(p, c * grid.ones())
+    out, _ = renorm_product(p, e, e, e)
     assert np.max(np.abs(out - c ** 3)) < 1e-12
     t = prod3(I(ONE), I(ONE), I(ONE), D)
     assert np.max(np.abs(p.diag[t.uid] - 1.0)) < 1e-12
-
-
-def test_planted_expansion_slots(coarse_path, u920):
-    p = coarse_path
-    w = u920.W[0]
-    pe = PlantedExpansion(p, w)
-    assert pe.theta_at(w, (10, 50)) == 1.0
-    assert pe.theta(ONE) is None
-    assert np.array_equal(pe.pointwise(), p.lp.ell(w))
 
 
 def test_renorm_constants_sign_rule(u920):
@@ -309,6 +299,33 @@ def test_reconstruction_requires_scales(default_path_trig):
     e = TreeExpansion(default_path_trig, default_path_trig.grid.ones())
     with pytest.raises(ValueError):
         reconstruction_check(default_path_trig, e, XI, XI, [0.5, 0.25])
+
+
+def telescoping_residual(path, f, L, depth, probe=None):
+    """Dyadic telescoping of the smoothing operator, by the exact semigroup
+    property of the discrete kernels."""
+    grid = path.grid
+    probe = grid.probe_mask() if probe is None else probe
+    mol = path.mol
+    gL, mL_ = mol.smooth(f, L)
+    inner, mi = mol.smooth(f, L / 2 ** depth)
+    comp, mc = mol.smooth(inner, L, n=depth)
+    total = comp.copy()
+    mask = mL_ & mc & mi
+    for n in range(depth):
+        a, ma = mol.smooth(f, L / 2 ** n)
+        b0, mb = mol.smooth(f, L / 2 ** (n + 1))
+        b, mb2 = mol.smooth(b0, L / 2 ** n, n=1)
+        diff = a - b
+        if n:
+            diff, md = mol.smooth(diff, L, n=n)
+            mask &= md
+        total = total + diff
+        mask &= ma & mb & mb2
+    mask &= probe
+    if not mask.any():
+        raise ValueError("no admissible nodes for the telescoping check")
+    return float(np.max(np.abs((gL - total)[mask])))
 
 
 def test_telescoping(default_path_trig):

@@ -1,5 +1,6 @@
 """Loop forms of the point evaluators, truncated sums, heat march, diagonal
-derivative tables, remainder march and renormalization operator, kept as
+derivative tables, remainder march and renormalization operator, and the
+case-by-case forms of the centering and planted-field lookups, kept as
 reference oracles.
 
 The package versions read precomputed tree supports, scalar table entries,
@@ -21,7 +22,9 @@ from phi4local.equation import BoundaryTrace, SolveConfig, TreeExpansion
 from phi4local.field import COARSE_GRID, DEFAULT_GRID, heat_solve, noise_field
 from phi4local.lift import random_counterterm_map
 from phi4local.path import sample_nodes
-from phi4local.symtree import EDGE_I, EDGE_IP, GEN, ONE, PROD, XI, I, canon
+from phi4local.symtree import (
+    EDGE_I, EDGE_IP, GEN, ONE, PLANTED, PROD, XI, I, Im, canon, tree_name,
+)
 
 # -- oracles --------------------------------------------------------------------
 
@@ -60,8 +63,29 @@ def cen_at_field(path, p, x):
             field = path.cen_I[ch.uid]
     else:
         assert p.edge == EDGE_IP
-        field = grid.ones() if ch.kind == GEN else path.cen_Ip[(p.index, ch.uid)]
+        field = grid.ones() if ch.kind == GEN else -path.nu[(p.index, ch.uid)]
     return float(field[x])
+
+
+def left_at_scalar(path, l, z):
+    """X_z on a left coproduct factor, case by case in scalar form."""
+    lp = path.lp
+    if l.kind == PLANTED:
+        ch = l.child
+        if l.edge == EDGE_I:
+            if ch is ONE:
+                return 1.0
+            if ch.kind == GEN and ch.label == "X":
+                return float(path.grid.xs[z[1]])
+            return float(lp.ell(ch)[z])
+        if l.edge == EDGE_IP:
+            if ch.kind == GEN:
+                return 1.0
+            raise KeyError("unexpected left factor %s" % tree_name(l))
+        if ch.kind == GEN and ch.label == "X":
+            return 1.0
+        return float(lp.grad(l.index, ch)[z])
+    raise KeyError("unexpected left factor %s" % tree_name(l))
 
 
 def u_tau_loop(path, e, t, cutoff, y, x):
@@ -127,7 +151,7 @@ def im_diag_loop(path, i, t):
     else:
         out += lp.grad(i, t)
     if u.member("N_tilde", t):
-        out = out + path.cen_Ip[(i, t.uid)]
+        out = out + -path.nu[(i, t.uid)]
     return out
 
 
@@ -226,6 +250,19 @@ def test_cen_at_matches_field_lookup(request, name):
     for s in p.u.T_cen:
         for x in nodes:
             assert p.cen_at(s, x) == cen_at_field(p, s, x)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_planted_field_matches_scalar_cases(request, name):
+    p = request.getfixturevalue(name)
+    u = p.u
+    planted = list(u.T_l) + [Im(1, t) for t in u.T_r]
+    lefts = {l for s in planted for (l, _f) in p.cg.delta(s)}
+    assert {l.edge for l in lefts} == {"I", "Ip", "Im"}
+    nodes = [x for pair in _pairs(p, 10, 6) for x in pair]
+    for l in lefts:
+        for z in nodes:
+            assert float(p.lp.planted_field(l)[z]) == left_at_scalar(p, l, z)
 
 
 @pytest.mark.parametrize("name", FIXTURES)

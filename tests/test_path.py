@@ -29,6 +29,22 @@ def test_centering_base_values(coarse_path):
     assert p.cen_at(I(X(1)), x) == -p.grid.xs[x[1]]
 
 
+def test_shared_fields_are_read_only(coarse_path):
+    # the grid's fields are cached on module-global grids, and the constant
+    # fields are shared by every lookup of a lift and its path
+    p = coarse_path
+    grid = p.grid
+    shared = [grid.x_field, grid.t_field, grid.cutoff,
+              p.lp.planted_field(I(ONE)), p.lp.planted_field(Ip(1, X(1), D)),
+              p.cen_I[ONE.uid], p.cen_I[X(1).uid]]
+    for f in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            f[0, 0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            f *= 2.0
+    assert p.cen_forest_field(()) is p.lp.planted_field(I(ONE))
+
+
 def test_rough_paths_basepoint_free(coarse_path, u920):
     p = coarse_path
     z, x1, x2 = (12, 30), (30, 80), (5, 92)
@@ -69,12 +85,15 @@ def test_pathcopro_identity(coarse_path, u920):
                 acc += c * float(p.lp.ell(l)[node]) * p.cen_forest_at(f, x)
             solve_at[pt] = acc
         defn = solve_at["z"] - solve_at["x"]
+        # the stored centering is minus the solve at the base point, plus the
+        # first-order term on N_tilde
+        cen = float(p.cen_I[t.uid][x])
         if u920.member("N_tilde", t):
-            defn -= ((grid.xs[z[1]] - grid.xs[x[1]])
-                     * float(p.nu[(1, t.uid)][x]))
+            nu_x = float(p.nu[(1, t.uid)][x])
+            defn -= (grid.xs[z[1]] - grid.xs[x[1]]) * nu_x
+            cen -= grid.xs[x[1]] * nu_x
         assert p.value_at(I(t), z, x) == pytest.approx(defn, abs=1e-10)
-        # and the stored diagonal table matches the solve at the base point
-        assert float(p.A[t.uid][x]) == pytest.approx(solve_at["x"], abs=1e-12)
+        assert -cen == pytest.approx(solve_at["x"], abs=1e-12)
 
 
 def test_chen_exact_on_rough(coarse_path, u920):
