@@ -25,6 +25,12 @@ from . import coalgebra, coeffs, equation, field as fieldmod, lift as liftmod, p
 from .symtree import I, InadmissibleDelta, enumerate_universe, parse_delta, parse_tree
 
 
+# Stored nodes (nt x nx) a --grid may ask for.  A whole-grid field takes 8 B
+# a node, and a path's tables hold ~180 fields (114 MB on the default grid's
+# 79,323 nodes).  FINE_GRID has 1,639 x 385 = 631,015.
+MAX_GRID_NODES = 10 ** 6
+
+
 @dataclass
 class RunConfig:
     delta: str = "9/20"
@@ -104,15 +110,26 @@ class RunConfig:
         if not all(math.isfinite(v) and v > 0 for v in (h, k, S)):
             raise ConfigError("grid h, k and S must be positive and finite, "
                               "got %r" % self.grid)
+        nodes = (2 * S / h + 1) * ((fieldmod.Grid.t1 - fieldmod.Grid.t0) / k + 1)
+        if nodes > MAX_GRID_NODES:
+            raise ConfigError("grid %r has ~%.3g stored nodes, above the bound "
+                              "of %d" % (self.grid, nodes, MAX_GRID_NODES))
         sub = max(1, int(math.ceil(k / (h * h / 4))))
         return fieldmod.Grid(S=S, h=h, k_store=k, substeps=sub)
 
     def make_noise(self, grid) -> np.ndarray:
         kind, _, rest = self.noise.partition(":")
         seed_s, _, eps_s = rest.partition(":")
-        seed = int(seed_s or 0)
-        eps = _parse_number(eps_s) if eps_s and _parse_number(eps_s) > 0 else None
-        return fieldmod.noise_field(grid, kind, seed=seed, eps=eps)
+        try:
+            seed = int(seed_s or 0)
+        except ValueError:
+            raise ConfigError("noise seed must be an integer, got %r"
+                              % seed_s) from None
+        eps = _parse_number(eps_s) if eps_s else 0.0
+        if not (math.isfinite(eps) and eps >= 0):
+            raise ConfigError("noise eps must be finite and >= 0 (0 for no "
+                              "smoothing), got %r" % eps_s)
+        return fieldmod.noise_field(grid, kind, seed=seed, eps=eps or None)
 
     def descriptor(self) -> dict:
         return {"delta": self.delta, "dim": self.dim, "grid": self.grid,
@@ -389,8 +406,11 @@ def cmd_solve(cfg: RunConfig, radii=(0.1, 0.2, 0.25, 0.4, 0.5)) -> int:
     u, grid = p.u, p.grid
     co = equation.remainder_coeffs(p)
     trace = equation.BoundaryTrace("smooth", 1.0, seed=cfg.seed)
-    rec = equation.solve_remainder(p, co, trace,
-                                   equation.SolveConfig(radii=tuple(radii)))
+    batch = equation.solve_remainder(p, co, [trace],
+                                     equation.SolveConfig(radii=tuple(radii)))
+    run, = batch["runs"]
+    rec = {"trace": run["trace"], "k": batch["k"], "h": batch["h"],
+           "steps": batch["steps"], "norms": run["norms"]}
     cube_rep = equation.cube_formula_check(p, p.lp.rmap, _smooth_v1(grid))
     rng = np.random.default_rng(cfg.seed)
     nodes = pathmod.sample_nodes(grid, grid.probe_mask(), rng, 9)
@@ -423,8 +443,6 @@ def cmd_scan(cfg: RunConfig, kind: str, radii=(0.1, 0.2, 0.4)) -> int:
                 traces.append(equation.BoundaryTrace("smooth", mag, seed=seed))
         traces.append(equation.BoundaryTrace("zero", 0.0))
         rep = equation.apriori_scan(p, co, traces, radii, scales=tuple(scales))
-        rep["runs"] = [{"trace": r["trace"], "norms": r["norms"]}
-                       for r in rep["runs"]]
         _emit(cfg, "scan-apriori", {"config": cfg.descriptor(), **rep})
         return 0
     if kind == "reconstruction":

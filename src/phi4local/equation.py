@@ -236,8 +236,8 @@ def remainder_coeffs(path: Path) -> RemainderCoeffs:
 
 def _lower_order(K0, K: dict, v):
     """K0 + sum of K[p] * v^p: the remainder right-hand side without its
-    cubic damping, on whole fields or on one time row."""
-    out = K0.copy()
+    cubic damping, on whole fields or on a stack of time rows."""
+    out = np.broadcast_to(K0, v.shape).copy()
     for p, arr in K.items():
         out += arr * v ** p if p else arr
     return out
@@ -289,16 +289,25 @@ class SolveConfig:
     cap: float = 1e6
 
 
-def solve_remainder(path: Path, coeffs: RemainderCoeffs, trace: BoundaryTrace,
+def solve_remainder(path: Path, coeffs: RemainderCoeffs, traces,
                     config: SolveConfig | None = None) -> dict:
-    """Explicit march of the remainder equation on the unit cylinder.
+    """Explicit march of the remainder equation on the unit cylinder, for a
+    sequence of boundary traces at once.
 
     Diffusion and the coefficient fields are stepped explicitly; the cubic
     damping is integrated exactly each step, so large boundary data stays
     stable.  The right-hand side is the polynomial of RemainderCoeffs, with
-    its coefficient rows interpolated linearly in time.
+    its coefficient rows interpolated linearly in time once per step for all
+    traces.  Every step acts on each trace's row alone, so a trace's record
+    does not depend on the rest of the batch.
+
+    A trace whose row exceeds the cap or stops being finite leaves the batch,
+    and so does every later trace.  The abort raised is that of the first
+    such trace in trace order, at its own first bad step: the abort a march
+    of one trace after another would raise.
     """
     config = config or SolveConfig()
+    traces = list(traces)
     grid = path.grid
     h = grid.h
     k = h * h / 4
@@ -316,34 +325,49 @@ def solve_remainder(path: Path, coeffs: RemainderCoeffs, trace: BoundaryTrace,
         frac = j - j0
         return (1 - frac) * arr2[j0] + frac * arr2[j0 + 1]
 
-    v = trace.initial(xs)
+    live = traces                   # the traces of v's rows, in trace order
+    v = np.array([tr.initial(xs) for tr in traces])
     nsteps = int(round(1.0 / k))
-    sup = {R: 0.0 for R in config.radii}
-    col_masks = {R: np.abs(xs) < 1.0 - R for R in config.radii}
+    sup = np.zeros((len(config.radii), len(traces)))
+    # (row of sup, R^2, columns inside the radius) for each radius that
+    # leaves any column inside it
+    inner = [(j, R * R, np.abs(xs) < 1.0 - R) for j, R in enumerate(config.radii)]
+    inner = [(j, R2, msk) for j, R2, msk in inner if msk.any()]
+    abort = None
     t = 0.0
     for _step in range(nsteps):
         rhs = _lower_order(at_time(K0row, t),
                            {p: at_time(arr, t) for p, arr in Krows.items()}, v)
         lap = np.zeros_like(v)
-        lap[1:-1] = (v[2:] - 2 * v[1:-1] + v[:-2]) / (h * h)
+        lap[:, 1:-1] = (v[:, 2:] - 2 * v[:, 1:-1] + v[:, :-2]) / (h * h)
         vh = v + k * (lap + rhs)
         v = vh / np.sqrt(1.0 + 2.0 * k * vh ** 2)
         t += k
-        v[0] = trace.side(t, -1)
-        v[-1] = trace.side(t, +1)
-        amax = float(np.max(np.abs(v)))
-        if not math.isfinite(amax) or amax > config.cap:
-            raise NumericalAbort(
+        v[:, 0] = [tr.side(t, -1) for tr in live]
+        v[:, -1] = [tr.side(t, +1) for tr in live]
+        av = np.abs(v)
+        amax = np.max(av, axis=1)
+        bad = ~np.isfinite(amax) | (amax > config.cap)
+        if bad.any():
+            n = int(np.argmax(bad))
+            abort = NumericalAbort(
                 "remainder solve exceeded cap %g at t=%.4f" % (config.cap, t),
-                {"t": t, "max": amax, "trace": trace.__dict__})
-        for R, msk in col_masks.items():
-            if t > R * R and msk.any():
-                sup[R] = max(sup[R], float(np.max(np.abs(v[msk]))))
+                {"t": t, "max": float(amax[n]), "trace": live[n].__dict__})
+            if n == 0:
+                raise abort
+            live, v, av, sup = live[:n], v[:n], av[:n], sup[:, :n]
+        for j, R2, msk in inner:
+            if t > R2:
+                sup[j] = np.maximum(sup[j], np.max(av[:, msk], axis=1))
+    if abort is not None:
+        raise abort
     return {
-        "trace": {"kind": trace.kind, "magnitude": trace.magnitude,
-                  "seed": trace.seed},
         "k": k, "h": h, "steps": nsteps,
-        "norms": {("%g" % R): sup[R] for R in config.radii},
+        "runs": [{"trace": {"kind": tr.kind, "magnitude": tr.magnitude,
+                            "seed": tr.seed},
+                  "norms": {("%g" % R): float(sup[j, i])
+                            for j, R in enumerate(config.radii)}}
+                 for i, tr in enumerate(traces)],
     }
 
 
@@ -640,15 +664,13 @@ def apriori_scan(path: Path, coeffs: RemainderCoeffs, traces, radii,
     the measured norm curves by max(1/R, seminorm powers)."""
     sem = seminorm_scale(path, scales)
     S = sem["scale"]
-    runs = []
+    runs = solve_remainder(path, coeffs, traces,
+                           SolveConfig(radii=tuple(radii)))["runs"]
     c_hat = 0.0
-    cfg = SolveConfig(radii=tuple(radii))
-    for trace in traces:
-        rec = solve_remainder(path, coeffs, trace, cfg)
+    for rec in runs:
         for R in radii:
             bound = max(1.0 / R, S)
             c_hat = max(c_hat, rec["norms"]["%g" % R] / bound)
-        runs.append(rec)
     by_mag = {}
     for rec in runs:
         key = (rec["trace"]["kind"], rec["trace"]["seed"],

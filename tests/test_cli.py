@@ -140,6 +140,9 @@ def _nan_manifest(base):
     lambda d: ["verify", "--suite", "path", "--delta", "1/0"],
     lambda d: ["scan", "--kind", "apriori", "--radii", "0,0.2"],
     lambda d: ["scan", "--kind", "apriori", "--radii", "1.5,2"],
+    lambda d: ["solve", "--noise", "trig:0:-1"],
+    lambda d: ["solve", "--noise", "trig:abc:0"],
+    lambda d: ["solve", "--grid", "1/32,1/256,1e9"],
 ], ids=["custom-missing", "counterterm-missing", "config-missing",
         "custom-malformed-name", "custom-vanishing-name", "custom-missing-field",
         "dim2-path", "dim2-products", "dim2-all", "dim2-solve", "dim2-scan",
@@ -147,7 +150,8 @@ def _nan_manifest(base):
         "custom-not-object", "custom-nan-field",
         *["config-" + name for name in JSON_TYPE_ERRORS],
         "grid-zero-step", "grid-nan-step", "grid-zero-denominator",
-        "delta-zero-denominator", "radii-zero", "radii-above-one"])
+        "delta-zero-denominator", "radii-zero", "radii-above-one",
+        "noise-negative-eps", "noise-seed-not-integer", "grid-too-many-nodes"])
 def test_bad_config_exit_code(tmp_path, capsys, argv):
     args = argv(tmp_path)
     for flag, value in zip(SMALL[::2], SMALL[1::2]):
@@ -158,6 +162,20 @@ def test_bad_config_exit_code(tmp_path, capsys, argv):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_noise_and_grid_errors_name_their_field(monkeypatch):
+    # each is a ConfigError raised before any field is allocated
+    monkeypatch.setattr(cli.fieldmod, "noise_field", None)
+    grid = RunConfig(grid=SMALL[3]).make_grid()
+    for noise, field in (("trig:abc:0", "seed"), ("trig:0:-1", "eps"),
+                         ("trig:0:nan", "eps"), ("gauss:1:inf", "eps")):
+        with pytest.raises(cli.ConfigError, match="noise " + field):
+            RunConfig(noise=noise).make_noise(grid)
+    with pytest.raises(cli.ConfigError, match="stored nodes"):
+        RunConfig(grid="1/32,1/256,1e9").make_grid()
+    # the fine grid of the order-bound acceptance scan stays admitted
+    assert RunConfig(grid="1/64,1/1024,3").make_grid() == cli.fieldmod.FINE_GRID
 
 
 def test_numerical_abort_sidecar(tmp_path, monkeypatch, capsys):

@@ -189,8 +189,8 @@ def test_solver_zero_case(u920, cg920):
     lp = build_local_product(grid, u920, grid.zeros(), coalg=cg920)
     p = Path(lp)
     co = remainder_coeffs(p)
-    rec = solve_remainder(p, co, BoundaryTrace("zero", 0.0))
-    assert all(v == 0.0 for v in rec["norms"].values())
+    run, = solve_remainder(p, co, [BoundaryTrace("zero", 0.0)])["runs"]
+    assert all(v == 0.0 for v in run["norms"].values())
 
 
 def test_solver_small_noise_stays_small(u920, cg920):
@@ -199,15 +199,15 @@ def test_solver_small_noise_stays_small(u920, cg920):
     lp = build_local_product(grid, u920, xi, coalg=cg920)
     p = Path(lp)
     co = remainder_coeffs(p)
-    rec = solve_remainder(p, co, BoundaryTrace("zero", 0.0))
-    assert rec["norms"]["0.1"] < 0.05
+    run, = solve_remainder(p, co, [BoundaryTrace("zero", 0.0)])["runs"]
+    assert run["norms"]["0.1"] < 0.05
 
 
 def test_solver_blowup_cap(default_path_trig):
     co = remainder_coeffs(default_path_trig)
     with pytest.raises(NumericalAbort):
         solve_remainder(default_path_trig, co,
-                        BoundaryTrace("const", 50.0),
+                        [BoundaryTrace("const", 50.0)],
                         SolveConfig(cap=10.0))
 
 
@@ -222,9 +222,9 @@ def test_solver_resolution_consistency(u920):
         lp = build_local_product(grid, u920, xi, coalg=cg)
         p = Path(lp)
         co = remainder_coeffs(p)
-        rec = solve_remainder(p, co, BoundaryTrace("const", 2.0),
-                              SolveConfig(radii=(0.25,)))
-        norms[h] = rec["norms"]["0.25"]
+        run, = solve_remainder(p, co, [BoundaryTrace("const", 2.0)],
+                               SolveConfig(radii=(0.25,)))["runs"]
+        norms[h] = run["norms"]["0.25"]
     assert abs(norms[1 / 16] - norms[1 / 32]) <= 0.05 * abs(norms[1 / 32])
 
 

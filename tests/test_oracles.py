@@ -4,9 +4,9 @@ case-by-case forms of the centering and planted-field lookups, kept as
 reference oracles.
 
 The package versions read precomputed tree supports, scalar table entries,
-shared tables, one right-hand side and an index of the C- cuts; they must
-agree with these direct forms bit for bit, since they perform the same float
-operations in the same order.
+shared tables, one right-hand side and an index of the C- cuts, and march
+all boundary traces as one array; they must agree with these direct forms
+bit for bit, since they perform the same float operations in the same order.
 """
 
 import math
@@ -18,7 +18,9 @@ import pytest
 from phi4local import equation
 from phi4local.coalgebra import Coalgebra, _add
 from phi4local.coeffs import pick_gamma
-from phi4local.equation import BoundaryTrace, SolveConfig, TreeExpansion
+from phi4local.equation import (
+    BoundaryTrace, NumericalAbort, SolveConfig, TreeExpansion,
+)
 from phi4local.field import COARSE_GRID, DEFAULT_GRID, heat_solve, noise_field
 from phi4local.lift import random_counterterm_map
 from phi4local.path import sample_nodes
@@ -155,9 +157,10 @@ def im_diag_loop(path, i, t):
     return out
 
 
-def solve_remainder_loop(path, coeffs, trace, radii):
-    """The remainder march with its right-hand side K0 + sum_p K[p] v^p
-    written inline."""
+def solve_remainder_loop(path, coeffs, trace, config=None):
+    """The remainder march of one boundary trace, with its right-hand side
+    K0 + sum_p K[p] v^p written inline and its cap check."""
+    config = config or SolveConfig()
     grid = path.grid
     h = grid.h
     k = h * h / 4
@@ -175,10 +178,11 @@ def solve_remainder_loop(path, coeffs, trace, radii):
         return (1 - frac) * arr2[j0] + frac * arr2[j0 + 1]
 
     v = trace.initial(xs)
-    sup = {R: 0.0 for R in radii}
-    col_masks = {R: np.abs(xs) < 1.0 - R for R in radii}
+    nsteps = int(round(1.0 / k))
+    sup = {R: 0.0 for R in config.radii}
+    col_masks = {R: np.abs(xs) < 1.0 - R for R in config.radii}
     t = 0.0
-    for _step in range(int(round(1.0 / k))):
+    for _step in range(nsteps):
         rhs = at_time(K0row, t).copy()
         for p, arr in Krows.items():
             term = at_time(arr, t)
@@ -192,11 +196,20 @@ def solve_remainder_loop(path, coeffs, trace, radii):
         t += k
         v[0] = trace.side(t, -1)
         v[-1] = trace.side(t, +1)
-        assert math.isfinite(float(np.max(np.abs(v))))
+        amax = float(np.max(np.abs(v)))
+        if not math.isfinite(amax) or amax > config.cap:
+            raise NumericalAbort(
+                "remainder solve exceeded cap %g at t=%.4f" % (config.cap, t),
+                {"t": t, "max": amax, "trace": trace.__dict__})
         for R, msk in col_masks.items():
             if t > R * R and msk.any():
                 sup[R] = max(sup[R], float(np.max(np.abs(v[msk]))))
-    return {("%g" % R): sup[R] for R in radii}
+    return {
+        "trace": {"kind": trace.kind, "magnitude": trace.magnitude,
+                  "seed": trace.seed},
+        "k": k, "h": h, "steps": nsteps,
+        "norms": {("%g" % R): sup[R] for R in config.radii},
+    }
 
 
 def renorm_expand_loop(cg, rmap, tau):
@@ -297,15 +310,72 @@ def test_diag_im_matches_loop(request, name):
         assert np.array_equal(p.diag_im[(i, t.uid)], im_diag_loop(p, i, t))
 
 
-def test_remainder_march_matches_inline_rhs(coarse_path):
+def _batch_records(path, coeffs, traces, config):
+    """The batch march's records in the oracle's one-trace shape."""
+    batch = equation.solve_remainder(path, coeffs, traces, config)
+    assert len(batch["runs"]) == len(traces)
+    return [{"trace": r["trace"], "k": batch["k"], "h": batch["h"],
+             "steps": batch["steps"], "norms": r["norms"]}
+            for r in batch["runs"]]
+
+
+def test_remainder_march_matches_inline_rhs(request):
+    # the CLI and acceptance traces all have side_scale 0; the last trace
+    # here drives the boundary columns with data of its own
+    traces = [BoundaryTrace("zero", 0.0),
+              BoundaryTrace("const", 2.0),
+              BoundaryTrace("const", 10.0),
+              BoundaryTrace("const", -10.0, seed=1),
+              BoundaryTrace("smooth", 1.0, seed=2),
+              BoundaryTrace("smooth", 100.0, seed=3),
+              BoundaryTrace("smooth", 3.0, seed=5, side_scale=0.5)]
+    config = SolveConfig(radii=(0.1, 0.2, 0.25, 0.4, 0.5))
+    for name in ("coarse_path", "default_path_trig"):
+        p = request.getfixturevalue(name)
+        co = equation.remainder_coeffs(p)
+        assert co.K
+        assert _batch_records(p, co, traces, config) == [
+            solve_remainder_loop(p, co, trace, config) for trace in traces]
+
+
+def _loop_abort(path, coeffs, trace, config):
+    with pytest.raises(NumericalAbort) as info:
+        solve_remainder_loop(path, coeffs, trace, config)
+    return info.value
+
+
+def _assert_same_abort(path, coeffs, traces, config, expected):
+    with pytest.raises(NumericalAbort) as info:
+        equation.solve_remainder(path, coeffs, traces, config)
+    assert str(info.value) == str(expected)
+    assert info.value.diagnostics == expected.diagnostics
+
+
+# On the coarse path at cap 10, the first trace crosses the cap only once its
+# wall data does, at t ~ 0.26, and a constant 50 crosses it at the first step.
+LATE = BoundaryTrace("smooth", 6.0, seed=0, side_scale=2.0)
+EARLY = BoundaryTrace("const", 50.0)
+
+
+def test_batch_abort_is_the_first_trace_in_order(coarse_path):
     co = equation.remainder_coeffs(coarse_path)
-    assert co.K
-    radii = (0.1, 0.2, 0.25, 0.4, 0.5)
-    for trace in (BoundaryTrace("smooth", 100.0, seed=3),
-                  BoundaryTrace("const", 2.0)):
-        rec = equation.solve_remainder(coarse_path, co, trace,
-                                       SolveConfig(radii=radii))
-        assert rec["norms"] == solve_remainder_loop(coarse_path, co, trace, radii)
+    config = SolveConfig(cap=10.0)
+    late = _loop_abort(coarse_path, co, LATE, config)
+    early = _loop_abort(coarse_path, co, EARLY, config)
+    assert early.diagnostics["t"] < late.diagnostics["t"]
+    traces = [BoundaryTrace("zero", 0.0), LATE, EARLY, BoundaryTrace("const", 2.0)]
+    _assert_same_abort(coarse_path, co, traces, config, late)
+
+
+def test_batch_abort_of_a_later_trace(coarse_path):
+    co = equation.remainder_coeffs(coarse_path)
+    config = SolveConfig(cap=10.0)
+    good = [BoundaryTrace("zero", 0.0), BoundaryTrace("const", 2.0)]
+    for trace in good:
+        solve_remainder_loop(coarse_path, co, trace, config)
+    for bad in (LATE, EARLY):
+        _assert_same_abort(coarse_path, co, good + [bad], config,
+                           _loop_abort(coarse_path, co, bad, config))
 
 
 def test_renorm_expand_matches_loop(u310):
