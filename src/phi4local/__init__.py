@@ -24,8 +24,8 @@ from .path import Path, OrderRow, fit_slope, order_scan, sample_nodes
 from .equation import (
     BoundaryTrace, NumericalAbort, RenormConstants,
     SolveConfig, TreeExpansion, apriori_scan, cube_formula_check, dx_map,
-    modelled_norms, reconstruction_check, remainder_coeffs, remainder_rhs,
-    renorm_constants, renorm_product, solve_remainder, three_point_residual,
+    modelled_norms, reconstruction_check, remainder_coeffs, renorm_constants,
+    renorm_product, solve_remainder, three_point_residual,
 )
 
 __version__ = "0.1.0"

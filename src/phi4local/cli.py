@@ -110,6 +110,10 @@ class RunConfig:
         if not all(math.isfinite(v) and v > 0 for v in (h, k, S)):
             raise ConfigError("grid h, k and S must be positive and finite, "
                               "got %r" % self.grid)
+        if S <= fieldmod.Grid.MIN_S:
+            raise ConfigError("grid S must exceed %g, or the cutoff vanishes "
+                              "on the unit cylinder, got %r"
+                              % (fieldmod.Grid.MIN_S, self.grid))
         nodes = (2 * S / h + 1) * ((fieldmod.Grid.t1 - fieldmod.Grid.t0) / k + 1)
         if nodes > MAX_GRID_NODES:
             raise ConfigError("grid %r has ~%.3g stored nodes, above the bound "
@@ -268,9 +272,9 @@ def _build_lift(cfg: RunConfig, grid, u, cg):
         rmap = liftmod.CountertermMap(u, values)
         return liftmod.build_local_product(grid, u, xi, rmap=rmap, coalg=cg), None
     if kind == "custom":
-        manifest = _read_json_object(arg)
+        entries = _read_json_object(arg)
         custom = {}
-        for name, relpath in manifest.items():
+        for name, relpath in entries.items():
             t = parse_tree(name, u.delta)
             if t is None:
                 raise ConfigError("custom lift key %r vanishes" % name)
@@ -372,9 +376,9 @@ def cmd_verify(cfg: RunConfig) -> int:
         p = path()
         lp = p.lp
         v1 = _smooth_v1(p.grid)
-        rep = equation.cube_formula_check(p, lp.rmap, v1)
+        rel = equation.cube_formula_check(p, lp.rmap, v1)
         tol = cfg.tol.get("cube", 1e-8 if lp.rmap is not None else 1e-10)
-        rows = [_summary_row("cube-formula", [rep["relative"]], tol)]
+        rows = [_summary_row("cube-formula", [rel], tol)]
         e = equation.TreeExpansion(p, v1)
         gamma = coeffs.pick_gamma(u, Fraction(3, 2))
         mn = equation.modelled_norms(p, e, gamma, n_pairs=60, seed=cfg.seed)
@@ -401,29 +405,28 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 1 if failures else 0
 
 
-def cmd_solve(cfg: RunConfig, radii=(0.1, 0.2, 0.25, 0.4, 0.5)) -> int:
+def cmd_solve(cfg: RunConfig) -> int:
     p, lift_rep = _build_path(cfg, coalgebra.Coalgebra(_universe(cfg)))
     u, grid = p.u, p.grid
     co = equation.remainder_coeffs(p)
     trace = equation.BoundaryTrace("smooth", 1.0, seed=cfg.seed)
-    batch = equation.solve_remainder(p, co, [trace],
-                                     equation.SolveConfig(radii=tuple(radii)))
+    batch = equation.solve_remainder(p, co, [trace])
     run, = batch["runs"]
     rec = {"trace": run["trace"], "k": batch["k"], "h": batch["h"],
            "steps": batch["steps"], "norms": run["norms"]}
-    cube_rep = equation.cube_formula_check(p, p.lp.rmap, _smooth_v1(grid))
+    cube = equation.cube_formula_check(p, p.lp.rmap, _smooth_v1(grid))
     rng = np.random.default_rng(cfg.seed)
     nodes = pathmod.sample_nodes(grid, grid.probe_mask(), rng, 9)
     chen = max(p.chen_residual(s, nodes[n], nodes[n + 1], nodes[n + 2])[1]
                for s in u.T_r[:4] for n in range(0, 7, 3))
-    rec["residuals"] = {"cube_formula": cube_rep["relative"],
+    rec["residuals"] = {"cube_formula": cube,
                         "chen_spot": chen}
     _emit(cfg, "solve", {"config": cfg.descriptor(), "run": rec,
                          "lift": lift_rep})
     return 0
 
 
-def cmd_scan(cfg: RunConfig, kind: str, radii=(0.1, 0.2, 0.4)) -> int:
+def cmd_scan(cfg: RunConfig, kind: str, radii) -> int:
     p, _ = _build_path(cfg, coalgebra.Coalgebra(_universe(cfg)))
     u, grid = p.u, p.grid
     scales = [L for L in (1 / 16, 1 / 8, 1 / 4, 1 / 2) if L >= 2 * grid.h]

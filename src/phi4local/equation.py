@@ -88,10 +88,9 @@ def dx_map(path: Path, v1: np.ndarray):
 
 # -- renormalized products -------------------------------------------------------
 
-def renorm_product(path: Path, e1, e2, e3) -> tuple:
+def renorm_product(path: Path, e1, e2, e3) -> np.ndarray:
     """Pointwise product of three tree expansions defined through the diagonal
-    path values.  Returns (field, report); the report carries the largest
-    precondition residual of the three expansions."""
+    path values."""
     u = path.u
     out = path.grid.zeros()
     for t in u.T_r:
@@ -99,24 +98,7 @@ def renorm_product(path: Path, e1, e2, e3) -> tuple:
             continue
         k1, k2, k3 = (k.child for k in t.children)
         out += e1.theta(k1) * e2.theta(k2) * e3.theta(k3) * path.diag[t.uid]
-    report = {"precondition_residual": max(
-        _pointwise_residual(path, e) for e in (e1, e2, e3))}
-    return out, report
-
-
-def _pointwise_residual(path: Path, e) -> float:
-    u = path.u
-    direct = path.grid.zeros()
-    for t in u.N + tuple(u.W):
-        th = e.theta(t)
-        if t is ONE:
-            direct += th
-        elif u.member("W", t):
-            direct += th * path.lp.ell(t)
-        # X_{z,z} I(tau) vanishes for the remaining trees
-    ref = e.pointwise()
-    scale = max(1.0, float(np.max(np.abs(ref))))
-    return float(np.max(np.abs(direct - ref))) / scale
+    return out
 
 
 @dataclass(frozen=True)
@@ -125,11 +107,6 @@ class RenormConstants:
     r_phi: Fraction
     r_phi2: Fraction
     r_dphi: tuple
-
-    def as_floats(self) -> dict:
-        return {"r1": float(self.r1), "r_phi": float(self.r_phi),
-                "r_phi2": float(self.r_phi2),
-                "r_dphi": [float(x) for x in self.r_dphi]}
 
 
 def renorm_constants(universe, rmap: CountertermMap | None) -> RenormConstants:
@@ -159,13 +136,14 @@ def renorm_constants(universe, rmap: CountertermMap | None) -> RenormConstants:
 
 
 def cube_formula_check(path: Path, rmap: CountertermMap | None,
-                       v1: np.ndarray, probe=None) -> dict:
-    """Renormalized cube against the polynomial formula in the function and
-    its derivatives; exact over stored tables for counterterm-built lifts."""
+                       v1: np.ndarray) -> float:
+    """Relative residual of the renormalized cube against the polynomial
+    formula in the function and its derivatives, on the probe region; exact
+    over stored tables for counterterm-built lifts."""
     grid = path.grid
-    probe = grid.probe_mask() if probe is None else probe
+    probe = grid.probe_mask()
     e = TreeExpansion(path, v1)
-    lhs, rep = renorm_product(path, e, e, e)
+    lhs = renorm_product(path, e, e, e)
     phi = e.pointwise()
     c = renorm_constants(path.u, rmap)
     rhs = phi ** 3 - float(c.r1) - float(c.r_phi) * phi - float(c.r_phi2) * phi ** 2
@@ -174,9 +152,7 @@ def cube_formula_check(path: Path, rmap: CountertermMap | None,
         if coef:
             rhs = rhs - coef * grad_x(grid, phi)
     scale = max(1.0, float(np.max(np.abs(rhs[probe]))))
-    resid = float(np.max(np.abs((lhs - rhs)[probe])))
-    return {"residual": resid, "relative": resid / scale,
-            "constants": c.as_floats(), **rep}
+    return float(np.max(np.abs((lhs - rhs)[probe]))) / scale
 
 
 # -- remainder equation ----------------------------------------------------------
@@ -241,12 +217,6 @@ def _lower_order(K0, K: dict, v):
     for p, arr in K.items():
         out += arr * v ** p if p else arr
     return out
-
-
-def remainder_rhs(coeffs: RemainderCoeffs, v: np.ndarray) -> np.ndarray:
-    """Right-hand side of the remainder equation for a field v on the grid,
-    the formula solve_remainder marches."""
-    return -v ** 3 + _lower_order(coeffs.K0, coeffs.K, v)
 
 
 @dataclass
@@ -414,21 +384,6 @@ def _v2_terms(path: Path, level: Fraction) -> tuple:
                  if u.order(t1) + u.order(t2) < level - 4)
 
 
-def _v3_terms(path: Path, level: Fraction) -> tuple:
-    u = path.u
-    out = []
-    for t1 in u.N:
-        o1 = u.order(t1)
-        for t2 in u.N:
-            o2 = u.order(t2)
-            if o1 + o2 + 2 >= level - 4:
-                continue
-            for t3 in u.N:
-                if o1 + o2 + u.order(t3) < level - 6:
-                    out.append((t1, t2, t3))
-    return tuple(out)
-
-
 def _v_level(path: Path, e, level: Fraction, y, x) -> float:
     acc = 0.0
     for t in _support(path, _v_terms, level):
@@ -441,15 +396,6 @@ def _v2_level(path: Path, e, level: Fraction, y, x) -> float:
     for t1, t2 in _support(path, _v2_terms, level):
         acc += (e.theta_at(t1, x) * e.theta_at(t2, x)
                 * path.value_at(I(t1), y, x) * path.value_at(I(t2), y, x))
-    return acc
-
-
-def _v3_level(path: Path, e, level: Fraction, y, x) -> float:
-    acc = 0.0
-    for t1, t2, t3 in _support(path, _v3_terms, level):
-        acc += (e.theta_at(t1, x) * e.theta_at(t2, x) * e.theta_at(t3, x)
-                * path.value_at(I(t1), y, x) * path.value_at(I(t2), y, x)
-                * path.value_at(I(t3), y, x))
     return acc
 
 
@@ -468,7 +414,8 @@ def _vi_level(path: Path, e, i: int, level: Fraction, y, x) -> float:
 
 
 def classified_u_tau_at(path: Path, e, t: Tree, cutoff: Fraction, y, x) -> float:
-    """The continuity error through its classified form (exact rewriting)."""
+    """The continuity error through its classified form (an exact rewriting
+    at the levels gamma < 2 that modelled_norms admits)."""
     from .coeffs import classify_utau
     u = path.u
     c = classify_utau(t, u)
@@ -478,7 +425,11 @@ def classified_u_tau_at(path: Path, e, t: Tree, cutoff: Fraction, y, x) -> float
     if c.kind == "V2":
         return c.sign * (float(e.v1[y]) ** 2 - _v2_level(path, e, level, y, x))
     if c.kind == "V3":
-        return c.sign * (float(e.v1[y]) ** 3 - _v3_level(path, e, level, y, x))
+        # The V3 tree [I(One) I(One) I(One)] has order 0, so its level is
+        # gamma - 2 < 0, and its sum would run over triples with an order sum
+        # below level - 6 < -6.  Every order in N is at least -2, so the sum
+        # is empty below gamma = 2, the only levels admitted here.
+        return c.sign * float(e.v1[y]) ** 3
     if c.kind == "Vi":
         return c.sign * (float(e.vX[c.index - 1][y])
                          - _vi_level(path, e, c.index, level, y, x))
@@ -494,7 +445,7 @@ class ModelledNorms:
 
 
 def modelled_norms(path: Path, e, gamma: Fraction, n_pairs: int = 100,
-                   seed: int = 11, probe=None) -> ModelledNorms:
+                   seed: int = 11) -> ModelledNorms:
     """Sampled continuity errors per tree, their classified forms and the
     seminorm estimates.
 
@@ -510,7 +461,7 @@ def modelled_norms(path: Path, e, gamma: Fraction, n_pairs: int = 100,
                          "continuity errors stop being exact" % gamma)
     cutoff = gamma - 2
     grid = path.grid
-    probe = grid.probe_mask() if probe is None else probe
+    probe = grid.probe_mask()
     rng = np.random.default_rng(seed)
     xs_nodes = sample_nodes(grid, probe, rng, n_pairs)
     ys_nodes = sample_nodes(grid, probe, rng, n_pairs)
@@ -535,7 +486,7 @@ def modelled_norms(path: Path, e, gamma: Fraction, n_pairs: int = 100,
 
 
 def three_point_residual(path: Path, e, gamma: Fraction, n_triples: int = 50,
-                         seed: int = 12, probe=None) -> dict:
+                         seed: int = 12) -> dict:
     """The change-of-base-point identity for the truncated expansion."""
     u = path.u
     gamma = Fraction(gamma)
@@ -543,7 +494,7 @@ def three_point_residual(path: Path, e, gamma: Fraction, n_triples: int = 50,
         raise ResonantLevel("level %s hits a tree-order cut" % gamma)
     cutoff = gamma - 2
     grid = path.grid
-    probe = grid.probe_mask() if probe is None else probe
+    probe = grid.probe_mask()
     rng = np.random.default_rng(seed)
     zs = sample_nodes(grid, probe, rng, n_triples)
     ys = sample_nodes(grid, probe, rng, n_triples)
@@ -579,8 +530,7 @@ def _channel_pairs(path: Path, e, t: Tree, composite: Tree, cutoff: Fraction):
     return pairs
 
 
-def reconstruction_check(path: Path, e, w1: Tree, w2: Tree, scales,
-                         probe=None) -> dict:
+def reconstruction_check(path: Path, e, w1: Tree, w2: Tree, scales) -> dict:
     """Decay of the reconstruction integral for the two-argument family built
     on a pair of rough factors.
 
@@ -590,7 +540,7 @@ def reconstruction_check(path: Path, e, w1: Tree, w2: Tree, scales,
     """
     u = path.u
     grid = path.grid
-    probe = grid.probe_mask() if probe is None else probe
+    probe = grid.probe_mask()
     kept = []
     for t in u.N:
         tt = prod3(I(t), I(w1), I(w2), u.delta)
@@ -643,13 +593,13 @@ def reconstruction_check(path: Path, e, w1: Tree, w2: Tree, scales,
 
 # -- a priori scan -----------------------------------------------------------------
 
-def seminorm_scale(path: Path, scales, probe=None) -> dict:
+def seminorm_scale(path: Path, scales) -> dict:
     """max over noise-carrying trees of the measured order seminorm raised to
     1/(delta * m_xi)."""
     u = path.u
     from .path import order_scan
     trees = [t for t in u.T_r if t.m_xi >= 1 and u.order(t) < 0]
-    rows = order_scan(path, trees, scales, probe=probe)
+    rows = order_scan(path, trees, scales)
     delta = float(u.delta)
     powers = {}
     for t, row in zip(trees, rows):

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path as FSPath
+from typing import ClassVar
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -34,6 +35,13 @@ class Grid:
     k_store: float = 1 / 128
     substeps: int = 32
     d: int = 1
+
+    # The cutoff is 1 for |x| <= CUTOFF_FLAT and ramps to 0 at S - CUTOFF_GAP.
+    # For S <= MIN_S there is no ramp: the cutoff is 0 on the unit cylinder
+    # and every heat solve's forcing vanishes.
+    CUTOFF_FLAT: ClassVar[float] = 2.0
+    CUTOFF_GAP: ClassVar[float] = 0.05
+    MIN_S: ClassVar[float] = CUTOFF_FLAT + CUTOFF_GAP
 
     def __post_init__(self):
         if self.d != 1:
@@ -87,7 +95,7 @@ class Grid:
     def cutoff(self) -> np.ndarray:
         """Smooth spatial bump: 1 on the 1-enlargement of the unit cylinder,
         0 from just inside the grid boundary."""
-        lo, hi = 2.0, self.S - 0.05
+        lo, hi = self.CUTOFF_FLAT, self.S - self.CUTOFF_GAP
         r = (np.abs(self.xs) - lo) / (hi - lo)
         r = np.clip(r, 0.0, 1.0)
         ramp = 1.0 - r * r * r * (r * (6 * r - 15) + 10)   # quintic smoothstep
@@ -105,8 +113,9 @@ class Grid:
         xx = self.x_field
         return (tt > R * R) & (tt <= 1.0) & (np.abs(xx) < 1.0 - R)
 
-    def probe_mask(self, margin: float = 0.1) -> np.ndarray:
-        return self.domain_mask(margin)
+    def probe_mask(self) -> np.ndarray:
+        """The unit cylinder shrunk by 0.1, where identities are probed."""
+        return self.domain_mask(0.1)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -188,8 +197,9 @@ def _profile_weights(grid: Grid, scale: float) -> np.ndarray:
 
 
 def max_depth(grid: Grid, L: float) -> int:
-    n = int(math.floor(math.log2(L / (2 * grid.h)))) if L >= 2 * grid.h else -1
-    return max(n, 0) if L >= 2 * grid.h else -1
+    if L >= 2 * grid.h:
+        return max(int(math.floor(math.log2(L / (2 * grid.h)))), 0)
+    return -1
 
 
 class Mollifier:

@@ -34,7 +34,6 @@ class CountertermMap:
     """
 
     def __init__(self, universe, values: dict):
-        self.universe = universe
         q_canon = {canon(t).uid for t in universe.Q}
         table: dict = {}
         for t, v in values.items():
@@ -53,25 +52,17 @@ class CountertermMap:
     def as_uid_map(self) -> dict:
         return dict(self.table)
 
-    def describe(self) -> dict:
-        names = {}
-        for t in self.universe.Q:
-            cu = canon(t).uid
-            if cu in self.table and self.table[cu]:
-                names.setdefault(tree_name(canon(t)), float(self.table[cu]))
-        return names
 
 
 class LocalProduct:
     """Tree -> field table with the derived heat-solve and gradient tables."""
 
     def __init__(self, grid: Grid, universe, coalg: Coalgebra, xi: np.ndarray,
-                 kind: str, rmap: CountertermMap | None = None):
+                 rmap: CountertermMap | None = None):
         self.grid = grid
         self.universe = universe
         self.coalg = coalg
         self.xi = xi
-        self.kind = kind
         self.rmap = rmap
         self._X: dict = {}
         self._ell: dict = {}
@@ -116,13 +107,6 @@ class LocalProduct:
             out *= self.planted_field(p)
         return out
 
-    def manifest(self) -> dict:
-        out = {"kind": self.kind, "trees": sorted(
-            tree_name(canon(t)) for t in self.universe.T_r)}
-        if self.rmap is not None:
-            out["counterterms"] = self.rmap.describe()
-        return out
-
 
 def _substitute_first_x(t: Tree, delta) -> tuple:
     """Replace the first X_j child by One; returns (j, substituted tree)."""
@@ -149,9 +133,7 @@ def build_local_product(grid: Grid, universe, xi: np.ndarray,
     the extension rules.
     """
     cg = coalg or Coalgebra(universe)
-    kind = "multiplicative" if rmap is None and custom is None else (
-        "counterterm" if rmap is not None else "custom")
-    lp = LocalProduct(grid, universe, cg, xi, kind, rmap)
+    lp = LocalProduct(grid, universe, cg, xi, rmap)
     delta = universe.delta
     ruid = rmap.as_uid_map() if rmap is not None else None
     custom_by_uid = {}
@@ -280,8 +262,7 @@ def _arrangements(kids) -> list:
 
 def phi43_counterterms(grid: Grid, universe, seeds, eps: float,
                        amp: float = 1.0, kind: str = "gauss",
-                       rel_se_tol: float = 0.5,
-                       probe: np.ndarray | None = None):
+                       rel_se_tol: float = 0.5):
     """Estimate the two renormalization constants by ensemble plus space-time
     averaging over a probe region where the cutoff equals one, and assign them
     (negated) to the two standard families.
@@ -289,9 +270,8 @@ def phi43_counterterms(grid: Grid, universe, seeds, eps: float,
     Returns (CountertermMap, report).  The expectation of the squared solve is
     replaced by an empirical average; the report carries the standard errors.
     """
-    if probe is None:
-        tt, xx = grid.t_field, grid.x_field
-        probe = (tt >= 0.2) & (tt <= 1.0) & (np.abs(xx) <= 1.5)
+    tt, xx = grid.t_field, grid.x_field
+    probe = (tt >= 0.2) & (tt <= 1.0) & (np.abs(xx) <= 1.5)
     solves = []
     for s in seeds:
         xi = noise_field(grid, kind, seed=s, eps=eps, amp=amp)

@@ -273,7 +273,7 @@ def fit_slope(scales, values) -> float:
     return sum((a - mx) * (b - my) for a, b in zip(xs, ys)) / den
 
 
-def order_scan(path: Path, sigmas, scales, probe=None, n_pairs: int = 400,
+def order_scan(path: Path, sigmas, scales, n_pairs: int = 400,
                seed: int = 5) -> list:
     """Measured magnitudes per scale with a log-log slope fit.
 
@@ -285,7 +285,7 @@ def order_scan(path: Path, sigmas, scales, probe=None, n_pairs: int = 400,
         raise ValueError("need at least 3 usable scales")
     grid = path.grid
     u = path.u
-    probe = grid.probe_mask() if probe is None else probe
+    probe = grid.probe_mask()
     rng = np.random.default_rng(seed)
     rows = []
     smoothable = set(t.uid for t in u.T_r) | set(

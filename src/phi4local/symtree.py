@@ -8,7 +8,6 @@ equality is identity of the ``uid`` field.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -484,9 +483,6 @@ class TreeUniverse:
                          if t.uid in self._ids[name]],
             })
         return {"delta": str(self.delta), "d": self.d, "trees": rows}
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=1, sort_keys=True)
 
 
 def _ordered_partitions(tup):

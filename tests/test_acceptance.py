@@ -142,23 +142,23 @@ def test_criterion_3_chen(u920, default_path_trig, default_path_gauss):
 
 
 def test_criterion_4_cube_formula(u920, cg920, default_path_trig, smooth_v1):
-    rep = cube_formula_check(default_path_trig, None, smooth_v1)
-    ok1 = rep["relative"] <= 1e-10
+    rel = cube_formula_check(default_path_trig, None, smooth_v1)
+    ok1 = rel <= 1e-10
     grid = DEFAULT_GRID
     rmap, est = phi43_counterterms(grid, u920, seeds=range(6), eps=1 / 8,
                                    amp=0.3)
     xi = noise_field(grid, "gauss", seed=31, eps=1 / 8, amp=0.3)
     lp = build_local_product(grid, u920, xi, rmap=rmap, coalg=cg920)
-    probe = grid.probe_mask()
-    assert int(probe.sum()) >= 100
-    rep2 = cube_formula_check(Path(lp), rmap, smooth_v1, probe=probe)
-    ok2 = rep2["relative"] <= 1e-8
+    # cube_formula_check compares on the probe region
+    assert int(grid.probe_mask().sum()) >= 100
+    rel2 = cube_formula_check(Path(lp), rmap, smooth_v1)
+    ok2 = rel2 <= 1e-8
     c = renorm_constants(u920, rmap)
     ok3 = (c.r_phi == 3 * Fraction(est["c_wick"]) - 9 * Fraction(est["c_sunset"])
            and c.r1 == 0 and c.r_phi2 == 0 and all(x == 0 for x in c.r_dphi))
     _report(4, "renormalized-cube", ok1 and ok2 and ok3,
             "mult %.1e, counterterm %.1e, constants exact=%s"
-            % (rep["relative"], rep2["relative"], ok3))
+            % (rel, rel2, ok3))
 
 
 def test_criterion_5_utau_crosscheck(u920, default_path_gauss):

@@ -143,6 +143,8 @@ def _nan_manifest(base):
     lambda d: ["solve", "--noise", "trig:0:-1"],
     lambda d: ["solve", "--noise", "trig:abc:0"],
     lambda d: ["solve", "--grid", "1/32,1/256,1e9"],
+    lambda d: ["solve", "--grid", "1/8,1/64,2"],
+    lambda d: ["solve", "--grid", "1/8,1/64,0.5"],
 ], ids=["custom-missing", "counterterm-missing", "config-missing",
         "custom-malformed-name", "custom-vanishing-name", "custom-missing-field",
         "dim2-path", "dim2-products", "dim2-all", "dim2-solve", "dim2-scan",
@@ -151,7 +153,8 @@ def _nan_manifest(base):
         *["config-" + name for name in JSON_TYPE_ERRORS],
         "grid-zero-step", "grid-nan-step", "grid-zero-denominator",
         "delta-zero-denominator", "radii-zero", "radii-above-one",
-        "noise-negative-eps", "noise-seed-not-integer", "grid-too-many-nodes"])
+        "noise-negative-eps", "noise-seed-not-integer", "grid-too-many-nodes",
+        "grid-narrow", "grid-narrow-below-one"])
 def test_bad_config_exit_code(tmp_path, capsys, argv):
     args = argv(tmp_path)
     for flag, value in zip(SMALL[::2], SMALL[1::2]):

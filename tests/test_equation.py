@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from phi4local.coeffs import pick_gamma
+from phi4local.coeffs import classify_utau, pick_gamma
 from phi4local.field import COARSE_GRID, DEFAULT_GRID, Grid, grad_x, noise_field
 from phi4local.lift import (
     CountertermMap, build_local_product, phi43_counterterms, standard_families,
@@ -12,11 +12,13 @@ from phi4local.lift import (
 from phi4local.path import Path
 from phi4local.equation import (
     BoundaryTrace, NumericalAbort, ResonantLevel, SolveConfig, TreeExpansion,
-    cube_formula_check, dx_map, modelled_norms, reconstruction_check,
-    remainder_coeffs, remainder_rhs, renorm_constants, renorm_product,
+    _lower_order, cube_formula_check, dx_map, modelled_norms,
+    reconstruction_check, remainder_coeffs, renorm_constants, renorm_product,
     solve_remainder, three_point_residual, u_tau_at,
 )
-from phi4local.symtree import ONE, XI, I, X, parse_tree, prod3, sign_of, tree_name
+from phi4local.symtree import (
+    ONE, XI, I, X, enumerate_universe, parse_tree, prod3, sign_of, tree_name,
+)
 
 D = Fraction(9, 20)
 
@@ -52,12 +54,21 @@ def test_renorm_product_multiplicative(coarse_path, smooth_v1=None):
     grid = p.grid
     v1 = 0.5 + 0.3 * np.sin(2.0 * grid.x_field) * np.cos(1.5 * grid.t_field)
     e = TreeExpansion(p, v1)
-    out, rep = renorm_product(p, e, e, e)
+    out = renorm_product(p, e, e, e)
     phi = e.pointwise()
     probe = grid.probe_mask()
     scale = max(1.0, float(np.max(np.abs(phi ** 3))))
     assert np.max(np.abs((out - phi ** 3)[probe])) / scale < 1e-10
-    assert rep["precondition_residual"] < 1e-12
+    # the precondition: X_{z,z} applied to the expansion term by term, which
+    # leaves One and the W trees, is its pointwise value
+    direct = grid.zeros()
+    for t in p.u.N + tuple(p.u.W):
+        if t is ONE:
+            direct += e.theta(t)
+        elif p.u.member("W", t):
+            direct += e.theta(t) * p.lp.ell(t)
+    scale = max(1.0, float(np.max(np.abs(phi))))
+    assert float(np.max(np.abs(direct - phi))) / scale < 1e-12
 
 
 def test_renorm_product_constant_expansion(u920, cg920):
@@ -68,7 +79,7 @@ def test_renorm_product_constant_expansion(u920, cg920):
     p = Path(lp)
     c = 1.7
     e = TreeExpansion(p, c * grid.ones())
-    out, _ = renorm_product(p, e, e, e)
+    out = renorm_product(p, e, e, e)
     assert np.max(np.abs(out - c ** 3)) < 1e-12
     t = prod3(I(ONE), I(ONE), I(ONE), D)
     assert np.max(np.abs(p.diag[t.uid] - 1.0)) < 1e-12
@@ -102,22 +113,19 @@ def test_cube_formula_all_lifts(u920, cg920, smooth_v1):
     grid = DEFAULT_GRID
     xi = noise_field(grid, "trig", seed=0)
     mult = build_local_product(grid, u920, xi, coalg=cg920)
-    rep = cube_formula_check(Path(mult), None, smooth_v1)
-    assert rep["relative"] <= 1e-10
+    assert cube_formula_check(Path(mult), None, smooth_v1) <= 1e-10
     wick, sunset = standard_families(u920)
     rm = CountertermMap(u920, {**{t: -0.4 for t in wick},
                                **{t: -0.03 for t in sunset}})
     built = build_local_product(grid, u920, xi, rmap=rm, coalg=cg920)
-    rep = cube_formula_check(Path(built), rm, smooth_v1)
-    assert rep["relative"] <= 1e-8
+    assert cube_formula_check(Path(built), rm, smooth_v1) <= 1e-8
 
 
 def test_cube_formula_zero_base(u920, cg920):
     grid = COARSE_GRID
     xi = noise_field(grid, "trig", seed=0)
     lp = build_local_product(grid, u920, xi, coalg=cg920)
-    rep = cube_formula_check(Path(lp), None, grid.zeros())
-    assert rep["relative"] <= 1e-12
+    assert cube_formula_check(Path(lp), None, grid.zeros()) <= 1e-12
 
 
 def test_prefactor_three_is_permutation_multiplicity(default_path_trig, u920):
@@ -136,6 +144,12 @@ def test_prefactor_three_is_permutation_multiplicity(default_path_trig, u920):
                           prod3(I(w), I(t1), I(t2), D)]
             total = sum(p.diag[t.uid] for t in placements)
             assert np.max(np.abs(total - 3.0 * p.diag[base.uid])) < 1e-12
+
+
+def remainder_rhs(coeffs, v):
+    """Right-hand side of the remainder equation for a field v on the grid,
+    the formula solve_remainder marches."""
+    return -v ** 3 + _lower_order(coeffs.K0, coeffs.K, v)
 
 
 def test_remainder_correspondence(default_path_trig, u920):
@@ -239,6 +253,18 @@ def test_modelled_norms_rejects_gamma_above_two(coarse_path, u920):
     e = TreeExpansion(coarse_path, coarse_path.grid.ones())
     with pytest.raises(ValueError, match="not below 2"):
         modelled_norms(coarse_path, e, pick_gamma(u920, Fraction(201, 100)))
+
+
+@pytest.mark.parametrize("delta", ["9/20", "2/5", "3/10", "13/50"])
+def test_v3_sum_empty_below_gamma_two(delta):
+    # classified_u_tau_at leaves out the V3 sum.  Its one tree has order 0,
+    # so below gamma = 2 its level is negative, and a term would need three
+    # orders of N adding up to less than level - 6 < -6, three times the
+    # least order in N
+    u = enumerate_universe(Fraction(delta))
+    v3 = [t for t in u.N if classify_utau(t, u).kind == "V3"]
+    assert len(v3) == 1 and u.order(v3[0]) == 0
+    assert min(u.order(t) for t in u.N) == -2
 
 
 def test_utau_special_cases(coarse_path, u920):

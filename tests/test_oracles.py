@@ -124,25 +124,6 @@ def v2_loop(path, e, level, y, x):
     return acc
 
 
-def v3_loop(path, e, level, y, x):
-    u = path.u
-    acc = 0.0
-    for t1 in u.N:
-        o1 = u.order(t1)
-        for t2 in u.N:
-            o2 = u.order(t2)
-            if o1 + o2 + 2 >= level - 4:
-                continue
-            for t3 in u.N:
-                if o1 + o2 + u.order(t3) < level - 6:
-                    acc += (e.theta_at(t1, x) * e.theta_at(t2, x)
-                            * e.theta_at(t3, x)
-                            * path.value_at(I(t1), y, x)
-                            * path.value_at(I(t2), y, x)
-                            * path.value_at(I(t3), y, x))
-    return acc
-
-
 def im_diag_loop(path, i, t):
     """X_{z,z} Im_i(t) summed again over the coproduct, plus the Ip centering."""
     u, lp = path.u, path.lp
@@ -240,7 +221,7 @@ def _pairs(path, n, seed):
 
 def _levels(u):
     """Every level the products suite reaches from pick_gamma, plus two
-    above it where the two- and three-fold supports are not empty."""
+    above it (the two-fold support is not empty at gamma + 1)."""
     gamma = pick_gamma(u, Fraction(3, 2))
     cutoff = gamma - 2
     levels = {gamma, gamma + 1, gamma + 2}
@@ -289,9 +270,7 @@ def test_truncated_sums_match_loops(request, name, smooth_v1):
         for y, x in pairs:
             assert equation._v_level(p, e, level, y, x) == v_loop(p, e, level, y, x)
             assert equation._v2_level(p, e, level, y, x) == v2_loop(p, e, level, y, x)
-            assert equation._v3_level(p, e, level, y, x) == v3_loop(p, e, level, y, x)
     assert equation._support(p, equation._v2_terms, gamma + 1)
-    assert equation._support(p, equation._v3_terms, gamma + 2)
     cutoff = gamma - 2
     for t in u.N:
         for y, x in pairs:
