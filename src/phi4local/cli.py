@@ -279,10 +279,13 @@ def _build_lift(cfg: RunConfig, grid, u, cg):
             if t is None:
                 raise ConfigError("custom lift key %r vanishes" % name)
             try:
-                _g, f = fieldmod.load_field(FSPath(arg).parent / relpath)
+                g, f = fieldmod.load_field(FSPath(arg).parent / relpath)
             except OSError as exc:
                 raise ConfigError("cannot load custom field %r: %s"
                                   % (name, exc)) from exc
+            if g != grid:
+                raise ConfigError("custom field %r is stored on grid %s, not on "
+                                  "the run grid %s" % (name, g, grid))
             if not np.all(np.isfinite(f)):
                 raise ConfigError("custom field %r has non-finite values" % name)
             custom[t] = f

@@ -45,6 +45,59 @@ def _add(acc: dict, key, coeff) -> None:
         del acc[key]
 
 
+class _CutSets:
+    """The left factors of each tree with a defined cut, generated from the
+    factors of its children instead of testing every candidate.
+
+    ``cut`` is Coalgebra.cplus or Coalgebra.cminus.  Both test generators
+    case by case, give no product a cut on a generator, and cut a product
+    from a product child by child, in order.  So the product factors of a
+    product t are the products whose ordered child trees come from the
+    factor sets of t's child trees; being interned by their children, they
+    are found in an index keyed by the uids of their child trees.  The index
+    covers the pool, the roots and every tree reachable from them as a
+    product child, which makes each factor set exact within the pool.
+    """
+
+    def __init__(self, cut, roots, d: int):
+        self.cut = cut
+        self.gens = (ONE,) + tuple(X(i) for i in range(1, d + 1)) + (XI,)
+        self.rank = {t.uid: r for r, t in enumerate(roots)}
+        self.prods: Dict[Tuple[int, int, int], Tree] = {}
+        stack = [t for t in roots if t.kind == PROD]
+        while stack:
+            t = stack.pop()
+            key = tuple(k.child.uid for k in t.children)
+            if key not in self.prods:
+                self.prods[key] = t
+                stack.extend(k.child for k in t.children if k.child.kind == PROD)
+        self._factors: Dict[int, list] = {}
+
+    def factors(self, t: Tree) -> list:
+        """Every pool tree tb with a defined cut(tb, t)."""
+        out = self._factors.get(t.uid)
+        if out is None:
+            out = [g for g in self.gens if self.cut(g, t) is not None]
+            if t.kind == PROD:
+                a, b, c = (self.factors(k.child) for k in t.children)
+                prods = self.prods
+                for ta in a:
+                    for tb in b:
+                        for tc in c:
+                            p = prods.get((ta.uid, tb.uid, tc.uid))
+                            if p is not None:
+                                out.append(p)
+            self._factors[t.uid] = out
+        return out
+
+    def rows(self, t: Tree) -> Tuple[Tuple[Tree, Forest], ...]:
+        """(tb, cut(tb, t)) for the roots tb with a defined cut, in root order."""
+        rank = self.rank
+        tbs = sorted((tb for tb in self.factors(t) if tb.uid in rank),
+                     key=lambda tb: rank[tb.uid])
+        return tuple((tb, self.cut(tb, t)) for tb in tbs)
+
+
 class Coalgebra:
     """Coproduct machinery scoped to one TreeUniverse (delta fixed)."""
 
@@ -54,6 +107,8 @@ class Coalgebra:
         self._cplus: Dict[Tuple[int, int], Optional[Forest]] = {}
         self._cminus: Dict[Tuple[int, int], Optional[Forest]] = {}
         self._rcuts: Dict[int, Tuple[Tuple[int, Forest], ...]] = {}
+        self._cplus_sets = _CutSets(self.cplus, universe.N + universe.W, universe.d)
+        self._cminus_sets = _CutSets(self.cminus, universe.Q, universe.d)
 
     # -- coproduct ---------------------------------------------------------
 
@@ -211,6 +266,15 @@ class Coalgebra:
             parts.append(p)
         return parts[0] + parts[1] + parts[2]
 
+    def cplus_cuts(self, t: Tree) -> Tuple[Tuple[Tree, Forest], ...]:
+        """(tb, C_+(tb, t)) for tb in N + W where the cut is defined, in that
+        order."""
+        return self._cplus_sets.rows(t)
+
+    def cminus_cuts(self, t: Tree) -> Tuple[Tuple[Tree, Forest], ...]:
+        """(tq, C_-(tq, t)) for tq in Q where the cut is defined, in Q order."""
+        return self._cminus_sets.rows(t)
+
     # -- renormalization operator -------------------------------------------
 
     def renorm_expand(self, rmap: dict, tau: Tree) -> dict:
@@ -218,18 +282,14 @@ class Coalgebra:
 
         rmap maps canonical uids to coefficients; it must vanish off Q.
         The cuts come from an index keyed by tau.uid: the pairs
-        (canon(tq).uid, C_-(tq, tau)) for tq in Q, in Q order, where the cut
-        is defined.  It is built on first use, does not depend on rmap, and
-        lasts as long as this instance.
+        (canon(tq).uid, C_-(tq, tau)) of cminus_cuts(tau).  It is built on
+        first use, does not depend on rmap, and lasts as long as this
+        instance.
         """
         cuts = self._rcuts.get(tau.uid)
         if cuts is None:
-            pairs = []
-            for tq in self.u.Q:
-                f = self.cminus(tq, tau)
-                if f is not None:
-                    pairs.append((canon(tq).uid, f))
-            cuts = self._rcuts[tau.uid] = tuple(pairs)
+            cuts = self._rcuts[tau.uid] = tuple(
+                (canon(tq).uid, f) for tq, f in self.cminus_cuts(tau))
         acc: dict = {}
         _add(acc, tuple(tau.children), 1)
         for uid, f in cuts:
@@ -258,13 +318,10 @@ class Coalgebra:
         """delta against the cut-map table, plus the leaf-count identities."""
         u = self.u
         report = []
-        candidates = u.N + tuple(t for t in u.W)
-        for t in candidates:
+        for t in u.N + u.W:
+            cuts = self.cplus_cuts(t)
             rhs_planted: dict = {}
-            for tb in candidates:
-                f = self.cplus(tb, t)
-                if f is None:
-                    continue
+            for tb, f in cuts:
                 _add(rhs_planted, (I(tb), f), 1)
                 ok = (
                     leq(tb, t)
@@ -282,11 +339,8 @@ class Coalgebra:
                 # left factors of the unplanted coproduct live in T_r, so the
                 # polynomial generators drop out of this sum
                 rhs_flat = {}
-                for tb in candidates:
-                    if not u.member("T_r", tb):
-                        continue
-                    f = self.cplus(tb, t)
-                    if f is not None:
+                for tb, f in cuts:
+                    if u.member("T_r", tb):
                         _add(rhs_flat, (tb, f), 1)
                 lhs_flat = self.delta(t)
                 report.append(_row("explicit-unplanted", t,

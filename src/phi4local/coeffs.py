@@ -90,9 +90,8 @@ def check_coherence(universe, coalg: Optional[Coalgebra] = None) -> list:
     cg = coalg or Coalgebra(u)
     report = []
     for tbig in u.N_ring:
-        for tsmall in u.N:
-            f = cg.cplus(tsmall, tbig)
-            if f is None:
+        for tsmall, f in cg.cplus_cuts(tbig):
+            if not u.member("N", tsmall):
                 continue
             lhs = upsilon_monomial(tbig)
             rhs = monomial_product([upsilon_forest_monomial(f)],

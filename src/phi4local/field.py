@@ -21,7 +21,7 @@ from pathlib import Path as FSPath
 from typing import ClassVar
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfftn, next_fast_len, rfftn
 
 
 @dataclass(frozen=True)
@@ -202,6 +202,17 @@ def max_depth(grid: Grid, L: float) -> int:
     return -1
 
 
+def _fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full 2-d convolution of two real arrays: the padding and real FFTs of
+    scipy.signal.fftconvolve, so the result is the same to the bit, without
+    importing scipy.signal (about a second of every process start)."""
+    shape = [n + m - 1 for n, m in zip(a.shape, b.shape)]
+    fshape = [next_fast_len(n, True) for n in shape]
+    out = irfftn(rfftn(a, fshape, axes=(0, 1)) * rfftn(b, fshape, axes=(0, 1)),
+                 fshape, axes=(0, 1))
+    return out[: shape[0], : shape[1]]
+
+
 class Mollifier:
     """Iterated-profile kernels; the scale-L kernel of depth n is the discrete
     convolution of profiles at L/2, L/4, ..., L/2^n, so the dyadic semigroup
@@ -219,7 +230,7 @@ class Mollifier:
                 raise ValueError("depth must be >= 1")
             k = _profile_weights(self.grid, L / 2)
             for j in range(2, n + 1):
-                k = fftconvolve(k, _profile_weights(self.grid, L / 2 ** j))
+                k = _fftconvolve(k, _profile_weights(self.grid, L / 2 ** j))
             k = np.maximum(k, 0.0)
             k /= k.sum()
             self._kernels[key] = k
@@ -239,7 +250,7 @@ class Mollifier:
         ker = self.kernel(L, n)
         na = ker.shape[0] - 1
         nb = (ker.shape[1] - 1) // 2
-        full = fftconvolve(f, ker, mode="full")
+        full = _fftconvolve(f, ker)
         g = full[: grid.nt, nb: nb + grid.nx]
         mask = np.zeros(f.shape, dtype=bool)
         if grid.nt > na and grid.nx > 2 * nb:

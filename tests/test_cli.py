@@ -1,12 +1,13 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from phi4local import cli, equation
 from phi4local.cli import RunConfig, build_parser, main
-from phi4local.field import save_field
+from phi4local.field import COARSE_GRID, save_field
 
 
 def test_enumerate_exit_codes(tmp_path):
@@ -106,6 +107,12 @@ def _nan_manifest(base):
     return _custom_manifest(base, "[I(One) I(Xi) I(Xi)]")
 
 
+def _grid_manifest(base, grid):
+    """A custom lift whose one field is stored on `grid`."""
+    save_field(base / "field", grid, grid.zeros())
+    return _custom_manifest(base, "[I(One) I(Xi) I(Xi)]")
+
+
 @pytest.mark.parametrize("argv", [
     lambda d: ["verify", "--suite", "path", "--lift",
                "custom:%s" % (d / "missing.json")],
@@ -131,6 +138,11 @@ def _nan_manifest(base):
     lambda d: ["verify", "--suite", "path", "--lift",
                "custom:%s" % _write(d, "list.json", '["x"]')],
     lambda d: ["verify", "--suite", "path", "--lift", _nan_manifest(d)],
+    lambda d: ["verify", "--suite", "path", "--grid", "1/32,1/256,3",
+               "--lift", _grid_manifest(d, COARSE_GRID)],
+    # the run grid (SMALL) has the shape of the stored one
+    lambda d: ["verify", "--suite", "path", "--lift",
+               _grid_manifest(d, replace(COARSE_GRID, substeps=64))],
     *[lambda d, v=v: ["--config", str(_write(d, "typed.json", json.dumps(v))),
                       "verify", "--suite", "products"]
       for v in JSON_TYPE_ERRORS.values()],
@@ -149,7 +161,8 @@ def _nan_manifest(base):
         "custom-malformed-name", "custom-vanishing-name", "custom-missing-field",
         "dim2-path", "dim2-products", "dim2-all", "dim2-solve", "dim2-scan",
         "out-is-a-file", "config-not-object", "counterterm-not-object",
-        "custom-not-object", "custom-nan-field",
+        "custom-not-object", "custom-nan-field", "custom-other-grid",
+        "custom-other-grid-same-shape",
         *["config-" + name for name in JSON_TYPE_ERRORS],
         "grid-zero-step", "grid-nan-step", "grid-zero-denominator",
         "delta-zero-denominator", "radii-zero", "radii-above-one",

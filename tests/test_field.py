@@ -1,11 +1,17 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
+import phi4local
 from phi4local.field import (
     COARSE_GRID, DEFAULT_GRID, Grid, Mollifier, ResolutionError,
-    StabilityError, grad_x, heat_solve, load_field, noise_field, save_field,
+    StabilityError, _fftconvolve, _profile_weights, grad_x, heat_solve,
+    load_field, max_depth, noise_field, save_field,
 )
 
 G = DEFAULT_GRID
@@ -245,3 +251,34 @@ def test_field_io_roundtrip(tmp_path):
     (tmp_path / "f.bin").write_bytes(raw[:-8] + b"corrupted")
     with pytest.raises(IOError):
         load_field(tmp_path / "f")
+
+
+@pytest.mark.parametrize("grid", [COARSE_GRID, DEFAULT_GRID],
+                         ids=["coarse", "default"])
+def test_fftconvolve_matches_scipy_signal(grid):
+    f = noise_field(grid, "trig", seed=1)
+    cases = 0
+    for L in (1 / 16, 1 / 8, 1 / 4, 1 / 2):
+        if L < 2 * grid.h:
+            continue
+        n = max(max_depth(grid, L), 1)
+        k = _profile_weights(grid, L / 2)
+        # one step past the default depth, so that every L has a kernel step
+        for j in range(2, n + 2):
+            w = _profile_weights(grid, L / 2 ** j)
+            assert np.array_equal(_fftconvolve(k, w), fftconvolve(k, w))
+            k = fftconvolve(k, w)
+            cases += 1
+        ker = Mollifier(grid).kernel(L, n)
+        assert np.array_equal(_fftconvolve(f, ker), fftconvolve(f, ker, mode="full"))
+        cases += 1
+    assert cases >= 6
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    src = os.path.dirname(os.path.dirname(phi4local.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, phi4local.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"

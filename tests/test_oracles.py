@@ -1,14 +1,16 @@
 """Loop forms of the point evaluators, truncated sums, heat march, diagonal
-derivative tables, remainder march and renormalization operator, and the
-case-by-case forms of the centering and planted-field lookups, kept as
-reference oracles.
+derivative tables, remainder march and renormalization operator, the
+case-by-case forms of the centering and planted-field lookups, and the
+all-candidate scans for the cut maps, kept as reference oracles.
 
 The package versions read precomputed tree supports, scalar table entries,
-shared tables, one right-hand side and an index of the C- cuts, and march
-all boundary traces as one array; they must agree with these direct forms
-bit for bit, since they perform the same float operations in the same order.
+shared tables, one right-hand side and an index of the C- cuts, generate
+the cuts from the children's cuts, and march all boundary traces as one
+array; they must agree with these direct forms bit for bit, since they
+perform the same float operations in the same order.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -17,7 +19,7 @@ import pytest
 
 from phi4local import equation
 from phi4local.coalgebra import Coalgebra, _add
-from phi4local.coeffs import pick_gamma
+from phi4local.coeffs import check_coherence, pick_gamma
 from phi4local.equation import (
     BoundaryTrace, NumericalAbort, SolveConfig, TreeExpansion,
 )
@@ -25,7 +27,8 @@ from phi4local.field import COARSE_GRID, DEFAULT_GRID, heat_solve, noise_field
 from phi4local.lift import random_counterterm_map
 from phi4local.path import sample_nodes
 from phi4local.symtree import (
-    EDGE_I, EDGE_IP, GEN, ONE, PLANTED, PROD, XI, I, Im, canon, tree_name,
+    EDGE_I, EDGE_IP, GEN, ONE, PLANTED, PROD, XI, I, Im, canon,
+    enumerate_universe, tree_name,
 )
 
 # -- oracles --------------------------------------------------------------------
@@ -207,6 +210,18 @@ def renorm_expand_loop(cg, rmap, tau):
     return acc
 
 
+def cplus_cuts_scan(cg, t):
+    """(tb, C_+(tb, t)) by testing every tb in N + W."""
+    return tuple((tb, f) for tb in cg.u.N + cg.u.W
+                 for f in (cg.cplus(tb, t),) if f is not None)
+
+
+def cminus_cuts_scan(cg, tau):
+    """(tq, C_-(tq, tau)) by testing every tq in Q."""
+    return tuple((tq, f) for tq in cg.u.Q
+                 for f in (cg.cminus(tq, tau),) if f is not None)
+
+
 # -- comparisons ------------------------------------------------------------------
 
 FIXTURES = ["default_path_trig", "default_path_gauss"]
@@ -371,3 +386,32 @@ def test_renorm_expand_matches_loop(u310):
             for tau in (t, *(l for (l, _f) in cg.delta(t))):
                 assert (list(cg.renorm_expand(rmap, tau).items())
                         == list(renorm_expand_loop(cg, rmap, tau).items()))
+
+
+# (delta, dimension, max_m_xi): the acceptance deltas, the two-dimensional
+# universe and restricted universes
+CUT_UNIVERSES = [
+    (Fraction(9, 20), 1, None), (Fraction(2, 5), 1, None),
+    (Fraction(3, 10), 1, None), (Fraction(13, 50), 1, None),
+    (Fraction(9, 20), 2, None), (Fraction(3, 10), 1, 2),
+    (Fraction(13, 50), 1, 3), (Fraction(13, 50), 1, 6),
+]
+
+
+@pytest.mark.parametrize("delta,d,max_m_xi", CUT_UNIVERSES, ids=[
+    "%s-d%d-m%s" % (delta, d, m) for delta, d, m in CUT_UNIVERSES])
+def test_generated_cuts_match_scans(delta, d, max_m_xi):
+    u = enumerate_universe(delta, d)
+    if max_m_xi is not None:
+        u = u.restrict(max_m_xi)
+    cg = Coalgebra(u)
+    for t in u.N + u.W:
+        assert cg.cplus_cuts(t) == cplus_cuts_scan(cg, t)
+    # every tau that verify_renorm_commute passes to renorm_expand
+    for t in u.T_r:
+        if t.kind == PROD:
+            for tau in (t, *(l for (l, _f) in cg.delta(t))):
+                assert cg.cminus_cuts(tau) == cminus_cuts_scan(cg, tau)
+    rows = (cg.verify_explicit_formula(), check_coherence(u, cg))
+    cg.cplus_cuts = functools.partial(cplus_cuts_scan, cg)
+    assert (cg.verify_explicit_formula(), check_coherence(u, cg)) == rows
