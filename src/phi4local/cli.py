@@ -22,7 +22,10 @@ from pathlib import Path as FSPath
 import numpy as np
 
 from . import coalgebra, coeffs, equation, field as fieldmod, lift as liftmod, path as pathmod
-from .symtree import I, InadmissibleDelta, enumerate_universe, parse_delta, parse_tree
+from .symtree import (
+    EnumerationCapExceeded, I, InadmissibleDelta, enumerate_universe, parse_delta,
+    parse_tree,
+)
 
 
 # Stored nodes (nt x nx) a --grid may ask for.  A whole-grid field takes 8 B
@@ -58,6 +61,13 @@ class RunConfig:
         for item in (getattr(ns, "tol", None) or []):
             name, _, val = item.partition("=")
             cfg.tol[name] = float(val)
+        unknown = sorted(set(cfg.tol) - {"chen", "cube", "utau"})
+        if unknown:
+            raise ConfigError("unknown tolerance %s (the suites read chen, "
+                              "cube and utau)" % ", ".join(map(repr, unknown)))
+        if cfg.max_m_xi < 0:
+            raise ConfigError("max_m_xi must be >= 0 (0 for no restriction), "
+                              "got %d" % cfg.max_m_xi)
         numeric = ns.cmd in ("solve", "scan") or (
             ns.cmd == "verify" and cfg.suite != "algebra")
         if numeric and cfg.dim != 1:
@@ -509,7 +519,8 @@ def main(argv=None) -> int:
         if ns.cmd == "scan":
             return cmd_scan(cfg, ns.kind, _parse_radii(ns.radii))
         raise ConfigError("unknown command")
-    except (ConfigError, InadmissibleDelta, ValueError) as exc:
+    except (ConfigError, InadmissibleDelta, EnumerationCapExceeded,
+            ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except equation.NumericalAbort as exc:

@@ -8,11 +8,12 @@ applied.  Forests are ordered tuples; the empty tuple is the algebra unit.
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, Optional, Tuple
 
 from .symtree import (
-    EDGE_I, EDGE_IM, EDGE_IP, GEN, ONE, PLANTED, PROD, XI,
-    Tree, I, Im, Ip, X, canon, leq, prod3, sign_of, tree_name,
+    EDGE_I, EDGE_IP, GEN, ONE, PLANTED, PROD, XI,
+    Tree, I, Im, Ip, X, canon, leq, prod3, tree_name,
 )
 
 Forest = Tuple[Tree, ...]
@@ -43,6 +44,42 @@ def _add(acc: dict, key, coeff) -> None:
         acc[key] = c
     elif key in acc:
         del acc[key]
+
+
+def _cut(memo: dict, leaves: tuple, tb: Tree, t: Tree) -> Optional[Forest]:
+    """The cut of t along tb, or None where it is undefined, memoised in memo.
+
+    C_+ and C_- follow one rule and differ only at the leaves, which
+    ``leaves`` gives as (cut, edge, one_cuts): One cuts t into I(t) where
+    one_cuts(t) holds, X_i cuts t into edge(i, t) where that is not zero,
+    Xi cuts only Xi, and a product cuts a product child by child through
+    ``cut``, the public map, so that every child cut is counted and memoised.
+    """
+    key = (tb.uid, t.uid)
+    if key in memo:
+        return memo[key]
+    cut, edge, one_cuts = leaves
+    out = None
+    if tb is ONE:
+        if one_cuts(t):
+            out = (I(t),)
+    elif tb.kind == GEN and tb.label == "X":
+        e = edge(tb.index, t)
+        if e is not None:
+            out = (e,)
+    elif tb is XI:
+        if t is XI:
+            out = UNIT
+    elif tb.kind == PROD and t.kind == PROD:
+        out = UNIT
+        for kb, k in zip(tb.children, t.children):
+            p = cut(kb.child, k.child)
+            if p is None:
+                out = None
+                break
+            out += p
+    memo[key] = out
+    return out
 
 
 class _CutSets:
@@ -107,6 +144,15 @@ class Coalgebra:
         self._cplus: Dict[Tuple[int, int], Optional[Forest]] = {}
         self._cminus: Dict[Tuple[int, int], Optional[Forest]] = {}
         self._rcuts: Dict[int, Tuple[Tuple[int, Forest], ...]] = {}
+        # The leaf rules of each cut map (see _cut): the public map the
+        # product case recurses through, the edge X_i cuts through, and the
+        # trees One cuts: every tree in C_-, and in C_+ every tree but Xi
+        # and the products of order <= -2.
+        order = universe.order
+        self._plus_leaves = (
+            self.cplus, functools.partial(Ip, delta=universe.delta),
+            lambda t: t is not XI and (t.kind == GEN or order(t) > -2))
+        self._minus_leaves = (self.cminus, Im, lambda t: True)
         self._cplus_sets = _CutSets(self.cplus, universe.N + universe.W, universe.d)
         self._cminus_sets = _CutSets(self.cminus, universe.Q, universe.d)
 
@@ -188,83 +234,12 @@ class Coalgebra:
     # -- cut maps ----------------------------------------------------------
 
     def cplus(self, tb: Tree, t: Tree) -> Optional[Forest]:
-        key = (tb.uid, t.uid)
-        if key in self._cplus:
-            return self._cplus[key]
-        out = self._cplus_eval(tb, t)
-        self._cplus[key] = out
-        return out
-
-    def _cplus_eval(self, tb: Tree, t: Tree) -> Optional[Forest]:
-        u, dl = self.u, self.u.delta
-        if t is ONE:
-            return (I(ONE),) if tb is ONE else None
-        if t.kind == GEN and t.label == "X":
-            if tb is ONE:
-                return (I(t),)
-            if tb.kind == GEN and tb.label == "X":
-                ip = Ip(tb.index, t, dl)
-                return (ip,) if ip is not None else None
-            return None
-        if t is XI:
-            return UNIT if tb is XI else None
-        # t is a product tree
-        if tb is ONE:
-            return (I(t),) if u.order(t) > -2 else None
-        if tb.kind == GEN and tb.label == "X":
-            ip = Ip(tb.index, t, dl)
-            return (ip,) if ip is not None else None
-        if tb is XI:
-            return None
-        if tb.kind != PROD:
-            return None
-        parts = []
-        for kb, k in zip(tb.children, t.children):
-            p = self.cplus(kb.child, k.child)
-            if p is None:
-                return None
-            parts.append(p)
-        return parts[0] + parts[1] + parts[2]
+        """The forest C_+(tb, t), or None where the cut is undefined."""
+        return _cut(self._cplus, self._plus_leaves, tb, t)
 
     def cminus(self, tb: Tree, t: Tree) -> Optional[Forest]:
-        key = (tb.uid, t.uid)
-        if key in self._cminus:
-            return self._cminus[key]
-        out = self._cminus_eval(tb, t)
-        self._cminus[key] = out
-        return out
-
-    def _cminus_eval(self, tb: Tree, t: Tree) -> Optional[Forest]:
-        if t is ONE:
-            return (I(ONE),) if tb is ONE else None
-        if t.kind == GEN and t.label == "X":
-            if tb is ONE:
-                return (I(t),)
-            if tb.kind == GEN and tb.label == "X":
-                im = Im(tb.index, t)
-                return (im,) if im is not None else None
-            return None
-        if t is XI:
-            if tb is ONE:
-                return (I(XI),)
-            if tb.kind == GEN and tb.label == "X":
-                return (Im(tb.index, XI),)
-            return UNIT if tb is XI else None
-        if tb is ONE:
-            return (I(t),)
-        if tb.kind == GEN and tb.label == "X":
-            return (Im(tb.index, t),)
-        if tb is XI:
-            return None
-        if tb.kind != PROD:
-            return None
-        parts = []
-        for kb, k in zip(tb.children, t.children):
-            p = self.cminus(kb.child, k.child)
-            if p is None:
-                return None
-            parts.append(p)
-        return parts[0] + parts[1] + parts[2]
+        """The forest C_-(tb, t), or None where the cut is undefined."""
+        return _cut(self._cminus, self._minus_leaves, tb, t)
 
     def cplus_cuts(self, t: Tree) -> Tuple[Tuple[Tree, Forest], ...]:
         """(tb, C_+(tb, t)) for tb in N + W where the cut is defined, in that

@@ -319,10 +319,17 @@ def save_field(path, grid: Grid, f: np.ndarray, meta: dict | None = None) -> Non
 
 
 def load_field(path) -> tuple:
+    """(grid, field) as save_field stored them; an IOError also when the
+    sidecar lacks a key or holds a value of the wrong type."""
     path = FSPath(path)
-    sidecar = json.loads(path.with_suffix(".json").read_text())
+    text = path.with_suffix(".json").read_text()
     raw = path.with_suffix(".bin").read_bytes()
-    if hashlib.sha256(raw).hexdigest() != sidecar["sha256"]:
-        raise IOError("checksum mismatch for %s" % path)
-    f = np.frombuffer(raw, dtype=sidecar["dtype"]).reshape(sidecar["shape"]).copy()
-    return grid_from_descriptor(sidecar["grid"]), f
+    try:
+        sidecar = json.loads(text)
+        if hashlib.sha256(raw).hexdigest() != sidecar["sha256"]:
+            raise IOError("checksum mismatch for %s" % path)
+        f = np.frombuffer(raw, dtype=sidecar["dtype"]).reshape(sidecar["shape"]).copy()
+        return grid_from_descriptor(sidecar["grid"]), f
+    except (KeyError, TypeError, ValueError, StabilityError) as exc:
+        raise IOError("malformed sidecar of %s: %s: %s"
+                      % (path, type(exc).__name__, exc)) from exc

@@ -156,13 +156,7 @@ def Im(i: int, child: Tree) -> Optional[Tree]:
     return _raw_planted(EDGE_IM, i, child)
 
 
-def prod3(a: Tree, b: Tree, c: Tree, delta: Fraction) -> Optional[Tree]:
-    """Ternary tree product; zero (None) when the orders sum above 0."""
-    for t in (a, b, c):
-        if t.kind != PLANTED or t.edge != EDGE_I:
-            raise ValueError("product children must be I-planted trees")
-    if order(a, delta) + order(b, delta) + order(c, delta) > 0:
-        return None
+def _raw_prod(a: Tree, b: Tree, c: Tree) -> Tree:
     key = (PROD, a.uid, b.uid, c.uid)
     return _intern(key, lambda uid: Tree(
         PROD, None, None, 0, None, (a, b, c),
@@ -170,6 +164,16 @@ def prod3(a: Tree, b: Tree, c: Tree, delta: Fraction) -> Optional[Tree]:
         a.m_one + b.m_one + c.m_one,
         _merge_mx(a.mx_by, b.mx_by, c.mx_by),
         a.edges + b.edges + c.edges, uid))
+
+
+def prod3(a: Tree, b: Tree, c: Tree, delta: Fraction) -> Optional[Tree]:
+    """Ternary tree product; zero (None) when the orders sum above 0."""
+    for t in (a, b, c):
+        if t.kind != PLANTED or t.edge != EDGE_I:
+            raise ValueError("product children must be I-planted trees")
+    if order(a, delta) + order(b, delta) + order(c, delta) > 0:
+        return None
+    return _raw_prod(a, b, c)
 
 
 def sign_of(t: Tree) -> int:
@@ -186,11 +190,8 @@ def canon(t: Tree) -> Tree:
     elif t.kind == PLANTED:
         c = _raw_planted(t.edge, t.index, canon(t.child))
     else:
-        kids = sorted((canon(k) for k in t.children), key=lambda s: s.uid)
-        key = (PROD, kids[0].uid, kids[1].uid, kids[2].uid)
-        c = _intern(key, lambda uid: Tree(
-            PROD, None, None, 0, None, tuple(kids),
-            t.m_xi, t.m_one, t.mx_by, t.edges, uid))
+        c = _raw_prod(*sorted((canon(k) for k in t.children),
+                              key=lambda s: s.uid))
     t._canon = c
     return c
 
@@ -293,6 +294,19 @@ def parse_delta(text: str) -> Fraction:
     return d
 
 
+def _leaf_counts(delta: Fraction):
+    """(m_xi, m_one, m_x) leaf counts of an odd number of leaves, with at
+    most 3/delta + 1 noises, three Ones and one X, and their order
+    -3 + m_xi*delta + m_one + 2*m_x: the lattice of W and the product part
+    of N, and of the generators."""
+    a_max = int(Fraction(3) / delta) + 1
+    for a in range(a_max + 1):
+        for b in range(4):
+            for c in range(2):
+                if (a + b + c) % 2:
+                    yield (a, b, c), Fraction(-3) + a * delta + b + 2 * c
+
+
 def check_delta_admissible(delta: Fraction) -> bool:
     """True iff the leaf-count lattice of W and the product part of N hits no
     order -2 tree and no order 0 tree besides [I(One) I(One) I(One)].
@@ -303,19 +317,7 @@ def check_delta_admissible(delta: Fraction) -> bool:
     """
     if not (0 < delta < 1):
         raise ValueError("delta must lie in (0,1)")
-    a_max = int(Fraction(3) / delta) + 1
-    for a in range(1, a_max + 1):
-        for b in range(0, 4):
-            for c in range(0, 2):
-                m = a + b + c
-                if m % 2 == 0:
-                    continue
-                if m == 1 and (a, b, c) != (1, 0, 0):
-                    continue
-                o = Fraction(-3) + a * delta + b + 2 * c
-                if o == -2 or o == 0:
-                    return False
-    return True
+    return not any(tup[0] >= 1 and o in (-2, 0) for tup, o in _leaf_counts(delta))
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -326,22 +328,9 @@ class InadmissibleDelta(ValueError):
     pass
 
 
-def _neg_tuples(delta: Fraction):
-    """Realizable (m_xi, m_one, m_x) count tuples of strictly negative order."""
-    out = []
-    a_max = int(Fraction(3) / delta) + 1
-    for a in range(0, a_max + 1):
-        for b in range(0, 4):
-            for c in range(0, 2):
-                m = a + b + c
-                if m == 0 or m % 2 == 0:
-                    continue
-                if m == 1 and (a, b, c) not in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-                    continue
-                o = Fraction(-3) + a * delta + b + 2 * c
-                if o < 0:
-                    out.append((a, b, c))
-    return out
+# The tree sets of a universe, in the order a report lists a tree's sets.
+_SETS = ("poly", "W", "W_ring", "N", "N_ring", "N_tilde", "Q", "dW", "T_r",
+         "T_l", "T", "T_plus", "T_cen")
 
 
 class TreeUniverse:
@@ -368,22 +357,11 @@ class TreeUniverse:
             (0, 1, 0): [ONE],
             (0, 0, 1): [X(i) for i in range(1, d + 1)],
         }
-        neg = set(_neg_tuples(delta))
-        all_tuples = set(neg)
-        a_max = int(Fraction(3) / delta) + 1
-        for a in range(0, a_max + 1):
-            for b in range(0, 4):
-                for c in range(0, 2):
-                    m = a + b + c
-                    if m < 3 or m % 2 == 0:
-                        continue
-                    if Fraction(-3) + a * delta + b + 2 * c <= 0:
-                        all_tuples.add((a, b, c))
-
+        lattice = list(_leaf_counts(delta))
+        neg = {tup for tup, o in lattice if o < 0}
         total = 0
-        for tup in sorted(all_tuples, key=lambda t: (sum(t), t)):
-            if sum(tup) < 3:
-                continue
+        for tup in sorted((tup for tup, o in lattice if o <= 0 and sum(tup) >= 3),
+                          key=lambda t: (sum(t), t)):
             trees = []
             for part in _ordered_partitions(tup):
                 if any(p not in neg for p in part):
@@ -432,9 +410,11 @@ class TreeUniverse:
         self.T_plus = tuple(sorted(self.T + tuple(ip_trees), key=key))
         self.T_cen = tuple(sorted([I(t) for t in self.N] + ip_trees, key=key))
 
+        self._index()
+
+    def _index(self) -> None:
         self._ids = {name: frozenset(t.uid for t in getattr(self, name))
-                     for name in ("poly", "W", "W_ring", "N", "N_ring", "N_tilde",
-                                  "Q", "dW", "T_r", "T_l", "T", "T_plus", "T_cen")}
+                     for name in _SETS}
 
     def _in_Q(self, t: Tree) -> bool:
         kids = [k.child for k in t.children]
@@ -458,15 +438,10 @@ class TreeUniverse:
         sub.delta = self.delta
         sub.d = self.d
         sub._order_cache = self._order_cache
-
-        def keep(t):
-            return t.m_xi <= max_m_xi
-
-        for name in ("poly", "W", "W_ring", "N", "N_ring", "N_tilde",
-                     "Q", "dW", "T_r", "T_l", "T", "T_plus", "T_cen"):
-            setattr(sub, name, tuple(t for t in getattr(self, name) if keep(t)))
-        sub._ids = {name: frozenset(t.uid for t in getattr(sub, name))
-                    for name in self._ids}
+        for name in _SETS:
+            setattr(sub, name, tuple(t for t in getattr(self, name)
+                                     if t.m_xi <= max_m_xi))
+        sub._index()
         return sub
 
     def to_json(self) -> dict:
@@ -477,10 +452,7 @@ class TreeUniverse:
                 "order": str(self.order(t)),
                 "m_xi": t.m_xi, "m_one": t.m_one, "m_x": t.m_x,
                 "edges": t.edges,
-                "sets": [name for name in ("poly", "W", "W_ring", "N", "N_ring",
-                                           "N_tilde", "Q", "dW", "T_r", "T_l",
-                                           "T", "T_plus", "T_cen")
-                         if t.uid in self._ids[name]],
+                "sets": [name for name in _SETS if t.uid in self._ids[name]],
             })
         return {"delta": str(self.delta), "d": self.d, "trees": rows}
 

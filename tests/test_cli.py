@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 from dataclasses import replace
@@ -8,6 +9,7 @@ import pytest
 from phi4local import cli, equation
 from phi4local.cli import RunConfig, build_parser, main
 from phi4local.field import COARSE_GRID, save_field
+from phi4local.symtree import enumerate_universe
 
 
 def test_enumerate_exit_codes(tmp_path):
@@ -113,6 +115,19 @@ def _grid_manifest(base, grid):
     return _custom_manifest(base, "[I(One) I(Xi) I(Xi)]")
 
 
+def _sidecar_manifest(base, key, value=None):
+    """A custom lift whose one field's sidecar lacks `key`, or holds `value`
+    there if one is given."""
+    manifest = _grid_manifest(base, RunConfig(grid=SMALL[3]).make_grid())
+    sidecar = json.loads((base / "field.json").read_text())
+    if value is None:
+        del sidecar[key]
+    else:
+        sidecar[key] = value
+    (base / "field.json").write_text(json.dumps(sidecar))
+    return manifest
+
+
 @pytest.mark.parametrize("argv", [
     lambda d: ["verify", "--suite", "path", "--lift",
                "custom:%s" % (d / "missing.json")],
@@ -157,6 +172,24 @@ def _grid_manifest(base, grid):
     lambda d: ["solve", "--grid", "1/32,1/256,1e9"],
     lambda d: ["solve", "--grid", "1/8,1/64,2"],
     lambda d: ["solve", "--grid", "1/8,1/64,0.5"],
+    lambda d: ["verify", "--suite", "path", "--lift", _sidecar_manifest(d, "grid")],
+    lambda d: ["verify", "--suite", "path", "--lift", _sidecar_manifest(d, "shape")],
+    lambda d: ["verify", "--suite", "path", "--lift",
+               _sidecar_manifest(d, "grid", [1, 2])],
+    lambda d: ["verify", "--suite", "path", "--lift",
+               _sidecar_manifest(d, "dtype", "no-such-type")],
+    lambda d: ["verify", "--suite", "path", "--tol", "foo=1"],
+    lambda d: ["--config", str(_write(d, "neg.json", '{"max_m_xi": -1}')),
+               "verify", "--suite", "algebra"],
+    # these exited 2 before only through main's ValueError handler
+    lambda d: ["verify", "--suite", "path", "--noise", "foo:0:0"],
+    lambda d: ["verify", "--suite", "algebra", "--seed", "-1"],
+    lambda d: ["enumerate", "--dim", "0"],
+    lambda d: ["verify", "--suite", "path", "--lift", "counterterm:%s" % _write(
+        d, "ct.json", json.dumps({"[I(One) I(Xi) I(Xi)]": "big"}))],
+    lambda d: ["scan", "--kind", "order", "--grid", "1/8,1/64,3"],
+    lambda d: ["verify", "--suite", "path", "--tol", "chen"],
+    lambda d: ["enumerate", "--delta", "3/2"],
 ], ids=["custom-missing", "counterterm-missing", "config-missing",
         "custom-malformed-name", "custom-vanishing-name", "custom-missing-field",
         "dim2-path", "dim2-products", "dim2-all", "dim2-solve", "dim2-scan",
@@ -167,7 +200,12 @@ def _grid_manifest(base, grid):
         "grid-zero-step", "grid-nan-step", "grid-zero-denominator",
         "delta-zero-denominator", "radii-zero", "radii-above-one",
         "noise-negative-eps", "noise-seed-not-integer", "grid-too-many-nodes",
-        "grid-narrow", "grid-narrow-below-one"])
+        "grid-narrow", "grid-narrow-below-one", "custom-sidecar-no-grid",
+        "custom-sidecar-no-shape", "custom-sidecar-grid-list",
+        "custom-sidecar-bad-dtype", "tol-unknown-name", "config-max-m-xi-negative",
+        "noise-unknown-kind", "seed-negative", "dim-zero",
+        "counterterm-string-value", "scan-order-few-scales", "tol-no-value",
+        "delta-above-one"])
 def test_bad_config_exit_code(tmp_path, capsys, argv):
     args = argv(tmp_path)
     for flag, value in zip(SMALL[::2], SMALL[1::2]):
@@ -178,6 +216,15 @@ def test_bad_config_exit_code(tmp_path, capsys, argv):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_enumeration_cap_is_a_config_error(monkeypatch, capsys):
+    # 2/21 reaches the real cap only after ~10 s of enumeration
+    monkeypatch.setattr(cli, "enumerate_universe",
+                        functools.partial(enumerate_universe, cap=50))
+    assert main(["enumerate", "--delta", "13/50"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: universe exceeds cap 50") and "Traceback" not in err
 
 
 def test_noise_and_grid_errors_name_their_field(monkeypatch):

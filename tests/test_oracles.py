@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from phi4local import equation
-from phi4local.coalgebra import Coalgebra, _add
+from phi4local.coalgebra import UNIT, Coalgebra, _add
 from phi4local.coeffs import check_coherence, pick_gamma
 from phi4local.equation import (
     BoundaryTrace, NumericalAbort, SolveConfig, TreeExpansion,
@@ -27,8 +27,8 @@ from phi4local.field import COARSE_GRID, DEFAULT_GRID, heat_solve, noise_field
 from phi4local.lift import random_counterterm_map
 from phi4local.path import sample_nodes
 from phi4local.symtree import (
-    EDGE_I, EDGE_IP, GEN, ONE, PLANTED, PROD, XI, I, Im, canon,
-    enumerate_universe, tree_name,
+    EDGE_I, EDGE_IP, GEN, ONE, PLANTED, PROD, XI, I, Im, Ip, X, _leaf_counts,
+    canon, check_delta_admissible, enumerate_universe, tree_name,
 )
 
 # -- oracles --------------------------------------------------------------------
@@ -220,6 +220,143 @@ def cminus_cuts_scan(cg, tau):
     """(tq, C_-(tq, tau)) by testing every tq in Q."""
     return tuple((tq, f) for tq in cg.u.Q
                  for f in (cg.cminus(tq, tau),) if f is not None)
+
+
+class CutOracle:
+    """C_+ and C_- written case by case, one evaluator per map, each
+    recursing into its own memoised map."""
+
+    def __init__(self, u):
+        self.u = u
+        self._cplus = {}
+        self._cminus = {}
+
+    def cplus(self, tb, t):
+        key = (tb.uid, t.uid)
+        if key not in self._cplus:
+            self._cplus[key] = self._cplus_eval(tb, t)
+        return self._cplus[key]
+
+    def cminus(self, tb, t):
+        key = (tb.uid, t.uid)
+        if key not in self._cminus:
+            self._cminus[key] = self._cminus_eval(tb, t)
+        return self._cminus[key]
+
+    def _cplus_eval(self, tb, t):
+        u, dl = self.u, self.u.delta
+        if t is ONE:
+            return (I(ONE),) if tb is ONE else None
+        if t.kind == GEN and t.label == "X":
+            if tb is ONE:
+                return (I(t),)
+            if tb.kind == GEN and tb.label == "X":
+                ip = Ip(tb.index, t, dl)
+                return (ip,) if ip is not None else None
+            return None
+        if t is XI:
+            return UNIT if tb is XI else None
+        # t is a product tree
+        if tb is ONE:
+            return (I(t),) if u.order(t) > -2 else None
+        if tb.kind == GEN and tb.label == "X":
+            ip = Ip(tb.index, t, dl)
+            return (ip,) if ip is not None else None
+        if tb is XI:
+            return None
+        if tb.kind != PROD:
+            return None
+        parts = []
+        for kb, k in zip(tb.children, t.children):
+            p = self.cplus(kb.child, k.child)
+            if p is None:
+                return None
+            parts.append(p)
+        return parts[0] + parts[1] + parts[2]
+
+    def _cminus_eval(self, tb, t):
+        if t is ONE:
+            return (I(ONE),) if tb is ONE else None
+        if t.kind == GEN and t.label == "X":
+            if tb is ONE:
+                return (I(t),)
+            if tb.kind == GEN and tb.label == "X":
+                im = Im(tb.index, t)
+                return (im,) if im is not None else None
+            return None
+        if t is XI:
+            if tb is ONE:
+                return (I(XI),)
+            if tb.kind == GEN and tb.label == "X":
+                return (Im(tb.index, XI),)
+            return UNIT if tb is XI else None
+        if tb is ONE:
+            return (I(t),)
+        if tb.kind == GEN and tb.label == "X":
+            return (Im(tb.index, t),)
+        if tb is XI:
+            return None
+        if tb.kind != PROD:
+            return None
+        parts = []
+        for kb, k in zip(tb.children, t.children):
+            p = self.cminus(kb.child, k.child)
+            if p is None:
+                return None
+            parts.append(p)
+        return parts[0] + parts[1] + parts[2]
+
+
+def admissible_loop(delta):
+    """check_delta_admissible over its own loop of the leaf-count lattice."""
+    a_max = int(Fraction(3) / delta) + 1
+    for a in range(1, a_max + 1):
+        for b in range(0, 4):
+            for c in range(0, 2):
+                m = a + b + c
+                if m % 2 == 0:
+                    continue
+                if m == 1 and (a, b, c) != (1, 0, 0):
+                    continue
+                o = Fraction(-3) + a * delta + b + 2 * c
+                if o == -2 or o == 0:
+                    return False
+    return True
+
+
+def neg_tuples_loop(delta):
+    """Realizable (m_xi, m_one, m_x) count tuples of strictly negative order."""
+    out = []
+    a_max = int(Fraction(3) / delta) + 1
+    for a in range(0, a_max + 1):
+        for b in range(0, 4):
+            for c in range(0, 2):
+                m = a + b + c
+                if m == 0 or m % 2 == 0:
+                    continue
+                if m == 1 and (a, b, c) not in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+                    continue
+                o = Fraction(-3) + a * delta + b + 2 * c
+                if o < 0:
+                    out.append((a, b, c))
+    return out
+
+
+def universe_tuples_loop(delta, neg):
+    """The count tuples TreeUniverse enumerates products for, in its order,
+    from the negative tuples neg."""
+    all_tuples = set(neg)
+    a_max = int(Fraction(3) / delta) + 1
+    for a in range(0, a_max + 1):
+        for b in range(0, 4):
+            for c in range(0, 2):
+                m = a + b + c
+                if m < 3 or m % 2 == 0:
+                    continue
+                if Fraction(-3) + a * delta + b + 2 * c <= 0:
+                    all_tuples.add((a, b, c))
+    return [t for t in sorted(all_tuples, key=lambda t: (sum(t), t))
+            if sum(t) >= 3]
 
 
 # -- comparisons ------------------------------------------------------------------
@@ -415,3 +552,31 @@ def test_generated_cuts_match_scans(delta, d, max_m_xi):
     rows = (cg.verify_explicit_formula(), check_coherence(u, cg))
     cg.cplus_cuts = functools.partial(cplus_cuts_scan, cg)
     assert (cg.verify_explicit_formula(), check_coherence(u, cg)) == rows
+
+
+@pytest.mark.parametrize("delta,d", [
+    (Fraction(9, 20), 1), (Fraction(2, 5), 1), (Fraction(3, 10), 1),
+    (Fraction(13, 50), 1), (Fraction(9, 20), 2)],
+    ids=["9/20", "2/5", "3/10", "13/50", "9/20-d2"])
+def test_cut_recursion_matches_case_by_case(delta, d):
+    u = enumerate_universe(delta, d)
+    cg, oracle = Coalgebra(u), CutOracle(u)
+    trees = (ONE, *(X(i) for i in range(1, d + 1)), *u.T_r)
+    for tb in trees:
+        for t in trees:
+            assert cg.cplus(tb, t) == oracle.cplus(tb, t)
+            assert cg.cminus(tb, t) == oracle.cminus(tb, t)
+    # the recursion evaluates (memoises) the same pairs as the case forms
+    assert cg._cplus.keys() == oracle._cplus.keys()
+    assert cg._cminus.keys() == oracle._cminus.keys()
+
+
+def test_leaf_count_lattice_matches_loops():
+    deltas = {Fraction(p, q) for q in range(2, 61) for p in range(1, q)}
+    for delta in deltas:
+        assert check_delta_admissible(delta) == admissible_loop(delta)
+        lattice = list(_leaf_counts(delta))
+        neg = neg_tuples_loop(delta)
+        assert [tup for tup, o in lattice if o < 0] == neg
+        assert sorted((tup for tup, o in lattice if o <= 0 and sum(tup) >= 3),
+                      key=lambda t: (sum(t), t)) == universe_tuples_loop(delta, neg)
