@@ -1,8 +1,9 @@
 """Command-line harness: enumeration, identity suites, solves and scans.
 
-Exit codes: 0 pass, 1 identity failure, 2 configuration error, 3 numerical
-abort (with --out, its diagnostics go to numerical-abort.json there, never
-into a report), 4 internal error (any other exception; its type, message and
+Exit codes: 0 pass, 1 identity failure, 2 configuration error (a ConfigError,
+raised where an outside input is read), 3 numerical abort (with --out, its
+diagnostics go to numerical-abort.json there, never into a report), 4 internal
+error (any other exception, ValueError included; its type, message and
 traceback go to stderr).  All randomness is derived from the configured
 seed, so identical configurations produce byte-identical reports.
 """
@@ -23,8 +24,8 @@ import numpy as np
 
 from . import coalgebra, coeffs, equation, field as fieldmod, lift as liftmod, path as pathmod
 from .symtree import (
-    EnumerationCapExceeded, I, InadmissibleDelta, enumerate_universe, parse_delta,
-    parse_tree,
+    EnumerationCapExceeded, I, InadmissibleDelta, canon, enumerate_universe,
+    parse_delta, parse_tree,
 )
 
 
@@ -60,14 +61,15 @@ class RunConfig:
             cfg.suite = ns.suite
         for item in (getattr(ns, "tol", None) or []):
             name, _, val = item.partition("=")
-            cfg.tol[name] = float(val)
+            cfg.tol[name] = _parse_as(float, val, "tolerance %r" % name)
         unknown = sorted(set(cfg.tol) - {"chen", "cube", "utau"})
         if unknown:
             raise ConfigError("unknown tolerance %s (the suites read chen, "
                               "cube and utau)" % ", ".join(map(repr, unknown)))
-        if cfg.max_m_xi < 0:
-            raise ConfigError("max_m_xi must be >= 0 (0 for no restriction), "
-                              "got %d" % cfg.max_m_xi)
+        for name, low in (("dim", 1), ("seed", 0), ("max_m_xi", 0)):
+            if getattr(cfg, name) < low:
+                raise ConfigError("%s must be >= %d, got %d"
+                                  % (name, low, getattr(cfg, name)))
         numeric = ns.cmd in ("solve", "scan") or (
             ns.cmd == "verify" and cfg.suite != "algebra")
         if numeric and cfg.dim != 1:
@@ -93,7 +95,7 @@ class RunConfig:
                     sub = {}
                     for part in val.split(","):
                         n, _, v = part.partition(":")
-                        sub[n.strip()] = float(v)
+                        sub[n.strip()] = _parse_as(float, v, "tolerance %r" % n.strip())
                     data[key] = sub
                 else:
                     data[key] = val
@@ -106,7 +108,7 @@ class RunConfig:
                 raise ConfigError("config key %r cannot take the JSON value %s"
                                   % (key, json.dumps(val)))
             if isinstance(cur, int) and key != "tol":
-                val = int(val)
+                val = _parse_as(int, val, "config key %r" % key)
             setattr(cfg, key, val)
         return cfg
 
@@ -143,7 +145,10 @@ class RunConfig:
         if not (math.isfinite(eps) and eps >= 0):
             raise ConfigError("noise eps must be finite and >= 0 (0 for no "
                               "smoothing), got %r" % eps_s)
-        return fieldmod.noise_field(grid, kind, seed=seed, eps=eps or None)
+        try:
+            return fieldmod.noise_field(grid, kind, seed=seed, eps=eps or None)
+        except ValueError as exc:
+            raise ConfigError("noise %r: %s" % (self.noise, exc)) from exc
 
     def descriptor(self) -> dict:
         return {"delta": self.delta, "dim": self.dim, "grid": self.grid,
@@ -153,14 +158,14 @@ class RunConfig:
 
 
 class ConfigError(ValueError):
-    pass
+    """A bad outside input, raised where it is read: main's only exit 2."""
 
 
 def _read_config_file(path: str) -> str:
     try:
         return FSPath(path).read_text()
-    except OSError as exc:
-        raise ConfigError("cannot read file: %s" % exc) from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("cannot read %s: %s" % (path, exc)) from exc
 
 
 def _read_json_object(path: str) -> dict:
@@ -192,6 +197,14 @@ def _parse_number(s: str) -> float:
         return float(Fraction(s)) if "/" in s else float(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError("not a number: %r" % s) from exc
+
+
+def _parse_as(kind, text, what: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigError("%s takes a number (%s), got %r"
+                          % (what, kind.__name__, text)) from None
 
 
 def _parse_radii(text: str) -> tuple:
@@ -251,12 +264,28 @@ def _nonfinite_as_str(obj):
 def _universe(cfg: RunConfig):
     try:
         delta = parse_delta(cfg.delta)
-    except ZeroDivisionError as exc:
-        raise ConfigError("delta %r has a zero denominator" % cfg.delta) from exc
-    u = enumerate_universe(delta, cfg.dim)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError("delta must be p/q in (0, 1), got %r" % cfg.delta) from exc
+    try:
+        u = enumerate_universe(delta, cfg.dim)
+    except (InadmissibleDelta, EnumerationCapExceeded) as exc:
+        raise ConfigError(str(exc)) from exc
     if cfg.max_m_xi:
         u = u.restrict(cfg.max_m_xi)
     return u
+
+
+def _q_tree(u, name: str, what: str):
+    """The tree of Q that a counterterm or custom-lift key names."""
+    try:
+        t = parse_tree(name, u.delta)
+    except ValueError as exc:
+        raise ConfigError("%s key %r: %s" % (what, name, exc)) from exc
+    if t is None:
+        raise ConfigError("%s key %r vanishes" % (what, name))
+    if not u.member("Q", canon(t)):
+        raise ConfigError("%s key %r is not a tree of Q" % (what, name))
+    return t
 
 
 def _build_lift(cfg: RunConfig, grid, u, cg):
@@ -265,6 +294,10 @@ def _build_lift(cfg: RunConfig, grid, u, cg):
     if kind == "multiplicative":
         return liftmod.build_local_product(grid, u, xi, coalg=cg), None
     if kind == "phi43":
+        try:    # its constants are fitted on these trees, which u must hold
+            liftmod.standard_families(u)
+        except ValueError as exc:
+            raise ConfigError("lift phi43: %s" % exc) from exc
         seeds = [cfg.seed + j for j in range(6)]
         eps = 4 * grid.h
         noise_kind = cfg.noise.split(":")[0]
@@ -275,19 +308,22 @@ def _build_lift(cfg: RunConfig, grid, u, cg):
         data = _read_json_object(arg)
         values = {}
         for name, val in data.items():
-            t = parse_tree(name, u.delta)
-            if t is None:
-                raise ConfigError("counterterm key %r vanishes" % name)
+            t = _q_tree(u, name, "counterterm")
+            if isinstance(val, bool) or not isinstance(val, (int, float)):
+                raise ConfigError("counterterm %r: %r is not a number" % (name, val))
             values[t] = val
-        rmap = liftmod.CountertermMap(u, values)
+        try:
+            rmap = liftmod.CountertermMap(u, values)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         return liftmod.build_local_product(grid, u, xi, rmap=rmap, coalg=cg), None
     if kind == "custom":
         entries = _read_json_object(arg)
         custom = {}
         for name, relpath in entries.items():
-            t = parse_tree(name, u.delta)
-            if t is None:
-                raise ConfigError("custom lift key %r vanishes" % name)
+            t = _q_tree(u, name, "custom lift")
+            if not isinstance(relpath, str):
+                raise ConfigError("custom lift %r: %r is not a path" % (name, relpath))
             try:
                 g, f = fieldmod.load_field(FSPath(arg).parent / relpath)
             except OSError as exc:
@@ -440,9 +476,13 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_scan(cfg: RunConfig, kind: str, radii) -> int:
+    h = cfg.make_grid().h
+    scales = [L for L in (1 / 16, 1 / 8, 1 / 4, 1 / 2) if L >= 2 * h]
+    if len(scales) < 3:     # each scan fits a slope or a decay over the scales
+        raise ConfigError("a scan needs 3 scales L >= 2h among 1/16, 1/8, 1/4 "
+                          "and 1/2; grid h = %g leaves %d" % (h, len(scales)))
     p, _ = _build_path(cfg, coalgebra.Coalgebra(_universe(cfg)))
     u, grid = p.u, p.grid
-    scales = [L for L in (1 / 16, 1 / 8, 1 / 4, 1 / 2) if L >= 2 * grid.h]
     if kind == "order":
         sigmas = [s for s in (u.T_cen + u.T_r) if s.m_xi <= 3]
         rows = pathmod.order_scan(p, sigmas, scales, seed=cfg.seed)
@@ -519,8 +559,7 @@ def main(argv=None) -> int:
         if ns.cmd == "scan":
             return cmd_scan(cfg, ns.kind, _parse_radii(ns.radii))
         raise ConfigError("unknown command")
-    except (ConfigError, InadmissibleDelta, EnumerationCapExceeded,
-            ValueError) as exc:
+    except ConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except equation.NumericalAbort as exc:

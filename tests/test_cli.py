@@ -1,10 +1,16 @@
+import contextlib
 import functools
+import io
 import json
 import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phi4local import cli, equation
 from phi4local.cli import RunConfig, build_parser, main
@@ -64,9 +70,9 @@ def test_config_file_roundtrip(tmp_path):
         RunConfig.from_file(str(_write(tmp_path, "bad.cfg", "nope = 1\n")))
 
 
-def _write(base, name, text):
+def _write(base, name, text, encoding=None):
     p = base / name
-    p.write_text(text)
+    p.write_text(text, encoding=encoding)
     return p
 
 
@@ -97,10 +103,15 @@ JSON_TYPE_ERRORS = {
 }
 
 
-def _custom_manifest(base, name):
+def _custom_manifest(base, name, value="field"):
     p = base / "manifest.json"
-    p.write_text(json.dumps({name: "field"}))
+    p.write_text(json.dumps({name: value}))
     return "custom:%s" % p
+
+
+def _counterterms(base, values):
+    """A counterterm lift of the given tree name -> JSON value map."""
+    return "counterterm:%s" % _write(base, "ct.json", json.dumps(values))
 
 
 def _nan_manifest(base):
@@ -109,10 +120,10 @@ def _nan_manifest(base):
     return _custom_manifest(base, "[I(One) I(Xi) I(Xi)]")
 
 
-def _grid_manifest(base, grid):
-    """A custom lift whose one field is stored on `grid`."""
+def _grid_manifest(base, grid, name="[I(One) I(Xi) I(Xi)]"):
+    """A custom lift whose one field, keyed by `name`, is stored on `grid`."""
     save_field(base / "field", grid, grid.zeros())
-    return _custom_manifest(base, "[I(One) I(Xi) I(Xi)]")
+    return _custom_manifest(base, name)
 
 
 def _sidecar_manifest(base, key, value=None):
@@ -185,11 +196,39 @@ def _sidecar_manifest(base, key, value=None):
     lambda d: ["verify", "--suite", "path", "--noise", "foo:0:0"],
     lambda d: ["verify", "--suite", "algebra", "--seed", "-1"],
     lambda d: ["enumerate", "--dim", "0"],
-    lambda d: ["verify", "--suite", "path", "--lift", "counterterm:%s" % _write(
-        d, "ct.json", json.dumps({"[I(One) I(Xi) I(Xi)]": "big"}))],
+    lambda d: ["verify", "--suite", "path", "--lift",
+               _counterterms(d, {"[I(One) I(Xi) I(Xi)]": "big"})],
     lambda d: ["scan", "--kind", "order", "--grid", "1/8,1/64,3"],
     lambda d: ["verify", "--suite", "path", "--tol", "chen"],
     lambda d: ["enumerate", "--delta", "3/2"],
+    # values of the wrong JSON type in a counterterm file or a manifest
+    *[lambda d, v=v: ["verify", "--suite", "path", "--lift",
+                      _counterterms(d, {"[I(One) I(Xi) I(Xi)]": v})]
+      for v in (None, True, [1], "1/7")],
+    lambda d: ["verify", "--suite", "path", "--lift",
+               _custom_manifest(d, "[I(One) I(Xi) I(Xi)]", 5)],
+    # keys off Q or in conflict, unparsable values, and inputs a library call rejects
+    lambda d: ["verify", "--suite", "path", "--lift",
+               _counterterms(d, {"[I(X1) I(Xi) I(Xi)]": 1})],
+    lambda d: ["verify", "--suite", "path", "--lift", _counterterms(
+        d, {"[I(One) I(Xi) I(Xi)]": 1, "[I(Xi) I(One) I(Xi)]": 2})],
+    lambda d: ["verify", "--suite", "path", "--lift", _grid_manifest(
+        d, RunConfig(grid=SMALL[3]).make_grid(), "[I(X1) I(Xi) I(Xi)]")],
+    lambda d: ["--config", str(_write(d, "s.cfg", "seed = abc\n")),
+               "verify", "--suite", "algebra"],
+    lambda d: ["--config", str(_write(d, "t.cfg", "tol = chen:x\n")),
+               "verify", "--suite", "path"],
+    lambda d: ["verify", "--suite", "algebra", "--delta", "abc"],
+    lambda d: ["verify", "--suite", "path", "--tol", "chen=abc"],
+    lambda d: ["verify", "--suite", "path", "--noise", "gauss:0:1/1000"],
+    lambda d: ["scan", "--kind", "reconstruction", "--grid", "1/8,1/64,3"],
+    lambda d: ["scan", "--kind", "apriori", "--grid", "1/8,1/64,3"],
+    lambda d: ["--config", str(_write(d, "latin1.cfg", "seed = 1 # \xe9\n", "latin-1")),
+               "verify", "--suite", "algebra"],
+    # a phi43 lift over a universe without its counterterm trees
+    lambda d: ["verify", "--suite", "path", "--lift", "phi43", "--delta", "11/20"],
+    lambda d: ["--config", str(_write(d, "m3.json", '{"max_m_xi": 3}')),
+               "verify", "--suite", "path", "--lift", "phi43"],
 ], ids=["custom-missing", "counterterm-missing", "config-missing",
         "custom-malformed-name", "custom-vanishing-name", "custom-missing-field",
         "dim2-path", "dim2-products", "dim2-all", "dim2-solve", "dim2-scan",
@@ -205,7 +244,14 @@ def _sidecar_manifest(base, key, value=None):
         "custom-sidecar-bad-dtype", "tol-unknown-name", "config-max-m-xi-negative",
         "noise-unknown-kind", "seed-negative", "dim-zero",
         "counterterm-string-value", "scan-order-few-scales", "tol-no-value",
-        "delta-above-one"])
+        "delta-above-one", "counterterm-null-value", "counterterm-bool-value",
+        "counterterm-list-value", "counterterm-fraction-string",
+        "custom-number-value", "counterterm-key-off-q",
+        "counterterm-conflicting-permutations", "custom-key-off-q",
+        "config-seed-not-integer", "config-tol-not-number", "delta-not-number",
+        "tol-not-number", "noise-eps-below-resolution",
+        "scan-reconstruction-few-scales", "scan-apriori-few-scales",
+        "config-not-utf8", "phi43-families-off-q", "phi43-families-restricted"])
 def test_bad_config_exit_code(tmp_path, capsys, argv):
     args = argv(tmp_path)
     for flag, value in zip(SMALL[::2], SMALL[1::2]):
@@ -259,12 +305,15 @@ def test_numerical_abort_sidecar(tmp_path, monkeypatch, capsys):
 
 
 def test_internal_error_exit_code(monkeypatch, capsys):
-    def boom(cfg):
-        raise KeyError("lost")
-    monkeypatch.setattr(cli, "cmd_enumerate", boom)
-    assert main(["enumerate"]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("internal error: KeyError: 'lost'\nTraceback")
+    # a ValueError raised inside the program is a bug, not bad input
+    for exc, head in ((KeyError("lost"), "KeyError: 'lost'"),
+                      (ValueError("bug"), "ValueError: bug")):
+        def boom(cfg, exc=exc):
+            raise exc
+        monkeypatch.setattr(cli, "cmd_enumerate", boom)
+        assert main(["enumerate"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: %s\nTraceback" % head)
 
 
 def test_summary_row_fails_on_nan():
@@ -309,3 +358,85 @@ def test_dim2_stays_valid_for_algebra():
     for argv in (["verify", "--suite", "algebra", "--dim", "2"],
                  ["enumerate", "--dim", "2"]):
         assert RunConfig.from_args(build_parser().parse_args(argv)).dim == 2
+
+
+# Inputs for the property tests below.  Their ranges stay where one example
+# runs in milliseconds: no delta below 1/1000 (its leaf-count lattice grows as
+# 3/delta), no dim above 4, grids of at most ~2*10^4 nodes and no noise eps
+# above 1 (a mollifier kernel grows as eps^3 / (k h)).
+_WORDS = st.sampled_from(["9/20", "2/5", "1/3", "3/2", "0", "1/0", "-1", "2",
+                          "x", "", " 3 "])
+_TEXT = st.one_of(_WORDS, st.text("ab/-. ", max_size=4))
+_DELTAS = st.one_of(_WORDS, st.text("0123456789/.-", max_size=5))
+_TOLS = st.tuples(st.sampled_from(["chen", "cube", "utau", "foo", ""]),
+                  st.sampled_from(["=", ":", ""]),
+                  st.one_of(st.sampled_from(["1e-8", "0", "-1", "nan", "1/2"]),
+                            _TEXT)).map("".join)
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 4), st.floats(), _TEXT,
+    st.lists(st.integers(-3, 4), max_size=2),
+    st.dictionaries(st.sampled_from(["chen", "cube", "foo"]),
+                    st.one_of(st.integers(-3, 4), st.floats(), _TEXT), max_size=2))
+_CONFIG_KEYS = st.sampled_from(["delta", "dim", "seed", "max_m_xi", "tol",
+                                "noise", "out", "bogus"])
+
+
+@st.composite
+def _config_files(draw):
+    """(file name, text) of a JSON or a `key = value` config file."""
+    if draw(st.booleans()):
+        data = draw(st.dictionaries(_CONFIG_KEYS, _JSON_VALUES, max_size=4))
+        return "run.json", json.dumps(data)
+    lines = draw(st.lists(st.tuples(_CONFIG_KEYS, st.one_of(_TEXT, _TOLS)),
+                          max_size=4))
+    return "run.cfg", "".join("%s = %s\n" % kv for kv in lines)
+
+
+@settings(max_examples=120, deadline=None)
+@given(delta=st.none() | _DELTAS, dim=st.none() | st.integers(-3, 4),
+       seed=st.none() | st.integers(-3, 2 ** 64), tols=st.lists(_TOLS, max_size=2),
+       config=st.none() | _config_files())
+def test_enumerate_inputs_exit_0_or_2(delta, dim, seed, tols, config):
+    """Bad enumerate input exits 2 with an error line, never 4."""
+    with tempfile.TemporaryDirectory() as d, contextlib.redirect_stderr(
+            io.StringIO()) as err, mock.patch.object(
+            cli, "enumerate_universe", functools.partial(enumerate_universe, cap=50)):
+        argv = []
+        if config is not None:
+            argv += ["--config", str(_write(Path(d), *config))]
+        argv += ["enumerate", "--out=" + str(Path(d) / "out")]
+        for flag, value in (("delta", delta), ("dim", dim), ("seed", seed)):
+            if value is not None:
+                argv.append("--%s=%s" % (flag, value))
+        argv += ["--tol=" + t for t in tols]
+        rc = main(argv)
+    assert rc in (0, 2), err.getvalue()
+    assert err.getvalue().startswith("error: ") if rc else not err.getvalue()
+
+
+_NUMBERS = st.sampled_from(["1/4", "1/8", "1/16", "0.1", "1", "5/2", "3", "0",
+                            "-1/8", "nan", "inf", "1/0", "abc", ""])
+_GRIDS = st.one_of(st.none(), st.lists(_NUMBERS, min_size=2, max_size=4).map(",".join),
+                   st.sampled_from(["1/16,1/32,3", "1/8,1/64,3", "1,1/16,5/2"]))
+_NOISES = st.tuples(
+    st.sampled_from(["trig", "gauss", "bump", "zero", "foo", ""]),
+    st.one_of(st.integers(-3, 10 ** 6).map(str), st.sampled_from(["", "x", "1.5"])),
+    st.sampled_from(["", "0", "1/4", "1", "1/1000", "-1", "nan", "inf", "1/0", "x"]),
+).map(":".join)
+_RADII = st.one_of(st.sampled_from(["0.1,0.2,0.4", "1/4", "0,0.2", "1.5"]),
+                   st.text("0123456789/.,-", max_size=8))
+
+
+@settings(max_examples=120, deadline=None)
+@given(grid=_GRIDS, noise=_NOISES, radii=_RADII)
+def test_grid_noise_and_radii_raise_only_config_errors(grid, noise, radii):
+    """Bad --grid, --noise or --radii text raises ConfigError, nothing else."""
+    argv = ["verify", "--suite", "path", "--noise=" + noise]
+    if grid is not None:
+        argv.append("--grid=" + grid)
+    with contextlib.suppress(cli.ConfigError):
+        cfg = RunConfig.from_args(build_parser().parse_args(argv))
+        g = cfg.make_grid()
+        assert cfg.make_noise(g).shape == (g.nt, g.nx)
+    with contextlib.suppress(cli.ConfigError):
+        assert all(0 < R < 1 for R in cli._parse_radii(radii))
