@@ -4,8 +4,7 @@ paths, renormalized products and the remainder equation."""
 
 from .symtree import (
     ONE, XI, I, Im, Ip, Tree, TreeUniverse, X, canon, check_delta_admissible,
-    enumerate_universe, leq, order, parse_delta, parse_tree, prod3, sign_of,
-    tree_name,
+    enumerate_universe, leq, order, parse_delta, prod3, sign_of, tree_name,
 )
 from .coalgebra import Coalgebra, report_failures
 from .coeffs import (

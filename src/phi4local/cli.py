@@ -24,14 +24,15 @@ import numpy as np
 
 from . import coalgebra, coeffs, equation, field as fieldmod, lift as liftmod, path as pathmod
 from .symtree import (
-    EnumerationCapExceeded, I, InadmissibleDelta, canon, enumerate_universe,
-    parse_delta, parse_tree,
+    ENUMERATION_CAP, EnumerationCapExceeded, I, InadmissibleDelta,
+    enumerate_universe, parse_delta, tree_name,
 )
 
 
-# Stored nodes (nt x nx) a --grid may ask for.  A whole-grid field takes 8 B
-# a node, and a path's tables hold ~180 fields (114 MB on the default grid's
-# 79,323 nodes).  FINE_GRID has 1,639 x 385 = 631,015.
+# Stored nodes (nt x nx), and nodes (substeps x nx) of a heat solve's forcing
+# block, a --grid may ask for.  A whole-grid field takes 8 B a node, and a
+# path's tables hold ~180 fields (114 MB on the default grid's 79,323 nodes).
+# FINE_GRID has 1,639 x 385 = 631,015 stored nodes and a 16 x 385 block.
 MAX_GRID_NODES = 10 ** 6
 
 
@@ -66,6 +67,10 @@ class RunConfig:
         if unknown:
             raise ConfigError("unknown tolerance %s (the suites read chen, "
                               "cube and utau)" % ", ".join(map(repr, unknown)))
+        for name, val in sorted(cfg.tol.items()):
+            if not 0 <= val < math.inf:     # NaN fails both comparisons
+                raise ConfigError("tolerance %r must be finite and >= 0, got %r"
+                                  % (name, val))
         for name, low in (("dim", 1), ("seed", 0), ("max_m_xi", 0)):
             if getattr(cfg, name) < low:
                 raise ConfigError("%s must be >= %d, got %d"
@@ -126,11 +131,15 @@ class RunConfig:
             raise ConfigError("grid S must exceed %g, or the cutoff vanishes "
                               "on the unit cylinder, got %r"
                               % (fieldmod.Grid.MIN_S, self.grid))
-        nodes = (2 * S / h + 1) * ((fieldmod.Grid.t1 - fieldmod.Grid.t0) / k + 1)
+        nx = 2 * S / h + 1
+        nodes = nx * ((fieldmod.Grid.t1 - fieldmod.Grid.t0) / k + 1)
         if nodes > MAX_GRID_NODES:
             raise ConfigError("grid %r has ~%.3g stored nodes, above the bound "
                               "of %d" % (self.grid, nodes, MAX_GRID_NODES))
         sub = max(1, int(math.ceil(k / (h * h / 4))))
+        if sub * nx > MAX_GRID_NODES:
+            raise ConfigError("grid %r marches %d substeps of ~%d nodes, above "
+                              "the bound of %d" % (self.grid, sub, nx, MAX_GRID_NODES))
         return fieldmod.Grid(S=S, h=h, k_store=k, substeps=sub)
 
     def make_noise(self, grid) -> np.ndarray:
@@ -143,8 +152,11 @@ class RunConfig:
                               % seed_s) from None
         eps = _parse_number(eps_s) if eps_s else 0.0
         if not (math.isfinite(eps) and eps >= 0):
-            raise ConfigError("noise eps must be finite and >= 0 (0 for no "
-                              "smoothing), got %r" % eps_s)
+            raise ConfigError("noise eps must be finite and >= 0 (0 for the "
+                              "default), got %r" % eps_s)
+        if kind == "gauss" and eps and not fieldmod.kernel_fits(grid, eps):
+            raise ConfigError("noise eps %r: its kernel does not fit the grid, "
+                              "so the noise would be 0 everywhere" % eps_s)
         try:
             return fieldmod.noise_field(grid, kind, seed=seed, eps=eps or None)
         except ValueError as exc:
@@ -266,6 +278,11 @@ def _universe(cfg: RunConfig):
         delta = parse_delta(cfg.delta)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError("delta must be p/q in (0, 1), got %r" % cfg.delta) from exc
+    # Each odd leaf count below 3/delta has a pure-noise product: a small delta
+    # is over the cap before check_delta_admissible walks ~24/delta points.
+    if (3 / delta - 3) / 2 > ENUMERATION_CAP or cfg.dim > ENUMERATION_CAP:
+        raise ConfigError("delta %s with dim %d is over the enumeration cap of "
+                          "%d trees" % (cfg.delta, cfg.dim, ENUMERATION_CAP))
     try:
         u = enumerate_universe(delta, cfg.dim)
     except (InadmissibleDelta, EnumerationCapExceeded) as exc:
@@ -275,17 +292,19 @@ def _universe(cfg: RunConfig):
     return u
 
 
-def _q_tree(u, name: str, what: str):
-    """The tree of Q that a counterterm or custom-lift key names."""
-    try:
-        t = parse_tree(name, u.delta)
-    except ValueError as exc:
-        raise ConfigError("%s key %r: %s" % (what, name, exc)) from exc
-    if t is None:
-        raise ConfigError("%s key %r vanishes" % (what, name))
-    if not u.member("Q", canon(t)):
-        raise ConfigError("%s key %r is not a tree of Q" % (what, name))
-    return t
+def _q_entries(u, path: str, what: str) -> list:
+    """(name, tree, value) for each entry of a counterterm or custom-lift
+    file.  A key is the name `enumerate` prints for a tree of Q, whitespace
+    ignored; Q holds every child order of its trees, so any order loads."""
+    by_name = {"".join(tree_name(t).split()): t for t in u.Q}
+    entries = []
+    for name, val in _read_json_object(path).items():
+        t = by_name.get("".join(name.split()))
+        if t is None:
+            raise ConfigError("%s key %r is not the name of a tree of Q"
+                              % (what, name))
+        entries.append((name, t, val))
+    return entries
 
 
 def _build_lift(cfg: RunConfig, grid, u, cg):
@@ -305,10 +324,8 @@ def _build_lift(cfg: RunConfig, grid, u, cg):
             grid, u, seeds, eps, kind=noise_kind if noise_kind != "zero" else "gauss")
         return liftmod.build_local_product(grid, u, xi, rmap=rmap, coalg=cg), rep
     if kind == "counterterm":
-        data = _read_json_object(arg)
         values = {}
-        for name, val in data.items():
-            t = _q_tree(u, name, "counterterm")
+        for name, t, val in _q_entries(u, arg, "counterterm"):
             if isinstance(val, bool) or not isinstance(val, (int, float)):
                 raise ConfigError("counterterm %r: %r is not a number" % (name, val))
             values[t] = val
@@ -318,10 +335,8 @@ def _build_lift(cfg: RunConfig, grid, u, cg):
             raise ConfigError(str(exc)) from exc
         return liftmod.build_local_product(grid, u, xi, rmap=rmap, coalg=cg), None
     if kind == "custom":
-        entries = _read_json_object(arg)
         custom = {}
-        for name, relpath in entries.items():
-            t = _q_tree(u, name, "custom lift")
+        for name, t, relpath in _q_entries(u, arg, "custom lift"):
             if not isinstance(relpath, str):
                 raise ConfigError("custom lift %r: %r is not a path" % (name, relpath))
             try:

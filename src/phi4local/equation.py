@@ -72,18 +72,15 @@ def dx_map(path: Path, v1: np.ndarray):
     """Generalized derivative map, as printed in the defining formula:
     the counterterm-corrected diagonal gradients minus the plain gradient."""
     u = path.u
-    out = []
-    for i in range(1, u.d + 1):
-        acc = -grad_x(path.grid, v1)
-        for t in u.N_ring:
-            if u.order(t) < -1:
-                c, p, _mx = upsilon_monomial(t)
-                if p not in (0, 1):
-                    raise AssertionError("unexpected coefficient power")
-                term = float(c) * path.diag_im[(i, t.uid)]
-                acc = acc + (term * v1 ** p if p else term)
-        out.append(acc)
-    return out
+    acc = -grad_x(path.grid, v1)
+    for t in u.N_ring:
+        if u.order(t) < -1:
+            c, p, _mx = upsilon_monomial(t)
+            if p not in (0, 1):
+                raise AssertionError("unexpected coefficient power")
+            term = float(c) * path.diag_im[(1, t.uid)]
+            acc = acc + (term * v1 ** p if p else term)
+    return [acc]        # one component: a Path has d = 1
 
 
 # -- renormalized products -------------------------------------------------------
@@ -147,10 +144,9 @@ def cube_formula_check(path: Path, rmap: CountertermMap | None,
     phi = e.pointwise()
     c = renorm_constants(path.u, rmap)
     rhs = phi ** 3 - float(c.r1) - float(c.r_phi) * phi - float(c.r_phi2) * phi ** 2
-    for i in range(1, path.u.d + 1):
-        coef = float(c.r_dphi[i - 1])
-        if coef:
-            rhs = rhs - coef * grad_x(grid, phi)
+    coef = float(c.r_dphi[0])     # a Path has d = 1
+    if coef:
+        rhs = rhs - coef * grad_x(grid, phi)
     scale = max(1.0, float(np.max(np.abs(rhs[probe]))))
     return float(np.max(np.abs((lhs - rhs)[probe]))) / scale
 

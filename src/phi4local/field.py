@@ -184,8 +184,7 @@ def _profile_weights(grid: Grid, scale: float) -> np.ndarray:
     shrinkage), so a scale at the resolution limit still smooths instead of
     degenerating to the identity kernel.
     """
-    na = max(1, int(math.floor(scale ** 2 / grid.k_store)))
-    nb = max(1, int(math.floor(scale / grid.h)))
+    na, nb = _profile_extent(grid, scale)
     tt = np.maximum(grid.k_store * np.arange(na + 1) - grid.k_store / 2, 0.0)
     xx = np.maximum(np.abs(grid.h * np.arange(-nb, nb + 1)) - grid.h / 2, 0.0)
     q = np.maximum(np.sqrt(tt)[:, None] / scale, xx[None, :] / scale)
@@ -194,6 +193,24 @@ def _profile_weights(grid: Grid, scale: float) -> np.ndarray:
     if tot <= 0:
         raise ResolutionError("profile scale %g below grid resolution" % scale)
     return w / tot
+
+
+def _profile_extent(grid: Grid, scale: float) -> tuple:
+    """Stored levels back and nodes to each side of the profile at `scale`."""
+    return (max(1, int(math.floor(scale ** 2 / grid.k_store))),
+            max(1, int(math.floor(scale / grid.h))))
+
+
+def kernel_fits(grid: Grid, L: float) -> bool:
+    """Whether Mollifier.smooth(f, L) leaves any node unmasked, decided
+    without building its kernel: a kernel of convolved profiles reaches as
+    far as theirs added up."""
+    if L / 2 >= grid.h * grid.nx:   # its first profile alone is wider
+        return False
+    n = max(max_depth(grid, L), 1)
+    na, nb = map(sum, zip(*(_profile_extent(grid, L / 2 ** j)
+                            for j in range(1, n + 1))))
+    return na < grid.nt and 2 * nb < grid.nx
 
 
 def max_depth(grid: Grid, L: float) -> int:

@@ -132,6 +132,9 @@ def build_local_product(grid: Grid, universe, xi: np.ndarray,
     custom given: fields for trees in Q keyed by Tree; remaining trees follow
     the extension rules.
     """
+    if universe.d != 1:
+        raise ValueError("the numerical layer supports d = 1 only, got a "
+                         "universe of d = %d" % universe.d)
     cg = coalg or Coalgebra(universe)
     lp = LocalProduct(grid, universe, cg, xi, rmap)
     delta = universe.delta
@@ -149,8 +152,7 @@ def build_local_product(grid: Grid, universe, xi: np.ndarray,
         cu = canon(t).uid
         lp._X[cu] = val
         lp._ell[cu] = heat_solve(grid, val)
-        for i in range(1, universe.d + 1):
-            lp._grad[(i, cu)] = grad_x(grid, lp._ell[cu])
+        lp._grad[(1, cu)] = grad_x(grid, lp._ell[cu])
 
     finish(XI, xi)
     unplanted = [t for t in universe.T_r if t.kind == PROD]

@@ -50,8 +50,7 @@ class Path:
         self.cen_I[ONE.uid] = lp.planted_field(I(ONE))
         neg_x = -grid.x_field
         neg_x.flags.writeable = False
-        for i in range(1, u.d + 1):
-            self.cen_I[X(i).uid] = neg_x
+        self.cen_I[X(1).uid] = neg_x     # build_local_product takes d = 1 only
 
         # X_{z,z} Im_i(tau) is the lift gradient on W and Xi; off W it is nu,
         # which the Ip centering -nu cancels on N_tilde.  Entries share the
@@ -63,27 +62,21 @@ class Path:
         for t in prods:
             if u.member("W", t):
                 self.diag[t.uid] = lp.value(t)
-                for i in range(1, u.d + 1):
-                    self.diag_im[(i, t.uid)] = lp.grad(i, t)
+                self.diag_im[(1, t.uid)] = lp.grad(1, t)
                 continue
             a = grid.zeros()     # heat solve of the centered tree, on the diagonal
-            nus = [grid.zeros() for _ in range(u.d)]
+            nu = grid.zeros()
             dg = grid.zeros()
             for (l, f), c in self.pairs[t.uid]:
                 cf = float(c) * self.cen_forest_field(f)
                 a += lp.ell(l) * cf
                 dg += lp.value(l) * cf
-                for i in range(1, u.d + 1):
-                    nus[i - 1] += lp.grad(i, l) * cf
+                nu += lp.grad(1, l) * cf
             self.diag[t.uid] = dg
             tilde = u.member("N_tilde", t)
-            cen = -a
-            for i in range(1, u.d + 1):
-                self.nu[(i, t.uid)] = nus[i - 1]
-                self.diag_im[(i, t.uid)] = zero if tilde else nus[i - 1]
-                if tilde:
-                    cen = cen + grid.x_field * nus[i - 1]
-            self.cen_I[t.uid] = cen
+            self.nu[(1, t.uid)] = nu
+            self.diag_im[(1, t.uid)] = zero if tilde else nu
+            self.cen_I[t.uid] = -a + grid.x_field * nu if tilde else -a
         self.diag_im[(1, XI.uid)] = lp.grad(1, XI)
         self.mol = Mollifier(grid)
         self._moll_cache: dict = {}

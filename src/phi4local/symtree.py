@@ -19,6 +19,8 @@ EDGE_I = "I"
 EDGE_IP = "Ip"
 EDGE_IM = "Im"
 
+ENUMERATION_CAP = 100_000       # products a TreeUniverse may list
+
 _intern_table: dict = {}
 _next_uid = 0
 
@@ -210,83 +212,6 @@ def tree_name(t: Tree) -> str:
     return "[%s %s %s]" % tuple(tree_name(k) for k in t.children)
 
 
-def parse_tree(s: str, delta: Fraction) -> Optional[Tree]:
-    """Inverse of tree_name.  Applies the construction conventions, so the
-    result may be None (a symbol that the conventions declare zero)."""
-    pos = 0
-
-    def fail(msg):
-        raise ValueError("parse error at %d: %s in %r" % (pos, msg, s))
-
-    def skip_ws():
-        nonlocal pos
-        while pos < len(s) and s[pos].isspace():
-            pos += 1
-
-    def parse_int():
-        nonlocal pos
-        start = pos
-        while pos < len(s) and s[pos].isdigit():
-            pos += 1
-        if start == pos:
-            fail("expected integer")
-        return int(s[start:pos])
-
-    def expect(ch):
-        nonlocal pos
-        if pos >= len(s) or s[pos] != ch:
-            fail("expected %s" % ch)
-        pos += 1
-
-    def parse_node():
-        nonlocal pos
-        skip_ws()
-        if pos >= len(s):
-            fail("unexpected end")
-        if s[pos] == "[":
-            pos += 1
-            kids = [parse_node(), parse_node(), parse_node()]
-            skip_ws()
-            expect("]")
-            for k in kids:
-                if k is None:
-                    return None
-            return prod3(*kids, delta)
-        for prefix, mk in (("Ip", "Ip"), ("Im", "Im")):
-            if s.startswith(prefix, pos) and pos + 2 < len(s) and s[pos + 2].isdigit():
-                pos += 2
-                i = parse_int()
-                expect("(")
-                inner = parse_node()
-                skip_ws()
-                expect(")")
-                if inner is None:
-                    return None
-                return Ip(i, inner, delta) if mk == "Ip" else Im(i, inner)
-        if s.startswith("I(", pos):
-            pos += 2
-            inner = parse_node()
-            skip_ws()
-            expect(")")
-            return I(inner) if inner is not None else None
-        if s.startswith("Xi", pos):
-            pos += 2
-            return XI
-        if s.startswith("One", pos):
-            pos += 3
-            return ONE
-        if s[pos] == "X":
-            pos += 1
-            return X(parse_int())
-        fail("unexpected token")
-
-    t = parse_node()
-    skip_ws()
-    if pos != len(s):
-        fail("trailing input")
-    return t
-
-
 def parse_delta(text: str) -> Fraction:
     d = Fraction(text)
     if not (0 < d < 1):
@@ -343,7 +268,7 @@ class TreeUniverse:
     same first-order centering as the rest of the set, so it is included.
     """
 
-    def __init__(self, delta: Fraction, d: int, cap: int = 100_000):
+    def __init__(self, delta: Fraction, d: int, cap: int = ENUMERATION_CAP):
         if not check_delta_admissible(delta):
             raise InadmissibleDelta("inadmissible delta %s" % delta)
         if d < 1:
@@ -478,7 +403,8 @@ def _ordered_partitions(tup):
     return out
 
 
-def enumerate_universe(delta: Fraction, d: int = 1, cap: int = 100_000) -> TreeUniverse:
+def enumerate_universe(delta: Fraction, d: int = 1,
+                       cap: int = ENUMERATION_CAP) -> TreeUniverse:
     return TreeUniverse(delta, d, cap=cap)
 
 

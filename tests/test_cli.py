@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phi4local import cli, equation
+from phi4local import cli, equation, field as fieldmod, lift as liftmod, symtree
 from phi4local.cli import RunConfig, build_parser, main
 from phi4local.field import COARSE_GRID, save_field
-from phi4local.symtree import enumerate_universe
+from phi4local.lift import standard_families
+from phi4local.symtree import canon, enumerate_universe, tree_name
 
 
 def test_enumerate_exit_codes(tmp_path):
@@ -229,6 +230,18 @@ def _sidecar_manifest(base, key, value=None):
     lambda d: ["verify", "--suite", "path", "--lift", "phi43", "--delta", "11/20"],
     lambda d: ["--config", str(_write(d, "m3.json", '{"max_m_xi": 3}')),
                "verify", "--suite", "path", "--lift", "phi43"],
+    # tolerances that are not finite or are negative, from each source
+    lambda d: ["verify", "--suite", "path", "--tol", "chen=nan"],
+    lambda d: ["verify", "--suite", "path", "--tol", "chen=-1"],
+    lambda d: ["verify", "--suite", "path", "--tol", "chen=inf"],
+    lambda d: ["--config", str(_write(d, "nan.json", '{"tol": {"cube": NaN}}')),
+               "verify", "--suite", "products"],
+    lambda d: ["--config", str(_write(d, "neg.json", '{"tol": {"utau": -1}}')),
+               "verify", "--suite", "products"],
+    lambda d: ["--config", str(_write(d, "inf.cfg", "tol = chen:inf\n")),
+               "verify", "--suite", "path"],
+    lambda d: ["--config", str(_write(d, "neg.cfg", "tol = chen:-1e-9\n")),
+               "verify", "--suite", "path"],
 ], ids=["custom-missing", "counterterm-missing", "config-missing",
         "custom-malformed-name", "custom-vanishing-name", "custom-missing-field",
         "dim2-path", "dim2-products", "dim2-all", "dim2-solve", "dim2-scan",
@@ -251,7 +264,9 @@ def _sidecar_manifest(base, key, value=None):
         "config-seed-not-integer", "config-tol-not-number", "delta-not-number",
         "tol-not-number", "noise-eps-below-resolution",
         "scan-reconstruction-few-scales", "scan-apriori-few-scales",
-        "config-not-utf8", "phi43-families-off-q", "phi43-families-restricted"])
+        "config-not-utf8", "phi43-families-off-q", "phi43-families-restricted",
+        "tol-nan", "tol-negative", "tol-infinite", "config-tol-nan",
+        "config-tol-negative", "config-cfg-tol-infinite", "config-cfg-tol-negative"])
 def test_bad_config_exit_code(tmp_path, capsys, argv):
     args = argv(tmp_path)
     for flag, value in zip(SMALL[::2], SMALL[1::2]):
@@ -262,6 +277,42 @@ def test_bad_config_exit_code(tmp_path, capsys, argv):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, module, name", [
+    (["verify", "--suite", "path", "--grid", "1/1000,1,3"], liftmod, "heat_solve"),
+    (["verify", "--suite", "path", "--noise", "gauss:0:100"], fieldmod, "noise_field"),
+    (["enumerate", "--delta", "1/1000000000"], symtree, "check_delta_admissible"),
+    (["enumerate", "--dim", "100001"], symtree, "check_delta_admissible"),
+], ids=["grid-substeps", "noise-gauss-kernel-too-wide", "delta-tiny", "dim-huge"])
+def test_inputs_that_size_work_are_bounded(monkeypatch, capsys, argv, module, name):
+    # each is refused before the patched call would allocate: 4 million
+    # substeps of 6,001 nodes, 640,001 x 3,201 kernel weights, ~24/delta
+    # lattice points or 100,001 generators; a missed check exits 4 at once
+    monkeypatch.setattr(module, name, None)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_counterterm_key_in_any_child_order(tmp_path):
+    # a sunset tree, its children and its inner product's reordered
+    u = enumerate_universe(symtree.parse_delta(SMALL[1]))
+    t = canon(standard_families(u)[1][0])
+    a, b, c = (tree_name(k) for k in t.children)
+    inner = next(k.child for k in t.children if k.child.kind == "prod")
+    x, y, z = (tree_name(k) for k in inner.children)
+    spelt = " [ %s\t%s  %s ] " % (c, b, a)
+    spelt = spelt.replace(tree_name(inner), "[ %s %s\n%s ]" % (z, y, x))
+    assert tree_name(inner) not in spelt and tree_name(t) not in spelt
+    reports = []
+    for n, key in enumerate((tree_name(t), spelt)):
+        lift = _counterterms(tmp_path, {key: 0.5})
+        out = tmp_path / str(n)
+        assert main(["verify", "--suite", "path", *SMALL, "--lift", lift,
+                     "--out", str(out)]) == 0
+        reports.append((out / "verify-path.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_enumeration_cap_is_a_config_error(monkeypatch, capsys):

@@ -17,7 +17,7 @@ from phi4local.equation import (
     solve_remainder, three_point_residual, u_tau_at,
 )
 from phi4local.symtree import (
-    ONE, XI, I, X, enumerate_universe, parse_tree, prod3, sign_of, tree_name,
+    ONE, XI, I, X, enumerate_universe, prod3, sign_of, tree_name,
 )
 
 D = Fraction(9, 20)
@@ -191,7 +191,7 @@ def test_remainder_coeffs_keyed_by_power(coarse_path, u920, u25, u310, cg920):
 def test_remainder_coeffs_rejects_vx_term(coarse_path, monkeypatch):
     # the one product carrying vX has a vanishing diagonal field; were it not
     # zero, dropping the term would change the equation
-    t = parse_tree("[I(X1) I(Xi) I(Xi)]", D)
+    t = prod3(I(X(1)), I(XI), I(XI), D)
     assert not np.any(coarse_path.diag[t.uid])
     monkeypatch.setitem(coarse_path.diag, t.uid, coarse_path.grid.ones())
     with pytest.raises(AssertionError):

@@ -10,7 +10,9 @@ from phi4local.lift import (
     extension_consistency_report, phi43_counterterms, random_counterterm_map,
     standard_families,
 )
-from phi4local.symtree import ONE, XI, I, X, canon, prod3, tree_name
+from phi4local.symtree import (
+    ONE, XI, I, X, canon, enumerate_universe, prod3, tree_name,
+)
 
 D = Fraction(9, 20)
 
@@ -136,6 +138,13 @@ def test_counterterm_validation(setup):
         CountertermMap(u, {wick[0]: 1.0, wick[1]: 2.0})
     rm = CountertermMap(u, {wick[0]: 1.5})
     assert rm.value(wick[2]) == 1.5
+
+
+def test_numerical_layer_takes_d_1_only(setup):
+    _u, _cg, grid, xi = setup
+    # it would store the x-gradient as grad(2, t) too
+    with pytest.raises(ValueError, match="d = 1 only"):
+        build_local_product(grid, enumerate_universe(D, 2), xi)
 
 
 def test_custom_lift(setup):

@@ -5,9 +5,11 @@ checks load the tracer's tables without installing it."""
 import importlib
 import importlib.util
 import inspect
+import re
 from pathlib import Path
 
 from phi4local.coalgebra import Coalgebra
+from phi4local.field import Mollifier
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -35,6 +37,43 @@ def test_traced_names_resolve():
     # the counting wrapper passes exactly two arguments after self
     for qual in tr.COUNTED:
         assert list(inspect.signature(_resolve(qual)).parameters) == ["self", "tb", "t"]
+
+
+def test_metric_names_resolve():
+    # layer_metrics reads these call counts by name; a name that install
+    # does not wrap would read 0
+    tr = _tracing()
+    read = set(re.findall(r'c\["([\w.]+)"\]', inspect.getsource(tr.Tracer.layer_metrics)))
+    assert {"path.Path.value_at", "equation.u_tau_at", "field.Mollifier.kernel",
+            "field.Grid.zeros", "field.Grid.ones", "coalgebra.Coalgebra.delta",
+            "coalgebra.Coalgebra.renorm_expand", "lift.build_local_product"} <= read
+    for qual in sorted(read):
+        assert qual.split(".")[0] in tr.LAYERS, qual
+        assert qual not in tr.UNWRAPPED, qual
+        assert callable(_resolve(qual)), qual
+
+
+def test_hooks_read_a_real_path(coarse_path):
+    # the hooks and end_job run on the objects a traced job hands them
+    tr = _tracing()
+    t = tr.Tracer()
+    p, grid = coarse_path, coarse_path.grid
+    mol = Mollifier(grid)
+    mol.kernel(0.25, 1)
+    t.coalgebras.append(p.cg)
+    t.mollifiers.append(mol)
+    tr._on_enumerate(t, (p.u.delta,), p.u)
+    tr._on_build(t, (grid, p.u, p.lp.xi), p.lp)
+    tr._on_path(t, (p,), None)
+    tr._on_heat_solve(t, (grid, p.lp.xi), None)
+    t.end_job()
+    x = t.extra
+    assert x["universe_trees"] == len(p.u.T) and x["interned_trees"] > 0
+    assert x["lift_fields"] > 0 and x["lift_bytes"] > 0 and x["path_bytes"] > 0
+    assert x["march_steps"] == (grid.nt - 1) * grid.substeps and x["march_bytes"] > 0
+    assert x["cut_misses"] == len(p.cg._cminus) + len(p.cg._cplus)
+    assert x["kernel_misses"] == 1
+    assert t.coalgebras == [] and t.mollifiers == []
 
 
 def test_fresh_coalgebra_has_the_cut_memos(u920):
