@@ -154,9 +154,11 @@ class RunConfig:
         if not (math.isfinite(eps) and eps >= 0):
             raise ConfigError("noise eps must be finite and >= 0 (0 for the "
                               "default), got %r" % eps_s)
-        if kind == "gauss" and eps and not fieldmod.kernel_fits(grid, eps):
-            raise ConfigError("noise eps %r: its kernel does not fit the grid, "
-                              "so the noise would be 0 everywhere" % eps_s)
+        if kind == "gauss":
+            eps = eps or fieldmod.DEFAULT_NOISE_EPS_CELLS * grid.h
+            if not fieldmod.kernel_fits(grid, eps):
+                raise ConfigError("noise eps %g: its kernel does not fit the "
+                                  "grid, so the noise would be 0 everywhere" % eps)
         try:
             return fieldmod.noise_field(grid, kind, seed=seed, eps=eps or None)
         except ValueError as exc:
@@ -318,7 +320,7 @@ def _build_lift(cfg: RunConfig, grid, u, cg):
         except ValueError as exc:
             raise ConfigError("lift phi43: %s" % exc) from exc
         seeds = [cfg.seed + j for j in range(6)]
-        eps = 4 * grid.h
+        eps = fieldmod.DEFAULT_NOISE_EPS_CELLS * grid.h
         noise_kind = cfg.noise.split(":")[0]
         rmap, rep = liftmod.phi43_counterterms(
             grid, u, seeds, eps, kind=noise_kind if noise_kind != "zero" else "gauss")

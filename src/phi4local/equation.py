@@ -8,6 +8,7 @@ generalized derivative.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -209,7 +210,8 @@ def remainder_coeffs(path: Path) -> RemainderCoeffs:
 def _lower_order(K0, K: dict, v):
     """K0 + sum of K[p] * v^p: the remainder right-hand side without its
     cubic damping, on whole fields or on a stack of time rows."""
-    out = np.broadcast_to(K0, v.shape).copy()
+    out = np.empty(v.shape)
+    out[...] = K0
     for p, arr in K.items():
         out += arr * v ** p if p else arr
     return out
@@ -262,10 +264,18 @@ def solve_remainder(path: Path, coeffs: RemainderCoeffs, traces,
 
     Diffusion and the coefficient fields are stepped explicitly; the cubic
     damping is integrated exactly each step, so large boundary data stays
-    stable.  The right-hand side is the polynomial of RemainderCoeffs, with
-    its coefficient rows interpolated linearly in time once per step for all
-    traces.  Every step acts on each trace's row alone, so a trace's record
-    does not depend on the rest of the batch.
+    stable.  The right-hand side is the polynomial of RemainderCoeffs.  Its
+    coefficient rows are interpolated linearly in time for a block of steps
+    at once (the steps of one stored level), at the times of the march's
+    t += k sequence, and shared by all traces.  Every step acts on each
+    trace's row alone, so a trace's record does not depend on the rest of
+    the batch.
+
+    Each step reduces |v| once for the cap check, and raises a running
+    maximum of |v| for the time segment between two sorted R^2 thresholds
+    that it falls in; the norm of each radius is read off those maxima after
+    the march.  A maximum is exact in any order, so the norms equal those of
+    a per-step, per-radius sup.
 
     A trace whose row exceeds the cap or stops being finite leaves the batch,
     and so does every later trace.  The abort raised is that of the first
@@ -285,48 +295,60 @@ def solve_remainder(path: Path, coeffs: RemainderCoeffs, traces,
     K0row = coeffs.K0[:, cols]
     Krows = {p: arr[:, cols] for p, arr in coeffs.K.items()}
 
-    def at_time(arr2, t):
-        j = (t - grid.t0) / grid.k_store
-        j0 = min(int(j), grid.nt - 2)
-        frac = j - j0
+    def at_times(arr2, ts):
+        j = (ts - grid.t0) / grid.k_store
+        j0 = np.minimum(j.astype(int), grid.nt - 2)
+        frac = (j - j0)[:, None]
         return (1 - frac) * arr2[j0] + frac * arr2[j0 + 1]
 
+    nsteps = int(round(1.0 / k))
+    times = list(itertools.accumulate(itertools.repeat(k, nsteps), initial=0.0))
+    block = max(1, int(round(grid.k_store / k)))
     live = traces                   # the traces of v's rows, in trace order
     v = np.array([tr.initial(xs) for tr in traces])
-    nsteps = int(round(1.0 / k))
-    sup = np.zeros((len(config.radii), len(traces)))
-    # (row of sup, R^2, columns inside the radius) for each radius that
-    # leaves any column inside it
-    inner = [(j, R * R, np.abs(xs) < 1.0 - R) for j, R in enumerate(config.radii)]
-    inner = [(j, R2, msk) for j, R2, msk in inner if msk.any()]
+    # seg[i] is the running maximum of |v| over the steps that end after
+    # thresholds[i] and not after the next threshold
+    thresholds = sorted({R * R for R in config.radii})
+    seg = np.zeros((len(thresholds), len(traces), xs.size))
+    passed = 0                      # thresholds the march has passed
     abort = None
-    t = 0.0
-    for _step in range(nsteps):
-        rhs = _lower_order(at_time(K0row, t),
-                           {p: at_time(arr, t) for p, arr in Krows.items()}, v)
-        lap = np.zeros_like(v)
-        lap[:, 1:-1] = (v[:, 2:] - 2 * v[:, 1:-1] + v[:, :-2]) / (h * h)
-        vh = v + k * (lap + rhs)
-        v = vh / np.sqrt(1.0 + 2.0 * k * vh ** 2)
-        t += k
-        v[:, 0] = [tr.side(t, -1) for tr in live]
-        v[:, -1] = [tr.side(t, +1) for tr in live]
-        av = np.abs(v)
-        amax = np.max(av, axis=1)
-        bad = ~np.isfinite(amax) | (amax > config.cap)
-        if bad.any():
-            n = int(np.argmax(bad))
-            abort = NumericalAbort(
-                "remainder solve exceeded cap %g at t=%.4f" % (config.cap, t),
-                {"t": t, "max": float(amax[n]), "trace": live[n].__dict__})
-            if n == 0:
-                raise abort
-            live, v, av, sup = live[:n], v[:n], av[:n], sup[:, :n]
-        for j, R2, msk in inner:
-            if t > R2:
-                sup[j] = np.maximum(sup[j], np.max(av[:, msk], axis=1))
+    for b0 in range(0, nsteps, block):
+        starts = np.array(times[b0: b0 + block])
+        K0b = at_times(K0row, starts)
+        Kb = {p: at_times(arr, starts) for p, arr in Krows.items()}
+        for i, t in enumerate(times[b0 + 1: b0 + block + 1]):
+            rhs = _lower_order(K0b[i], {p: rows[i] for p, rows in Kb.items()}, v)
+            lap = np.zeros_like(v)
+            lap[:, 1:-1] = (v[:, 2:] - 2 * v[:, 1:-1] + v[:, :-2]) / (h * h)
+            vh = v + k * (lap + rhs)
+            v = vh / np.sqrt(1.0 + 2.0 * k * vh ** 2)
+            v[:, 0] = [tr.side(t, -1) for tr in live]
+            v[:, -1] = [tr.side(t, +1) for tr in live]
+            av = np.abs(v)
+            top = av.max()
+            if top > config.cap or not math.isfinite(top):
+                amax = np.max(av, axis=1)
+                bad = ~np.isfinite(amax) | (amax > config.cap)
+                n = int(np.argmax(bad))
+                abort = NumericalAbort(
+                    "remainder solve exceeded cap %g at t=%.4f" % (config.cap, t),
+                    {"t": t, "max": float(amax[n]), "trace": live[n].__dict__})
+                if n == 0:
+                    raise abort
+                live, v, av, seg = live[:n], v[:n], av[:n], seg[:, :n]
+            while passed < len(thresholds) and t > thresholds[passed]:
+                passed += 1
+            if passed:
+                np.maximum(seg[passed - 1], av, out=seg[passed - 1])
     if abort is not None:
         raise abort
+    sup = np.zeros((len(config.radii), len(traces)))
+    for j, R in enumerate(config.radii):
+        msk = np.abs(xs) < 1.0 - R
+        if msk.any():
+            for r2, m in zip(thresholds, seg):
+                if r2 >= R * R:
+                    sup[j] = np.maximum(sup[j], np.max(m[:, msk], axis=1))
     return {
         "k": k, "h": h, "steps": nsteps,
         "runs": [{"trace": {"kind": tr.kind, "magnitude": tr.magnitude,

@@ -1,11 +1,12 @@
 """Parabolic space-time grid, cut-off heat solves, mollifiers and norms.
 
 Fields are float64 numpy arrays of shape (nt, nx) sampled on a stored grid
-with time step ``k_store``.  The heat solver marches at a finer internal step
-(``k_store / substeps``) to satisfy the explicit-scheme stability bound and
-writes back on the stored levels; the right-hand side is interpolated
-linearly in time between stored levels.  All algebraic identities downstream
-are exact over the stored values by construction, independent of resolution.
+with time step ``k_store``.  The heat solver marches one field or a stack of
+them at a finer internal step (``k_store / substeps``) to satisfy the
+explicit-scheme stability bound and writes back on the stored levels; the
+right-hand side is interpolated linearly in time between stored levels.  All
+algebraic identities downstream are exact over the stored values by
+construction, independent of resolution.
 
 The spatial dimension is fixed to 1 for the numerical layer.
 """
@@ -140,24 +141,34 @@ def heat_solve(grid: Grid, f: np.ndarray) -> np.ndarray:
     """March (d_t - Lap) u = cutoff * f forward from zero data at t0 with zero
     spatial boundary values; returns u on the stored levels.
 
+    f is one field of shape (nt, nx), or a stack of n fields of shape
+    (n, nt, nx) marched together and returned as a stack.  A stack is laid
+    out as one row per level with the field index fastest, so a node's left
+    and right neighbours sit n entries away and each substep acts on the
+    whole stack with the ufunc calls of one field; every field is equal to
+    its own solve.
+
     The forcing k * rhs of all substeps between two stored levels is formed
     as one block; each substep then updates the interior in place, with the
     elementwise operations of u + lam * (u[2:] - 2u + u[:-2]) + k * rhs in
     that order, so no row is allocated inside the march."""
-    rf = grid.cutoff * f
-    u = np.zeros(grid.nx)
-    out = np.empty((grid.nt, grid.nx))
+    stack = f.reshape(-1, grid.nt, grid.nx)
+    n = len(stack)
+    rf = np.ascontiguousarray((grid.cutoff * stack).transpose(1, 2, 0))
+    rf = rf.reshape(grid.nt, grid.nx * n)
+    u = np.zeros(grid.nx * n)
+    out = np.empty((grid.nt, grid.nx * n))
     out[0] = u
     k = grid.k_march
     lam = np.float64(k / grid.h ** 2)
     ns = grid.substeps
     theta = (np.arange(ns) / ns)[:, None]
-    left, inner, right = u[:-2], u[1:-1], u[2:]
+    left, inner, right = u[:-2 * n], u[n:-n], u[2 * n:]
     lap = np.empty_like(inner)
     # bound once: the loop body is call overhead on rows of a few hundred nodes
     add, subtract, multiply = np.add, np.subtract, np.multiply
     for j in range(grid.nt - 1):
-        forcing = k * ((1.0 - theta) * rf[j, 1:-1] + theta * rf[j + 1, 1:-1])
+        forcing = k * ((1.0 - theta) * rf[j, n:-n] + theta * rf[j + 1, n:-n])
         for row in forcing:
             add(inner, inner, out=lap)
             subtract(right, lap, out=lap)
@@ -166,7 +177,8 @@ def heat_solve(grid: Grid, f: np.ndarray) -> np.ndarray:
             add(inner, lap, out=lap)
             add(lap, row, out=inner)
         out[j + 1] = u
-    return out
+    out = out.reshape(grid.nt, grid.nx, n).transpose(2, 0, 1)
+    return np.ascontiguousarray(out if f.ndim == 3 else out[0])
 
 
 def grad_x(grid: Grid, f: np.ndarray) -> np.ndarray:
@@ -219,12 +231,17 @@ def max_depth(grid: Grid, L: float) -> int:
     return -1
 
 
+def _fft_shapes(a_shape, b_shape) -> tuple:
+    """(full, padded) shapes of the 2-d convolution of two real arrays."""
+    shape = [n + m - 1 for n, m in zip(a_shape, b_shape)]
+    return shape, [next_fast_len(n, True) for n in shape]
+
+
 def _fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Full 2-d convolution of two real arrays: the padding and real FFTs of
     scipy.signal.fftconvolve, so the result is the same to the bit, without
     importing scipy.signal (about a second of every process start)."""
-    shape = [n + m - 1 for n, m in zip(a.shape, b.shape)]
-    fshape = [next_fast_len(n, True) for n in shape]
+    shape, fshape = _fft_shapes(a.shape, b.shape)
     out = irfftn(rfftn(a, fshape, axes=(0, 1)) * rfftn(b, fshape, axes=(0, 1)),
                  fshape, axes=(0, 1))
     return out[: shape[0], : shape[1]]
@@ -238,6 +255,7 @@ class Mollifier:
     def __init__(self, grid: Grid):
         self.grid = grid
         self._kernels: dict = {}
+        self._spectra: dict = {}
 
     def kernel(self, L: float, n: int) -> np.ndarray:
         key = (round(L, 12), n)
@@ -257,7 +275,11 @@ class Mollifier:
         """(f)_L with depth n (default: maximal resolvable depth).
 
         Returns (g, mask): g is the smoothed field, valid where mask is True
-        (nodes whose backward kernel window stays inside the grid).
+        (nodes whose backward kernel window stays inside the field).  The
+        field may have any (levels, nodes) shape on the grid's spacing.  The
+        kernel's spectrum is computed once per (L, n, field shape), so a
+        smoothing is one forward and one inverse transform; the result is
+        that of _fftconvolve(f, kernel) to the bit.
         """
         grid = self.grid
         if L < 2 * grid.h:
@@ -267,23 +289,34 @@ class Mollifier:
         ker = self.kernel(L, n)
         na = ker.shape[0] - 1
         nb = (ker.shape[1] - 1) // 2
-        full = _fftconvolve(f, ker)
-        g = full[: grid.nt, nb: nb + grid.nx]
+        key = (round(L, 12), n, f.shape)
+        if key not in self._spectra:
+            _full, fshape = _fft_shapes(f.shape, ker.shape)
+            self._spectra[key] = fshape, rfftn(ker, fshape, axes=(0, 1))
+        fshape, spec = self._spectra[key]
+        full = irfftn(rfftn(f, fshape, axes=(0, 1)) * spec, fshape, axes=(0, 1))
+        nt, nx = f.shape
+        g = full[:nt, nb: nb + nx]
         mask = np.zeros(f.shape, dtype=bool)
-        if grid.nt > na and grid.nx > 2 * nb:
-            mask[na:, nb: grid.nx - nb] = True
+        if nt > na and nx > 2 * nb:
+            mask[na:, nb: nx - nb] = True
         g = np.where(mask, g, 0.0)
         return g, mask
 
 
 # -- noise fixtures -------------------------------------------------------------
 
+# A gauss fixture without an explicit eps is mollified at this many cells h.
+DEFAULT_NOISE_EPS_CELLS = 4
+
+
 def noise_field(grid: Grid, kind: str, seed: int = 0, eps: float | None = None,
                 amp: float = 1.0) -> np.ndarray:
     """Reproducible noise fixtures.
 
     kind 'trig': fixed smooth deterministic field (seed shifts the phases).
-    kind 'gauss': per-node white noise mollified at scale eps.
+    kind 'gauss': per-node white noise mollified at scale eps (default
+    DEFAULT_NOISE_EPS_CELLS * h).
     kind 'bump': a single smooth space-time bump.
     kind 'zero': zeros.
     """
@@ -300,7 +333,7 @@ def noise_field(grid: Grid, kind: str, seed: int = 0, eps: float | None = None,
         return amp * np.exp(-np.clip(r2, 0, 50.0)) * np.cos(3 * xx + 2 * tt)
     if kind == "gauss":
         if eps is None:
-            eps = 4 * grid.h
+            eps = DEFAULT_NOISE_EPS_CELLS * grid.h
         rng = np.random.default_rng(seed)
         white = rng.standard_normal((grid.nt, grid.nx))
         white *= amp / math.sqrt(grid.k_store * grid.h)

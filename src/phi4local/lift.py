@@ -3,7 +3,8 @@
 A local product stores one field per unplanted tree (keyed by the canonical
 representative, so permuted trees share a field), together with the derived
 tables used everywhere downstream: the cut-off heat solves of those fields
-and their spatial gradients.
+and their spatial gradients.  The solves are made by dependency level, one
+stacked heat solve per level.
 
 Three construction routes are provided: the unique multiplicative lift of a
 noise field, lifts built from a permutation-invariant counterterm map through
@@ -148,11 +149,25 @@ def build_local_product(grid: Grid, universe, xi: np.ndarray,
                 raise ValueError("custom field off Q: %s" % tree_name(t))
             custom_by_uid[cu] = np.asarray(f, dtype=float)
 
+    # Values whose heat solves are not made yet, in tree order: the current
+    # dependency level of the lift.  A value that reads one of their solves
+    # (or gradients) first solves the whole level as one stack.
+    pending: dict = {}
+
+    def solve_level() -> None:
+        ells = heat_solve(grid, np.stack(list(pending.values())))
+        for cu, ell in zip(pending, ells):
+            lp._ell[cu] = ell
+            lp._grad[(1, cu)] = grad_x(grid, ell)
+        pending.clear()
+
+    def needs(planted) -> None:
+        if any(canon(p.child).uid in pending for p in planted):
+            solve_level()
+
     def finish(t: Tree, val: np.ndarray) -> None:
         cu = canon(t).uid
-        lp._X[cu] = val
-        lp._ell[cu] = heat_solve(grid, val)
-        lp._grad[(1, cu)] = grad_x(grid, lp._ell[cu])
+        lp._X[cu] = pending[cu] = val
 
     finish(XI, xi)
     unplanted = [t for t in universe.T_r if t.kind == PROD]
@@ -166,12 +181,15 @@ def build_local_product(grid: Grid, universe, xi: np.ndarray,
             if custom_by_uid and cu in custom_by_uid:
                 val = custom_by_uid[cu]
             elif ruid is not None:
+                terms = cg.renorm_expand(ruid, canon(t)).items()
+                needs(p for forest, _c in terms for p in forest)
                 val = grid.zeros()
-                for forest, c in cg.renorm_expand(ruid, canon(t)).items():
+                for forest, c in terms:
                     _check_triangular(t, forest)
                     val += lp.forest_value(forest, coeff=float(c))
             else:
                 ct = canon(t)
+                needs(ct.children)
                 val = lp.planted_field(ct.children[0]).copy()
                 val *= lp.planted_field(ct.children[1])
                 val *= lp.planted_field(ct.children[2])
@@ -179,11 +197,13 @@ def build_local_product(grid: Grid, universe, xi: np.ndarray,
             j, sub = _substitute_first_x(t, delta)
             val = grid.x_field * lp._X[canon(sub).uid]
         elif sum(1 for k in kids if k is ONE) >= 2:
-            rest = [k for k in kids if k is not ONE]
-            val = lp.planted_field(I(rest[0])).copy() if rest else grid.ones()
+            rest = [I(k) for k in kids if k is not ONE]
+            needs(rest)
+            val = lp.planted_field(rest[0]).copy() if rest else grid.ones()
         else:
             raise AssertionError("unreachable extension case %s" % tree_name(t))
         finish(t, val)
+    solve_level()
     return lp
 
 
@@ -274,18 +294,13 @@ def phi43_counterterms(grid: Grid, universe, seeds, eps: float,
     """
     tt, xx = grid.t_field, grid.x_field
     probe = (tt >= 0.2) & (tt <= 1.0) & (np.abs(xx) <= 1.5)
-    solves = []
-    for s in seeds:
-        xi = noise_field(grid, kind, seed=s, eps=eps, amp=amp)
-        solves.append(heat_solve(grid, xi))
+    solves = heat_solve(grid, np.stack(
+        [noise_field(grid, kind, seed=s, eps=eps, amp=amp) for s in seeds]))
     wick_samples = np.array([float(np.mean(u[probe] ** 2)) for u in solves])
     c_wick = float(wick_samples.mean())
-    sunset_samples = []
-    for u in solves:
-        theta = u ** 2 - c_wick
-        v = heat_solve(grid, theta)
-        sunset_samples.append(float(np.mean((theta * v)[probe])))
-    sunset_samples = np.array(sunset_samples)
+    thetas = solves ** 2 - c_wick
+    sunset_samples = np.array([float(np.mean((theta * v)[probe]))
+                               for theta, v in zip(thetas, heat_solve(grid, thetas))])
     c_sunset = float(sunset_samples.mean())
     n = len(seeds)
     report = {

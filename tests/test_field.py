@@ -282,3 +282,27 @@ def test_cli_import_leaves_out_scipy_signal():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+def smooth_uncached(mol, f, L):
+    """Mollifier.smooth through _fftconvolve, which transforms the kernel
+    again on every call."""
+    ker = mol.kernel(L, max(max_depth(mol.grid, L), 1))
+    na, nb = ker.shape[0] - 1, (ker.shape[1] - 1) // 2
+    nt, nx = f.shape
+    mask = np.zeros(f.shape, dtype=bool)
+    mask[na:, nb: nx - nb] = True
+    return np.where(mask, _fftconvolve(f, ker)[:nt, nb: nb + nx], 0.0), mask
+
+
+def test_smooth_reads_a_spectrum_per_field_shape():
+    # two shapes through one Mollifier, each twice: a spectrum keyed without
+    # the shape would be read at the other shape's padding
+    mol = Mollifier(G)
+    f = noise_field(G, "trig", seed=1)
+    fields = [f, f[40:, 30:].copy()]
+    for g in fields + fields:
+        got, mask = mol.smooth(g, 0.25)
+        want, want_mask = smooth_uncached(mol, g, 0.25)
+        assert np.array_equal(mask, want_mask) and mask.any()
+        assert np.array_equal(got, want)

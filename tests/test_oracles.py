@@ -1,13 +1,14 @@
 """Loop forms of the point evaluators, truncated sums, heat march, diagonal
 derivative tables, remainder march and renormalization operator, the
-case-by-case forms of the centering and planted-field lookups, and the
-all-candidate scans for the cut maps, kept as reference oracles.
+case-by-case forms of the centering and planted-field lookups, the
+all-candidate scans for the cut maps, and the one-solve-per-tree lift and
+phi43 rounds, kept as reference oracles.
 
 The package versions read precomputed tree supports, scalar table entries,
 shared tables, one right-hand side and an index of the C- cuts, generate
-the cuts from the children's cuts, and march all boundary traces as one
-array; they must agree with these direct forms bit for bit, since they
-perform the same float operations in the same order.
+the cuts from the children's cuts, march all boundary traces as one array
+and solve stacks of fields; they must agree with these direct forms bit for
+bit, since they perform the same float operations in the same order.
 """
 
 import functools
@@ -18,13 +19,17 @@ import numpy as np
 import pytest
 
 from phi4local import equation
+from phi4local import lift as liftmod
 from phi4local.coalgebra import UNIT, Coalgebra, _add
 from phi4local.coeffs import check_coherence, pick_gamma
 from phi4local.equation import (
     BoundaryTrace, NumericalAbort, SolveConfig, TreeExpansion,
 )
-from phi4local.field import COARSE_GRID, DEFAULT_GRID, heat_solve, noise_field
-from phi4local.lift import random_counterterm_map
+from phi4local.field import COARSE_GRID, DEFAULT_GRID, grad_x, heat_solve, noise_field
+from phi4local.lift import (
+    LocalProduct, _check_triangular, _substitute_first_x, build_local_product,
+    phi43_counterterms, random_counterterm_map,
+)
 from phi4local.path import sample_nodes
 from phi4local.symtree import (
     EDGE_I, EDGE_IP, GEN, ONE, PLANTED, PROD, XI, I, Im, Ip, X, _leaf_counts,
@@ -54,6 +59,61 @@ def heat_solve_loop(grid, f):
             u[-1] = 0.0
         out[j + 1] = u
     return out
+
+
+def build_local_product_serial(grid, universe, xi, rmap=None, coalg=None):
+    """The lift of build_local_product with one heat solve per tree, made
+    as soon as the tree's value is (no custom fields)."""
+    cg = coalg or Coalgebra(universe)
+    lp = LocalProduct(grid, universe, cg, xi, rmap)
+    ruid = rmap.as_uid_map() if rmap is not None else None
+
+    def finish(t, val):
+        cu = canon(t).uid
+        lp._X[cu] = val
+        lp._ell[cu] = heat_solve(grid, val)
+        lp._grad[(1, cu)] = grad_x(grid, lp._ell[cu])
+
+    finish(XI, xi)
+    unplanted = [t for t in universe.T_r if t.kind == PROD]
+    unplanted.sort(key=lambda t: (t.edges + t.m_x, t.edges, t.uid))
+    for t in unplanted:
+        if canon(t).uid in lp._X:
+            continue
+        kids = [k.child for k in t.children]
+        if universe.member("Q", t):
+            if ruid is not None:
+                val = grid.zeros()
+                for forest, c in cg.renorm_expand(ruid, canon(t)).items():
+                    _check_triangular(t, forest)
+                    val += lp.forest_value(forest, coeff=float(c))
+            else:
+                ct = canon(t)
+                val = lp.planted_field(ct.children[0]).copy()
+                val *= lp.planted_field(ct.children[1])
+                val *= lp.planted_field(ct.children[2])
+        elif any(k.kind == GEN and k.label == "X" for k in kids):
+            _j, sub = _substitute_first_x(t, universe.delta)
+            val = grid.x_field * lp._X[canon(sub).uid]
+        else:
+            rest = [k for k in kids if k is not ONE]
+            val = lp.planted_field(I(rest[0])).copy() if rest else grid.ones()
+        finish(t, val)
+    return lp
+
+
+def phi43_constants_serial(grid, seeds, eps, kind):
+    """(c_wick, c_sunset) of phi43_counterterms, one heat solve at a time."""
+    tt, xx = grid.t_field, grid.x_field
+    probe = (tt >= 0.2) & (tt <= 1.0) & (np.abs(xx) <= 1.5)
+    solves = [heat_solve(grid, noise_field(grid, kind, seed=s, eps=eps))
+              for s in seeds]
+    c_wick = float(np.array([float(np.mean(u[probe] ** 2)) for u in solves]).mean())
+    sunset = []
+    for u in solves:
+        theta = u ** 2 - c_wick
+        sunset.append(float(np.mean((theta * heat_solve(grid, theta))[probe])))
+    return c_wick, float(np.array(sunset).mean())
 
 
 def cen_at_field(path, p, x):
@@ -389,6 +449,59 @@ def test_heat_solve_matches_loop(grid):
         assert np.array_equal(heat_solve(grid, f), heat_solve_loop(grid, f))
 
 
+@pytest.mark.parametrize("grid", [COARSE_GRID, DEFAULT_GRID],
+                         ids=["coarse", "default"])
+def test_stacked_heat_solve_matches_loop(grid):
+    fields = [noise_field(grid, "trig", seed=1), noise_field(grid, "bump"),
+              noise_field(grid, "gauss", seed=2, eps=1 / 8),
+              noise_field(grid, "gauss", seed=3, eps=1 / 4)]
+    loops = [heat_solve_loop(grid, f) for f in fields]
+    for n in (1, 2, 4):
+        stack = heat_solve(grid, np.stack(fields[:n]))
+        assert stack.shape == (n, grid.nt, grid.nx)
+        for u, want in zip(stack, loops):
+            assert np.array_equal(u, want)
+
+
+# the fields of each stacked solve: one level of the lift, closed when a
+# later tree reads one of its solves
+LEVEL_SIZES = {"u920": [2, 4, 3], "u25": [2, 4, 3, 2], "u310": [2, 4, 6, 7, 4]}
+
+
+@pytest.mark.parametrize("universe", ["u920", "u25", "u310"])
+@pytest.mark.parametrize("lift", ["multiplicative", "counterterm"])
+def test_lift_by_levels_matches_serial(request, monkeypatch, universe, lift):
+    u = request.getfixturevalue(universe)
+    grid = COARSE_GRID
+    xi = noise_field(grid, "gauss", seed=4, eps=1 / 4)
+    rmap = None
+    if lift == "counterterm":
+        rmap = random_counterterm_map(u, np.random.default_rng(9))
+    cg = Coalgebra(u)
+    sizes = []
+
+    def solve(grid, f):
+        sizes.append(len(f))
+        return heat_solve(grid, f)
+    monkeypatch.setattr(liftmod, "heat_solve", solve)
+    lp = build_local_product(grid, u, xi, rmap=rmap, coalg=cg)
+    assert sizes == LEVEL_SIZES[universe]
+    monkeypatch.undo()
+    want = build_local_product_serial(grid, u, xi, rmap=rmap, coalg=cg)
+    for got, ref in ((lp._X, want._X), (lp._ell, want._ell), (lp._grad, want._grad)):
+        assert got.keys() == ref.keys()
+        for key, arr in ref.items():
+            assert np.array_equal(got[key], arr)
+
+
+def test_phi43_stacked_rounds_match_serial(u920):
+    grid, seeds, eps = COARSE_GRID, range(6), 4 * COARSE_GRID.h
+    _rmap, report = phi43_counterterms(grid, u920, seeds, eps,
+                                       rel_se_tol=math.inf)
+    assert (report["c_wick"], report["c_sunset"]) == phi43_constants_serial(
+        grid, seeds, eps, "gauss")
+
+
 @pytest.mark.parametrize("name", FIXTURES)
 def test_cen_at_matches_field_lookup(request, name):
     p = request.getfixturevalue(name)
@@ -460,13 +573,17 @@ def test_remainder_march_matches_inline_rhs(request):
               BoundaryTrace("smooth", 1.0, seed=2),
               BoundaryTrace("smooth", 100.0, seed=3),
               BoundaryTrace("smooth", 3.0, seed=5, side_scale=0.5)]
-    config = SolveConfig(radii=(0.1, 0.2, 0.25, 0.4, 0.5))
-    for name in ("coarse_path", "default_path_trig"):
+    # the CLI's radii, then unsorted radii with a duplicate: the norms are
+    # read off running maxima between the sorted R^2 thresholds
+    configs = [SolveConfig(radii=(0.1, 0.2, 0.25, 0.4, 0.5)),
+               SolveConfig(radii=(0.4, 0.1, 0.5, 0.25, 0.1, 0.2))]
+    for name, n_configs in (("coarse_path", 2), ("default_path_trig", 1)):
         p = request.getfixturevalue(name)
         co = equation.remainder_coeffs(p)
         assert co.K
-        assert _batch_records(p, co, traces, config) == [
-            solve_remainder_loop(p, co, trace, config) for trace in traces]
+        for config in configs[:n_configs]:
+            assert _batch_records(p, co, traces, config) == [
+                solve_remainder_loop(p, co, trace, config) for trace in traces]
 
 
 def _loop_abort(path, coeffs, trace, config):

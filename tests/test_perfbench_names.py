@@ -8,8 +8,10 @@ import inspect
 import re
 from pathlib import Path
 
+import numpy as np
+
 from phi4local.coalgebra import Coalgebra
-from phi4local.field import Mollifier
+from phi4local.field import Mollifier, heat_solve
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -74,6 +76,18 @@ def test_hooks_read_a_real_path(coarse_path):
     assert x["cut_misses"] == len(p.cg._cminus) + len(p.cg._cplus)
     assert x["kernel_misses"] == 1
     assert t.coalgebras == [] and t.mollifiers == []
+
+
+def test_hooks_take_a_stacked_solve(coarse_path):
+    # the traced run hands the hooks a stacked heat solve and a lift built
+    # by levels
+    tr = _tracing()
+    t = tr.Tracer()
+    p, grid = coarse_path, coarse_path.grid
+    stack = np.stack([p.lp.xi, p.lp.ell(p.u.W[0])])
+    tr._on_heat_solve(t, (grid, stack), heat_solve(grid, stack))
+    tr._on_build(t, (grid, p.u, p.lp.xi), p.lp)
+    assert t.extra["march_steps"] > 0 and t.extra["lift_bytes"] > 0
 
 
 def test_fresh_coalgebra_has_the_cut_memos(u920):
