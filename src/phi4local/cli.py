@@ -321,6 +321,10 @@ def _build_lift(cfg: RunConfig, grid, u, cg):
             raise ConfigError("lift phi43: %s" % exc) from exc
         seeds = [cfg.seed + j for j in range(6)]
         eps = fieldmod.DEFAULT_NOISE_EPS_CELLS * grid.h
+        if not fieldmod.kernel_fits(grid, eps):
+            raise ConfigError("lift phi43: the ensemble's noise kernel (eps %g) "
+                              "does not fit the grid, so its constants would "
+                              "be 0" % eps)
         noise_kind = cfg.noise.split(":")[0]
         rmap, rep = liftmod.phi43_counterterms(
             grid, u, seeds, eps, kind=noise_kind if noise_kind != "zero" else "gauss")

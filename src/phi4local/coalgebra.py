@@ -9,6 +9,8 @@ applied.  Forests are ordered tuples; the empty tuple is the algebra unit.
 from __future__ import annotations
 
 import functools
+import math
+from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from .symtree import (
@@ -252,21 +254,22 @@ class Coalgebra:
 
     # -- renormalization operator -------------------------------------------
 
-    def renorm_expand(self, rmap: dict, tau: Tree) -> dict:
+    def renorm_expand(self, rmap: dict, tau: Tree, unit=1) -> dict:
         """R(tau) = q_F(tau) + sum r(tau') C_-(tau', tau) as {forest: coeff}.
 
         rmap maps canonical uids to coefficients; it must vanish off Q.
-        The cuts come from an index keyed by tau.uid: the pairs
-        (canon(tq).uid, C_-(tq, tau)) of cminus_cuts(tau).  It is built on
-        first use, does not depend on rmap, and lasts as long as this
-        instance.
+        q_F(tau) is weighted by unit: with rmap scaled by D and unit=D, the
+        result is D R(tau).  The cuts come from an index keyed by tau.uid:
+        the pairs (canon(tq).uid, C_-(tq, tau)) of cminus_cuts(tau).  It is
+        built on first use, does not depend on rmap, and lasts as long as
+        this instance.
         """
         cuts = self._rcuts.get(tau.uid)
         if cuts is None:
             cuts = self._rcuts[tau.uid] = tuple(
                 (canon(tq).uid, f) for tq, f in self.cminus_cuts(tau))
         acc: dict = {}
-        _add(acc, tuple(tau.children), 1)
+        _add(acc, tuple(tau.children), unit)
         for uid, f in cuts:
             c = rmap.get(uid)
             if c:
@@ -335,19 +338,29 @@ class Coalgebra:
     def verify_renorm_commute(self, rmap: dict) -> list:
         """delta R == (R x id) delta on product trees; compared after multiset
         normalization of forests (the raw ordered comparison is reported too).
+
+        Both sides are affine in rmap with integer coproduct coefficients.  So
+        an exact map (int or Fraction values) is scaled by the lcm D of its
+        denominators and both sides run on ints as D times themselves: equal
+        exactly when the unscaled sides are.  A failing row divides its
+        coefficients by D again, so it reads as the unscaled sides would.
         """
         u = self.u
+        exact = all(isinstance(c, (int, Fraction)) for c in rmap.values())
+        unit = math.lcm(*(c.denominator for c in rmap.values())) if exact else 1
+        if exact:
+            rmap = {uid: int(c * unit) for uid, c in rmap.items()}
         report = []
         for t in u.T_r:
             if t.kind != PROD:
                 continue
             lhs: dict = {}
-            for f, c in self.renorm_expand(rmap, t).items():
+            for f, c in self.renorm_expand(rmap, t, unit).items():
                 for (fl, fr), c2 in self.delta_forest(f).items():
                     _add(lhs, (fl, fr), c * c2)
             rhs: dict = {}
             for (l, f), c in self.delta(t).items():
-                for f2, c2 in self.renorm_expand(rmap, l).items():
+                for f2, c2 in self.renorm_expand(rmap, l, unit).items():
                     _add(rhs, (f2, f), c * c2)
             ordered_equal = lhs == rhs
             norm_l: dict = {}
@@ -356,7 +369,11 @@ class Coalgebra:
                 _add(norm_l, (forest_key(fl), forest_key(fr)), c)
             for (fl, fr), c in rhs.items():
                 _add(norm_r, (forest_key(fl), forest_key(fr)), c)
-            row = _row("renorm-commute", t, norm_l == norm_r, lhs, rhs)
+            ok = norm_l == norm_r
+            if not ok and exact:
+                lhs = {k: Fraction(c, unit) for k, c in lhs.items()}
+                rhs = {k: Fraction(c, unit) for k, c in rhs.items()}
+            row = _row("renorm-commute", t, ok, lhs, rhs)
             row["ordered_equal"] = ordered_equal
             report.append(row)
         return report

@@ -22,7 +22,6 @@ from pathlib import Path as FSPath
 from typing import ClassVar
 
 import numpy as np
-from scipy.fft import irfftn, next_fast_len, rfftn
 
 
 @dataclass(frozen=True)
@@ -231,8 +230,13 @@ def max_depth(grid: Grid, L: float) -> int:
     return -1
 
 
+# scipy.fft is imported by the functions that transform, not at module load:
+# a command that smooths no field (enumerate, the algebra suite) never pays
+# for it, in start-up time or in memory.
+
 def _fft_shapes(a_shape, b_shape) -> tuple:
     """(full, padded) shapes of the 2-d convolution of two real arrays."""
+    from scipy.fft import next_fast_len
     shape = [n + m - 1 for n, m in zip(a_shape, b_shape)]
     return shape, [next_fast_len(n, True) for n in shape]
 
@@ -241,6 +245,7 @@ def _fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Full 2-d convolution of two real arrays: the padding and real FFTs of
     scipy.signal.fftconvolve, so the result is the same to the bit, without
     importing scipy.signal (about a second of every process start)."""
+    from scipy.fft import irfftn, rfftn
     shape, fshape = _fft_shapes(a.shape, b.shape)
     out = irfftn(rfftn(a, fshape, axes=(0, 1)) * rfftn(b, fshape, axes=(0, 1)),
                  fshape, axes=(0, 1))
@@ -281,6 +286,7 @@ class Mollifier:
         smoothing is one forward and one inverse transform; the result is
         that of _fftconvolve(f, kernel) to the bit.
         """
+        from scipy.fft import irfftn, rfftn
         grid = self.grid
         if L < 2 * grid.h:
             raise ResolutionError("scale %g below resolution 2h=%g" % (L, 2 * grid.h))

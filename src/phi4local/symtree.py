@@ -23,6 +23,7 @@ ENUMERATION_CAP = 100_000       # products a TreeUniverse may list
 
 _intern_table: dict = {}
 _next_uid = 0
+_orders: dict = {}              # (uid, delta) -> order, see order()
 
 
 class Tree:
@@ -30,7 +31,7 @@ class Tree:
 
     __slots__ = (
         "kind", "label", "edge", "index", "child", "children",
-        "m_xi", "m_one", "mx_by", "edges", "uid", "_canon",
+        "m_xi", "m_one", "mx_by", "edges", "uid", "_canon", "_name",
     )
 
     def __init__(self, kind, label, edge, index, child, children,
@@ -47,6 +48,7 @@ class Tree:
         self.edges = edges
         self.uid = uid
         self._canon = None
+        self._name = None
 
     @property
     def m_x(self) -> int:
@@ -121,11 +123,19 @@ def I(child: Tree) -> Tree:
 
 
 def order(t: Tree, delta: Fraction) -> Fraction:
-    """Order |t|.  On unplanted trees this equals -3 + m_xi*delta + m_one + 2*m_x."""
-    if t.kind == PLANTED:
-        shift = 2 if t.edge == EDGE_I else 1
-        return order(t.child, delta) + shift
-    return Fraction(-3) + t.m_xi * delta + t.m_one + 2 * t.m_x
+    """Order |t|.  On unplanted trees this equals -3 + m_xi*delta + m_one + 2*m_x.
+
+    Memoised by (uid, delta): a tree keeps one order per delta it is read at.
+    """
+    key = (t.uid, delta)
+    o = _orders.get(key)
+    if o is None:
+        if t.kind == PLANTED:
+            o = order(t.child, delta) + (2 if t.edge == EDGE_I else 1)
+        else:
+            o = Fraction(-3) + t.m_xi * delta + t.m_one + 2 * t.m_x
+        _orders[key] = o
+    return o
 
 
 def Ip(i: int, child: Tree, delta: Fraction) -> Optional[Tree]:
@@ -199,17 +209,18 @@ def canon(t: Tree) -> Tree:
 
 
 def tree_name(t: Tree) -> str:
-    if t.kind == GEN:
-        if t.label == "Xi":
-            return "Xi"
-        if t.label == "One":
-            return "One"
-        return "X%d" % t.index
-    if t.kind == PLANTED:
-        if t.edge == EDGE_I:
-            return "I(%s)" % tree_name(t.child)
-        return "%s%d(%s)" % (t.edge, t.index, tree_name(t.child))
-    return "[%s %s %s]" % tuple(tree_name(k) for k in t.children)
+    """The printed name of t, memoised on the tree."""
+    name = t._name
+    if name is None:
+        if t.kind == GEN:
+            name = t.label if t.label != "X" else "X%d" % t.index
+        elif t.kind == PLANTED:
+            edge = "I" if t.edge == EDGE_I else "%s%d" % (t.edge, t.index)
+            name = "%s(%s)" % (edge, tree_name(t.child))
+        else:
+            name = "[%s %s %s]" % tuple(tree_name(k) for k in t.children)
+        t._name = name
+    return name
 
 
 def parse_delta(text: str) -> Fraction:
@@ -275,7 +286,6 @@ class TreeUniverse:
             raise ValueError("dimension must be >= 1")
         self.delta = delta
         self.d = d
-        self._order_cache: dict = {}
 
         by_tuple: dict = {
             (1, 0, 0): [XI],
@@ -348,11 +358,7 @@ class TreeUniverse:
         return sum(1 for k in kids if k is ONE) <= 1
 
     def order(self, t: Tree) -> Fraction:
-        o = self._order_cache.get(t.uid)
-        if o is None:
-            o = order(t, self.delta)
-            self._order_cache[t.uid] = o
-        return o
+        return order(t, self.delta)
 
     def member(self, setname: str, t: Tree) -> bool:
         return t.uid in self._ids[setname]
@@ -362,7 +368,6 @@ class TreeUniverse:
         sub = TreeUniverse.__new__(TreeUniverse)
         sub.delta = self.delta
         sub.d = self.d
-        sub._order_cache = self._order_cache
         for name in _SETS:
             setattr(sub, name, tuple(t for t in getattr(self, name)
                                      if t.m_xi <= max_m_xi))

@@ -245,6 +245,9 @@ def _sidecar_manifest(base, key, value=None):
     # no eps: the default 4h kernel is 64 stored levels deep on a grid of 27
     lambda d: ["verify", "--suite", "path", "--grid", "1,1/16,5/2",
                "--noise", "gauss:0:0"],
+    # the noise fits, but the phi43 ensemble's default 4h kernel does not
+    lambda d: ["solve", "--grid", "1,1/16,5/2", "--noise", "gauss:0:2",
+               "--lift", "phi43"],
 ], ids=["custom-missing", "counterterm-missing", "config-missing",
         "custom-malformed-name", "custom-vanishing-name", "custom-missing-field",
         "dim2-path", "dim2-products", "dim2-all", "dim2-solve", "dim2-scan",
@@ -270,7 +273,7 @@ def _sidecar_manifest(base, key, value=None):
         "config-not-utf8", "phi43-families-off-q", "phi43-families-restricted",
         "tol-nan", "tol-negative", "tol-infinite", "config-tol-nan",
         "config-tol-negative", "config-cfg-tol-infinite", "config-cfg-tol-negative",
-        "noise-default-eps-kernel-too-wide"])
+        "noise-default-eps-kernel-too-wide", "phi43-ensemble-kernel-too-wide"])
 def test_bad_config_exit_code(tmp_path, capsys, argv):
     args = argv(tmp_path)
     for flag, value in zip(SMALL[::2], SMALL[1::2]):

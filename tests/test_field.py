@@ -306,3 +306,33 @@ def test_smooth_reads_a_spectrum_per_field_shape():
         want, want_mask = smooth_uncached(mol, g, 0.25)
         assert np.array_equal(mask, want_mask) and mask.any()
         assert np.array_equal(got, want)
+
+
+SCIPY_FREE = """
+import json, sys
+import numpy as np
+from phi4local import cli
+from phi4local.field import COARSE_GRID, Mollifier, noise_field
+out = sys.argv[1]
+assert cli.main(["verify", "--suite", "algebra", "--delta", "2/5", "--out", out]) == 0
+assert cli.main(["enumerate", "--delta", "2/5", "--out", out]) == 0
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+g, mask = Mollifier(COARSE_GRID).smooth(noise_field(COARSE_GRID, "trig", seed=1), 0.25)
+np.save(out + "/smoothed.npy", np.where(mask, g, np.nan))
+print(json.dumps(loaded))
+"""
+
+
+def test_algebra_and_enumerate_leave_out_scipy(tmp_path):
+    # scipy.fft is imported where a field is smoothed, so these two commands
+    # never load scipy; a smoothing afterwards imports it and reads the same
+    src = os.path.dirname(os.path.dirname(phi4local.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", SCIPY_FREE, str(tmp_path)], env=env,
+                         check=True, capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+    f = noise_field(COARSE_GRID, "trig", seed=1)
+    g, mask = Mollifier(COARSE_GRID).smooth(f, 0.25)
+    assert mask.any()
+    assert np.array_equal(np.load(tmp_path / "smoothed.npy"),
+                          np.where(mask, g, np.nan), equal_nan=True)

@@ -1,5 +1,7 @@
 """Loop forms of the point evaluators, truncated sums, heat march, diagonal
 derivative tables, remainder march and renormalization operator, the
+Fraction form of the renormalization identity and the unmemoised tree
+names, the
 case-by-case forms of the centering and planted-field lookups, the
 all-candidate scans for the cut maps, and the one-solve-per-tree lift and
 phi43 rounds, kept as reference oracles.
@@ -12,6 +14,7 @@ bit, since they perform the same float operations in the same order.
 """
 
 import functools
+import json
 import math
 from fractions import Fraction
 
@@ -20,7 +23,7 @@ import pytest
 
 from phi4local import equation
 from phi4local import lift as liftmod
-from phi4local.coalgebra import UNIT, Coalgebra, _add
+from phi4local.coalgebra import UNIT, Coalgebra, _add, _row, forest_key, report_failures
 from phi4local.coeffs import check_coherence, pick_gamma
 from phi4local.equation import (
     BoundaryTrace, NumericalAbort, SolveConfig, TreeExpansion,
@@ -33,7 +36,8 @@ from phi4local.lift import (
 from phi4local.path import sample_nodes
 from phi4local.symtree import (
     EDGE_I, EDGE_IP, GEN, ONE, PLANTED, PROD, XI, I, Im, Ip, X, _leaf_counts,
-    canon, check_delta_admissible, enumerate_universe, tree_name,
+    _raw_planted, _raw_prod, canon, check_delta_admissible, enumerate_universe,
+    tree_name,
 )
 
 # -- oracles --------------------------------------------------------------------
@@ -268,6 +272,49 @@ def renorm_expand_loop(cg, rmap, tau):
         if f is not None:
             _add(acc, f, c)
     return acc
+
+
+def verify_renorm_commute_fractions(cg, rmap):
+    """delta R == (R x id) delta on the map's own coefficients, Fractions
+    for an exact map."""
+    report = []
+    for t in cg.u.T_r:
+        if t.kind != PROD:
+            continue
+        lhs: dict = {}
+        for f, c in cg.renorm_expand(rmap, t).items():
+            for (fl, fr), c2 in cg.delta_forest(f).items():
+                _add(lhs, (fl, fr), c * c2)
+        rhs: dict = {}
+        for (l, f), c in cg.delta(t).items():
+            for f2, c2 in cg.renorm_expand(rmap, l).items():
+                _add(rhs, (f2, f), c * c2)
+        ordered_equal = lhs == rhs
+        norm_l: dict = {}
+        norm_r: dict = {}
+        for (fl, fr), c in lhs.items():
+            _add(norm_l, (forest_key(fl), forest_key(fr)), c)
+        for (fl, fr), c in rhs.items():
+            _add(norm_r, (forest_key(fl), forest_key(fr)), c)
+        row = _row("renorm-commute", t, norm_l == norm_r, lhs, rhs)
+        row["ordered_equal"] = ordered_equal
+        report.append(row)
+    return report
+
+
+def tree_name_loop(t):
+    """The printed name of t by recursion, with no memo."""
+    if t.kind == GEN:
+        if t.label == "Xi":
+            return "Xi"
+        if t.label == "One":
+            return "One"
+        return "X%d" % t.index
+    if t.kind == PLANTED:
+        if t.edge == EDGE_I:
+            return "I(%s)" % tree_name_loop(t.child)
+        return "%s%d(%s)" % (t.edge, t.index, tree_name_loop(t.child))
+    return "[%s %s %s]" % tuple(tree_name_loop(k) for k in t.children)
 
 
 def cplus_cuts_scan(cg, t):
@@ -697,3 +744,69 @@ def test_leaf_count_lattice_matches_loops():
         assert [tup for tup, o in lattice if o < 0] == neg
         assert sorted((tup for tup, o in lattice if o <= 0 and sum(tup) >= 3),
                       key=lambda t: (sum(t), t)) == universe_tuples_loop(delta, neg)
+
+
+@pytest.fixture(scope="module")
+def u1350():
+    return enumerate_universe(Fraction(13, 50))
+
+
+@pytest.mark.parametrize("name", ["u310", "u1350"])
+def test_renorm_commute_on_integers_matches_fractions(request, name):
+    # the integer rows equal the Fraction rows; a float map runs unscaled,
+    # so its rows (rounding failures included) are today's too
+    u = request.getfixturevalue(name)
+    cg = Coalgebra(u)
+    maps = [random_counterterm_map(u, np.random.default_rng(seed)).as_uid_map()
+            for seed in (0, 1, 7)]
+    maps.append(random_counterterm_map(u, np.random.default_rng(3),
+                                       exact=False).as_uid_map())
+    for rmap in maps:
+        rows = cg.verify_renorm_commute(rmap)
+        assert rows == verify_renorm_commute_fractions(cg, rmap)
+        assert len(rows) > 100
+    assert all(row["status"] == "pass" for row in cg.verify_renorm_commute(maps[0]))
+    # the map scaled by 7 with q_F weighted by 7 gives 7 R: a passing row
+    # would not show a q_F weight left at 1 (any map satisfies the identity)
+    scaled = {uid: 7 * c for uid, c in maps[0].items()}
+    for t in u.T_r:
+        if t.kind == PROD:
+            assert cg.renorm_expand(scaled, t, 7) == {
+                f: 7 * c for f, c in cg.renorm_expand(maps[0], t).items()}
+
+
+def test_failing_renorm_rows_keep_their_bytes(u310):
+    # drop the one C_- cut of R's index at [I(X1) I(Xi) I(Xi)], (I(X1),) with
+    # r = k/7 (the draw follows the interning order of Q): the rows that
+    # read it fail, and render the same coefficients (Fractions with
+    # denominator 7) as the oracle's
+    cg = Coalgebra(u310)
+    rmap = random_counterterm_map(u310, np.random.default_rng(2)).as_uid_map()
+    t, = (t for t in u310.T_r if tree_name(t) == "[I(X1) I(Xi) I(Xi)]")
+    cg.renorm_expand(rmap, t)
+    (uid, f), = cg._rcuts[t.uid]
+    assert rmap[uid].denominator == 7 and f == (I(X(1)),)
+    cg._rcuts[t.uid] = ()
+    failing = report_failures(cg.verify_renorm_commute(rmap))
+    want = report_failures(verify_renorm_commute_fractions(cg, rmap))
+    assert failing and any("/7 * " in row["lhs"] + row["rhs"] for row in failing)
+    assert json.dumps(failing) == json.dumps(want)
+
+
+def _permuted(t, rng):
+    """t rebuilt with the children of every product in a random order."""
+    if t.kind == GEN:
+        return t
+    if t.kind == PLANTED:
+        return _raw_planted(t.edge, t.index, _permuted(t.child, rng))
+    kids = [_permuted(k, rng) for k in t.children]
+    return _raw_prod(*(kids[i] for i in rng.permutation(3)))
+
+
+def test_memoised_tree_names_match_recursion(u1350):
+    # names read first on the permuted trees, top-down, then on the universe
+    rng = np.random.default_rng(4)
+    permuted = [_permuted(t, rng) for t in u1350.T_plus]
+    assert any(p is not t for p, t in zip(permuted, u1350.T_plus))
+    for t in permuted + list(u1350.T_plus):
+        assert tree_name(t) == tree_name_loop(t)

@@ -45,6 +45,21 @@ def test_cube_order_closed_formula():
     assert order(t, D310) == -3 + 3 * D310
 
 
+def test_order_memo_is_keyed_by_delta(u310, u25):
+    # one interned tree, read at two deltas in one process: a memo keyed by
+    # the tree alone would return the first delta's order at the second
+    t = cube(D310)
+    for _ in range(2):
+        for delta in (D310, D25):
+            assert order(t, delta) == -3 + 3 * delta
+            assert order(I(t), delta) == -1 + 3 * delta
+    shared = [s for s in u310.T_r if u25.member("T_r", s) and s.m_xi]
+    assert shared
+    for s in shared:
+        assert u310.order(s) == order(s, D310) != order(s, D25) == u25.order(s)
+        assert u310.order(s) - u25.order(s) == s.m_xi * (D310 - D25)
+
+
 def test_order_recursion_equals_closed(u310):
     # product order = sum of planted-child orders, exactly
     for t in u310.T_r:
