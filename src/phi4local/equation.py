@@ -536,16 +536,30 @@ def three_point_residual(path: Path, e, gamma: Fraction, n_triples: int = 50,
 def _channel_pairs(path: Path, e, t: Tree, composite: Tree, cutoff: Fraction):
     """Factorize y -> diag(y) * U^t(y, x) into (running field, base field)
     pairs so its smoothing against the scaled kernel becomes a finite sum of
-    smoothed global fields times base-point coefficients."""
+    smoothed global fields times base-point coefficients.
+
+    Returns (fields, pairs): the distinct running fields, one per left
+    forest, and the pairs (n, base field) of the sum in its order, each
+    reading fields[n].  A channel whose composite diagonal is identically
+    zero has no pairs, since each of its terms is exactly +-0; its running
+    forests may hold trees with no field value.
+    """
     cg, lp = path.cg, path.lp
     dg = path.diag[composite.uid]
-    pairs = [(dg * e.theta(t), np.ones_like(dg))]
+    if not dg.any():
+        return [], []
+    fields = [dg * e.theta(t)]
+    pairs = [(0, np.ones_like(dg))]
+    index: dict = {}
     for tb, f in _support(path, _cut_terms, t, cutoff):
         for (lf, gf), c in cg.delta_forest(f).items():
-            yf = dg * lp.forest_value(lf)
+            key = tuple(p.uid for p in lf)
+            if key not in index:
+                index[key] = len(fields)
+                fields.append(dg * lp.forest_value(lf))
             xf = -float(c) * e.theta(tb) * path.cen_forest_field(gf)
-            pairs.append((yf, xf))
-    return pairs
+            pairs.append((index[key], xf))
+    return fields, pairs
 
 
 def reconstruction_check(path: Path, e, w1: Tree, w2: Tree, scales) -> dict:
@@ -590,12 +604,15 @@ def reconstruction_check(path: Path, e, w1: Tree, w2: Tree, scales) -> dict:
         acc = acc - g0
         mask = mask & msk0 & probe
         values.append(float(np.abs(acc[mask]).max()) if mask.any() else 0.0)
-        for name, pairs in channels.items():
-            ch = grid.zeros()
-            for yf, xf in pairs:
+        for name, (fields, pairs) in channels.items():
+            smoothed = []
+            for yf in fields:
                 g, msk = path.mol.smooth(yf, L)
-                ch = ch + g * xf
+                smoothed.append(g)
                 mask = mask & msk
+            ch = grid.zeros()
+            for n, xf in pairs:
+                ch = ch + smoothed[n] * xf
             channel_values[name].append(
                 float(np.abs(ch[mask]).max()) if mask.any() else 0.0)
     measured = fit_slope(scales, values)

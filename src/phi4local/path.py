@@ -18,7 +18,7 @@ from .field import Mollifier
 from .lift import LocalProduct
 from .symtree import (
     EDGE_I, EDGE_IP, GEN, ONE, PLANTED, PROD, XI,
-    I, Im, Tree, X, tree_name,
+    I, Im, Tree, X, canon, tree_name,
 )
 
 
@@ -213,21 +213,26 @@ class Path:
     # order scans ---------------------------------------------------------------
 
     def _mollified(self, t: Tree, L: float):
-        key = (t.uid, round(L, 12))
+        """(g, mask) of the stored field of t smoothed at scale L: the value
+        of an unplanted t, the heat solve of its child for t = I(w).  One
+        smoothing per canonical tree and scale, as permuted trees read one
+        stored array."""
+        key = (canon(t).uid, round(L, 12))
         out = self._moll_cache.get(key)
         if out is None:
-            out = self.mol.smooth(self.lp.value(t), L)
-            self._moll_cache[key] = out
+            f = self.lp.ell(t.child) if t.kind == PLANTED else self.lp.value(t)
+            out = self._moll_cache[key] = self.mol.smooth(f, L)
+            for arr in out:          # shared by every caller
+                arr.flags.writeable = False
         return out
 
     def smoothed_centered_at_base(self, s: Tree, L: float):
         """Field x -> (X_{.,x} s)_L(x) with its validity mask."""
-        u, lp = self.u, self.lp
+        u = self.u
         if s.kind == PLANTED:
             if s.edge != EDGE_I or not u.member("W", s.child):
                 raise ValueError("smoothed branch covers T_r and I(W) only")
-            g, mask = self.mol.smooth(lp.ell(s.child), L)
-            return g, mask
+            return self._mollified(s, L)
         if u.member("W", s):
             return self._mollified(s, L)
         acc = self.grid.zeros()

@@ -86,6 +86,18 @@ def test_scan_order_smoke(tmp_path):
     assert data["rows"] and all("slope" in r for r in data["rows"])
 
 
+@pytest.mark.parametrize("delta", ["3/10", "13/50"])
+def test_scan_reconstruction_below_two_fifths(tmp_path, delta):
+    # on the default grid, where channels reaching an Ip(tau) running factor
+    # (no field value, identically zero diagonal) are part of the family
+    rc = main(["scan", "--kind", "reconstruction", "--delta", delta,
+               "--out", str(tmp_path)])
+    assert rc == 0
+    data = json.loads((tmp_path / "scan-reconstruction.json").read_text())
+    assert data["config"]["delta"] == delta
+    assert data["terms"] and len(data["values"]) == 4
+
+
 def test_solve_smoke(tmp_path):
     rc = main(["solve", "--delta", "9/20", "--noise", "trig:0:0",
                "--grid", "1/16,1/32,3", "--out", str(tmp_path)])

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -5,7 +6,10 @@ import numpy as np
 import pytest
 
 from phi4local.coeffs import classify_utau, pick_gamma
-from phi4local.field import COARSE_GRID, DEFAULT_GRID, Grid, grad_x, noise_field
+from phi4local import equation
+from phi4local.field import (
+    COARSE_GRID, DEFAULT_GRID, Grid, Mollifier, grad_x, noise_field,
+)
 from phi4local.lift import (
     CountertermMap, build_local_product, phi43_counterterms, standard_families,
 )
@@ -14,7 +18,7 @@ from phi4local.equation import (
     BoundaryTrace, NumericalAbort, ResonantLevel, SolveConfig, TreeExpansion,
     _lower_order, cube_formula_check, dx_map, modelled_norms,
     reconstruction_check, remainder_coeffs, renorm_constants, renorm_product,
-    solve_remainder, three_point_residual, u_tau_at,
+    seminorm_scale, solve_remainder, three_point_residual, u_tau_at,
 )
 from phi4local.symtree import (
     ONE, XI, I, X, enumerate_universe, prod3, sign_of, tree_name,
@@ -325,6 +329,80 @@ def test_reconstruction_requires_scales(default_path_trig):
     e = TreeExpansion(default_path_trig, default_path_trig.grid.ones())
     with pytest.raises(ValueError):
         reconstruction_check(default_path_trig, e, XI, XI, [0.5, 0.25])
+
+
+def test_scans_smooth_each_field_once_per_scale(monkeypatch, default_path_trig,
+                                                default_path_gauss):
+    # the CLI's scales on the default grid at delta 9/20, on fresh Paths (a
+    # Path keeps its smoothed tables): 8 canonical trees per scale in the
+    # seminorm scan; per scale in the reconstruction scan, the 4 canonical
+    # trees the composites expand into, f_diag and the 7 distinct running
+    # fields of the nonzero channels
+    scales = [1 / 16, 1 / 8, 1 / 4, 1 / 2]
+    calls = []
+    smooth = Mollifier.smooth
+
+    def counted(self, f, L, n=None):
+        calls.append((hashlib.sha256(f.tobytes()).hexdigest(), f.shape, L))
+        return smooth(self, f, L, n)
+
+    monkeypatch.setattr(Mollifier, "smooth", counted)
+    p = Path(default_path_trig.lp)
+    seminorm_scale(p, scales)
+    assert len(calls) == 32
+    assert len(set(calls)) == len(calls)
+    calls.clear()
+    for _ in range(2):       # the I(w) heat solves share the memo
+        p.smoothed_centered_at_base(I(XI), 1 / 8)
+    assert len(calls) == 1
+    calls.clear()
+    p = Path(default_path_gauss.lp)
+    grid = p.grid
+    v1 = 0.4 + 0.2 * np.sin(1.7 * grid.x_field) * np.cos(2.1 * grid.t_field)
+    reconstruction_check(p, TreeExpansion(p, v1), XI, XI, scales)
+    assert len(calls) == 48
+
+
+def _has_field_value(lp, planted) -> bool:
+    try:
+        lp.planted_field(planted)
+    except KeyError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("delta", ["9/20", "2/5", "3/10", "13/50"])
+def test_channels_without_field_values_have_zero_diagonal(monkeypatch, delta):
+    # below 2/5 a running forest of the reconstruction channels may reach
+    # Ip(tau) for a product tau, which has no field value; every such
+    # channel has an identically zero diagonal and is skipped, and with a
+    # nonzero diagonal it raises instead of reading 0
+    u = enumerate_universe(Fraction(delta))
+    grid = COARSE_GRID
+    p = Path(build_local_product(grid, u, noise_field(grid, "trig", seed=0)))
+    e = TreeExpansion(p, grid.ones())
+    channel_pairs = equation._channel_pairs
+    seen = []
+
+    def record(path, e, t, composite, cutoff):
+        seen.append((t, composite, cutoff))
+        return channel_pairs(path, e, t, composite, cutoff)
+
+    monkeypatch.setattr(equation, "_channel_pairs", record)
+    reconstruction_check(p, e, XI, XI, [1 / 8, 1 / 4, 1 / 2])
+    missing = 0
+    for t, tt, cutoff in seen:
+        lefts = {q for _tb, f in equation._support(p, equation._cut_terms, t, cutoff)
+                 for (lf, _gf) in p.cg.delta_forest(f) for q in lf}
+        if all(_has_field_value(p.lp, q) for q in lefts):
+            continue
+        missing += 1
+        assert not p.diag[tt.uid].any()
+        assert channel_pairs(p, e, t, tt, cutoff) == ([], [])
+        monkeypatch.setitem(p.diag, tt.uid, grid.ones())
+        with pytest.raises(KeyError, match="no field value"):
+            channel_pairs(p, e, t, tt, cutoff)
+    assert bool(missing) == (delta in ("3/10", "13/50"))
 
 
 def telescoping_residual(path, f, L, depth, probe=None):
