@@ -16,7 +16,7 @@ import json
 import math
 import sys
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path as FSPath
 
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import coalgebra, coeffs, equation, field as fieldmod, lift as liftmod, path as pathmod
 from .symtree import (
-    ENUMERATION_CAP, EnumerationCapExceeded, I, InadmissibleDelta,
+    ENUMERATION_CAP, PROD, XI, EnumerationCapExceeded, I, InadmissibleDelta,
     enumerate_universe, parse_delta, tree_name,
 )
 
@@ -165,10 +165,8 @@ class RunConfig:
             raise ConfigError("noise %r: %s" % (self.noise, exc)) from exc
 
     def descriptor(self) -> dict:
-        return {"delta": self.delta, "dim": self.dim, "grid": self.grid,
-                "noise": self.noise, "lift": self.lift, "suite": self.suite,
-                "seed": self.seed, "tol": dict(sorted(self.tol.items())),
-                "max_m_xi": self.max_m_xi}
+        """The config a report echoes: every field but the output path."""
+        return {k: v for k, v in asdict(self).items() if k != "out"}
 
 
 class ConfigError(ValueError):
@@ -430,14 +428,14 @@ def cmd_verify(cfg: RunConfig) -> int:
             _summary_row("strong-chen", [p.strong_chen_residual(I(t), x, y)[1]
                                          for t in u.N for x, y in pairs], tol),
             _summary_row("derivative-edge", [
-                p.derivative_residual(1, t, z, x)[1]
+                p.derivative_residual(t, z, x)[1]
                 for t in u.T_r for z, x in pairs if 0 < z[1] < grid.nx - 1], tol),
         ]
         if lp.rmap is not None:
             ruid = lp.rmap.as_uid_map()
             rows.append(_summary_row("path-rewrite", [
                 p.renorm_path_residual(ruid, t, z, x)[1]
-                for t in u.T_r if t.kind == "prod" for z, x in pairs], tol))
+                for t in u.T_r if t.kind == PROD for z, x in pairs], tol))
             rows += liftmod.extension_consistency_report(lp)
         reports["path"] = rows
         failures.extend(coalgebra.report_failures(rows))
@@ -525,7 +523,6 @@ def cmd_scan(cfg: RunConfig, kind: str, radii) -> int:
     if kind == "reconstruction":
         v1 = 0.4 + 0.2 * np.sin(1.7 * grid.x_field) * np.cos(2.1 * grid.t_field)
         e = equation.TreeExpansion(p, v1)
-        from .symtree import XI
         rep = equation.reconstruction_check(p, e, XI, XI, scales)
         _emit(cfg, "scan-reconstruction", {"config": cfg.descriptor(), **rep})
         return 0

@@ -379,8 +379,10 @@ class Coalgebra:
         return report
 
 
-def _row(identity: str, t: Tree, ok: bool, lhs, rhs) -> dict:
-    row = {"identity": identity, "tree": tree_name(t),
+def _row(identity: str, t: Tree | str, ok: bool, lhs, rhs) -> dict:
+    """An identity row on a tree, or on a label standing for several."""
+    row = {"identity": identity,
+           "tree": t if isinstance(t, str) else tree_name(t),
            "status": "pass" if ok else "FAIL"}
     if not ok:
         row["lhs"] = _render(lhs)

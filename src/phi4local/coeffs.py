@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .coalgebra import Coalgebra, _row
-from .symtree import PLANTED, Tree, sign_of, tree_name
+from .symtree import PLANTED, I, Tree, prod3, sign_of, tree_name
 
 # A formal monomial: (coefficient, exponent of v1, sorted tuple of (i, exponent)).
 Monomial = tuple
@@ -53,7 +53,6 @@ def check_cube_identity(universe) -> list:
     pool = sorted(u.N + u.W, key=u.order)
     orders = [u.order(t) for t in pool]
     generated = {}
-    from .symtree import I, prod3
     for i1, t1 in enumerate(pool):
         if orders[i1] + orders[0] + orders[0] > -6:
             break
@@ -73,13 +72,8 @@ def check_cube_identity(universe) -> list:
                 report.append(_row("cube-term", t, lhs == rhs, lhs, rhs))
     missing = [tree_name(t) for uid, t in target.items() if uid not in generated]
     extra = [tree_name(t) for uid, t in generated.items() if uid not in target]
-    ok = not missing and not extra
-    row = {"identity": "cube-support", "tree": "*",
-           "status": "pass" if ok else "FAIL"}
-    if not ok:
-        row["lhs"] = "missing: %s" % missing
-        row["rhs"] = "extra: %s" % extra
-    report.append(row)
+    report.append(_row("cube-support", "*", not missing and not extra,
+                       "missing: %s" % missing, "extra: %s" % extra))
     return report
 
 
@@ -96,13 +90,8 @@ def check_coherence(universe, coalg: Optional[Coalgebra] = None) -> list:
             lhs = upsilon_monomial(tbig)
             rhs = monomial_product([upsilon_forest_monomial(f)],
                                    extra_coeff=Fraction(sign_of(tsmall)))
-            ok = lhs == rhs
-            report.append({
-                "identity": "coherence",
-                "tree": "%s | %s" % (tree_name(tsmall), tree_name(tbig)),
-                "status": "pass" if ok else "FAIL",
-                **({} if ok else {"lhs": str(lhs), "rhs": str(rhs)}),
-            })
+            report.append(_row("coherence", "%s | %s" % (
+                tree_name(tsmall), tree_name(tbig)), lhs == rhs, lhs, rhs))
     return report
 
 

@@ -15,11 +15,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coeffs import is_resonant, monomial_product, upsilon_monomial
+from .coeffs import classify_utau, is_resonant, monomial_product, upsilon_monomial
 from .field import grad_x
 from .lift import CountertermMap
-from .path import Path, fit_slope, sample_nodes
-from .symtree import ONE, PROD, I, Ip, Tree, prod3, sign_of, tree_name
+from .path import Path, fit_slope, order_scan, residual, sample_nodes, sup_on
+from .symtree import ONE, PROD, I, Ip, Tree, X, prod3, sign_of, tree_name
 
 
 class NumericalAbort(RuntimeError):
@@ -53,8 +53,8 @@ class TreeExpansion:
             arr = float(c) * np.ones_like(self.v1)
             if p:
                 arr = arr * self.v1 ** p
-            for i, e in mxb:
-                arr = arr * self.vX[i - 1] ** e
+            for _i, e in mxb:
+                arr = arr * self.vX ** e
             self._cache[t.uid] = arr
         return arr
 
@@ -69,9 +69,10 @@ class TreeExpansion:
         return out
 
 
-def dx_map(path: Path, v1: np.ndarray):
+def dx_map(path: Path, v1: np.ndarray) -> np.ndarray:
     """Generalized derivative map, as printed in the defining formula:
-    the counterterm-corrected diagonal gradients minus the plain gradient."""
+    the counterterm-corrected diagonal gradients minus the plain gradient.
+    One field, the single component of vX at d = 1."""
     u = path.u
     acc = -grad_x(path.grid, v1)
     for t in u.N_ring:
@@ -79,9 +80,9 @@ def dx_map(path: Path, v1: np.ndarray):
             c, p, _mx = upsilon_monomial(t)
             if p not in (0, 1):
                 raise AssertionError("unexpected coefficient power")
-            term = float(c) * path.diag_im[(1, t.uid)]
+            term = float(c) * path.diag_im[t.uid]
             acc = acc + (term * v1 ** p if p else term)
-    return [acc]        # one component: a Path has d = 1
+    return acc
 
 
 # -- renormalized products -------------------------------------------------------
@@ -391,57 +392,49 @@ def u_tau_at(path: Path, e, t: Tree, cutoff: Fraction, y, x) -> float:
     return acc
 
 
+# Supports of the truncated sums: each term a tuple of (t, planted) factors,
+# read by _level_sum as theta_x(t) times X_{y,x}(planted) over its factors.
+
 def _v_terms(path: Path, level: Fraction) -> tuple:
     u = path.u
-    return tuple(t for t in u.N if u.order(t) < level - 2)
+    return tuple(((t, I(t)),) for t in u.N if u.order(t) < level - 2)
 
 
 def _v2_terms(path: Path, level: Fraction) -> tuple:
     u = path.u
-    return tuple((t1, t2) for t1 in u.N for t2 in u.N
+    return tuple(((t1, I(t1)), (t2, I(t2))) for t1 in u.N for t2 in u.N
                  if u.order(t1) + u.order(t2) < level - 4)
 
 
-def _v_level(path: Path, e, level: Fraction, y, x) -> float:
-    acc = 0.0
-    for t in _support(path, _v_terms, level):
-        acc += e.theta_at(t, x) * path.value_at(I(t), y, x)
-    return acc
-
-
-def _v2_level(path: Path, e, level: Fraction, y, x) -> float:
-    acc = 0.0
-    for t1, t2 in _support(path, _v2_terms, level):
-        acc += (e.theta_at(t1, x) * e.theta_at(t2, x)
-                * path.value_at(I(t1), y, x) * path.value_at(I(t2), y, x))
-    return acc
-
-
-def _vi_level(path: Path, e, i: int, level: Fraction, y, x) -> float:
+def _vi_terms(path: Path, level: Fraction) -> tuple:
     u = path.u
-    from .symtree import X as _X
+    terms = ((t, Ip(1, t, u.delta)) for t in u.N_tilde + (X(1),)
+             if u.order(t) < level - 1)
+    return tuple(((t, p),) for t, p in terms if p is not None)
+
+
+def _level_sum(path: Path, e, terms, level: Fraction, y, x) -> float:
+    """The truncated sum over the support terms(path, level).  A term is
+    the product of its thetas first, then of its path values, left to right
+    (so a two-factor term reads ((theta1 theta2) v1) v2)."""
     acc = 0.0
-    pool = u.N_tilde + (_X(i),)
-    for t in pool:
-        if u.order(t) < level - 1:
-            p = Ip(i, t, u.delta)
-            if p is None:
-                continue
-            acc += e.theta_at(t, x) * path.value_at(p, y, x)
+    for term in _support(path, terms, level):
+        acc += math.prod([*(e.theta_at(t, x) for t, _p in term),
+                          *(path.value_at(p, y, x) for _t, p in term)])
     return acc
 
 
 def classified_u_tau_at(path: Path, e, t: Tree, cutoff: Fraction, y, x) -> float:
     """The continuity error through its classified form (an exact rewriting
     at the levels gamma < 2 that modelled_norms admits)."""
-    from .coeffs import classify_utau
     u = path.u
     c = classify_utau(t, u)
     level = cutoff - u.order(t)
     if c.kind == "V":
-        return c.sign * (float(e.v1[y]) - _v_level(path, e, level, y, x))
+        return c.sign * (float(e.v1[y]) - _level_sum(path, e, _v_terms, level, y, x))
     if c.kind == "V2":
-        return c.sign * (float(e.v1[y]) ** 2 - _v2_level(path, e, level, y, x))
+        return c.sign * (float(e.v1[y]) ** 2
+                         - _level_sum(path, e, _v2_terms, level, y, x))
     if c.kind == "V3":
         # The V3 tree [I(One) I(One) I(One)] has order 0, so its level is
         # gamma - 2 < 0, and its sum would run over triples with an order sum
@@ -449,8 +442,7 @@ def classified_u_tau_at(path: Path, e, t: Tree, cutoff: Fraction, y, x) -> float
         # is empty below gamma = 2, the only levels admitted here.
         return c.sign * float(e.v1[y]) ** 3
     if c.kind == "Vi":
-        return c.sign * (float(e.vX[c.index - 1][y])
-                         - _vi_level(path, e, c.index, level, y, x))
+        return c.sign * (float(e.vX[y]) - _level_sum(path, e, _vi_terms, level, y, x))
     # pure-noise trees: zero once the tree itself clears the cutoff
     return 0.0 if u.order(t) < cutoff else float(c.sign)
 
@@ -492,8 +484,7 @@ def modelled_norms(path: Path, e, gamma: Fraction, n_pairs: int = 100,
             vals.append(uv)
             cls_vals.append(cv)
             dists.append(grid.pdist(grid.node(*y), grid.node(*x)))
-        rel = float(np.max([abs(a - b) / max(1.0, abs(a), abs(b))
-                            for a, b in zip(vals, cls_vals)]))
+        rel = float(np.max([residual(a, b)[1] for a, b in zip(vals, cls_vals)]))
         expo = float(cutoff - u.order(t))
         semi = max((abs(v) / d ** expo) for v, d in zip(vals, dists) if d > 0)
         rows.append({"tree": tree_name(t), "mismatch": rel,
@@ -501,6 +492,12 @@ def modelled_norms(path: Path, e, gamma: Fraction, n_pairs: int = 100,
     # np.max, unlike max, keeps a NaN mismatch
     worst = float(np.max([0.0] + [r["mismatch"] for r in rows]))
     return ModelledNorms(gamma, rows, worst)
+
+
+def _three_point_terms(path: Path, cutoff: Fraction) -> tuple:
+    """The trees of N other than One below the cutoff."""
+    u = path.u
+    return tuple(t for t in u.N if t is not ONE and u.order(t) < cutoff)
 
 
 def three_point_residual(path: Path, e, gamma: Fraction, n_triples: int = 50,
@@ -519,15 +516,14 @@ def three_point_residual(path: Path, e, gamma: Fraction, n_triples: int = 50,
     xs = sample_nodes(grid, probe, rng, n_triples)
     residuals = [0.0]
     for z, y, x in zip(zs, ys, xs):
-        lhs = (_v_level(path, e, gamma, z, x) - _v_level(path, e, gamma, z, y)
-               + _v_level(path, e, gamma, y, y) - _v_level(path, e, gamma, y, x))
+        lhs = (_level_sum(path, e, _v_terms, gamma, z, x)
+               - _level_sum(path, e, _v_terms, gamma, z, y)
+               + _level_sum(path, e, _v_terms, gamma, y, y)
+               - _level_sum(path, e, _v_terms, gamma, y, x))
         rhs = 0.0
-        for t in u.N:
-            if t is ONE or u.order(t) >= cutoff:
-                continue
-            rhs -= (u_tau_at(path, e, t, cutoff, y, x)
-                    * path.value_at(I(t), z, y))
-        residuals.append(abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
+        for t in _support(path, _three_point_terms, cutoff):
+            rhs -= u_tau_at(path, e, t, cutoff, y, x) * path.value_at(I(t), z, y)
+        residuals.append(residual(lhs, rhs)[1])
     return {"max_rel_residual": float(np.max(residuals)), "gamma": str(gamma)}
 
 
@@ -603,7 +599,7 @@ def reconstruction_check(path: Path, e, w1: Tree, w2: Tree, scales) -> dict:
         g0, msk0 = path.mol.smooth(f_diag, L)
         acc = acc - g0
         mask = mask & msk0 & probe
-        values.append(float(np.abs(acc[mask]).max()) if mask.any() else 0.0)
+        values.append(sup_on(acc, mask))
         for name, (fields, pairs) in channels.items():
             smoothed = []
             for yf in fields:
@@ -613,8 +609,7 @@ def reconstruction_check(path: Path, e, w1: Tree, w2: Tree, scales) -> dict:
             ch = grid.zeros()
             for n, xf in pairs:
                 ch = ch + smoothed[n] * xf
-            channel_values[name].append(
-                float(np.abs(ch[mask]).max()) if mask.any() else 0.0)
+            channel_values[name].append(sup_on(ch, mask))
     measured = fit_slope(scales, values)
     terms = []
     for name, vals in channel_values.items():
@@ -632,7 +627,6 @@ def seminorm_scale(path: Path, scales) -> dict:
     """max over noise-carrying trees of the measured order seminorm raised to
     1/(delta * m_xi)."""
     u = path.u
-    from .path import order_scan
     trees = [t for t in u.T_r if t.m_xi >= 1 and u.order(t) < 0]
     rows = order_scan(path, trees, scales)
     delta = float(u.delta)

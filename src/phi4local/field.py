@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path as FSPath
 from typing import ClassVar
@@ -351,8 +351,7 @@ def noise_field(grid: Grid, kind: str, seed: int = 0, eps: float | None = None,
 # -- persistence ---------------------------------------------------------------
 
 def grid_descriptor(grid: Grid) -> dict:
-    return {"S": grid.S, "t0": grid.t0, "t1": grid.t1, "h": grid.h,
-            "k_store": grid.k_store, "substeps": grid.substeps, "d": grid.d}
+    return asdict(grid)
 
 
 def grid_from_descriptor(desc: dict) -> Grid:

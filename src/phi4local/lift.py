@@ -92,15 +92,16 @@ class LocalProduct:
             if ch.kind == GEN and ch.label == "X":
                 return self._one
             raise KeyError("no field value on %s" % tree_name(pt))
-        # EDGE_IM: never on X, since Im_i(X_i) is stored as Ip_i(X_i)
-        return self._grad[(pt.index, canon(ch).uid)]
+        # EDGE_IM: never on X, since Im(X) is stored as Ip(X)
+        return self._grad[canon(ch).uid]
 
     def ell(self, t: Tree) -> np.ndarray:
         """Heat solve of the stored field of an unplanted tree."""
         return self._ell[canon(t).uid]
 
-    def grad(self, i: int, t: Tree) -> np.ndarray:
-        return self._grad[(i, canon(t).uid)]
+    def grad(self, t: Tree) -> np.ndarray:
+        """Spatial gradient of the heat solve of an unplanted tree."""
+        return self._grad[canon(t).uid]
 
     def forest_value(self, forest, coeff=1.0) -> np.ndarray:
         out = np.full((self.grid.nt, self.grid.nx), float(coeff))
@@ -109,8 +110,8 @@ class LocalProduct:
         return out
 
 
-def _substitute_first_x(t: Tree, delta) -> tuple:
-    """Replace the first X_j child by One; returns (j, substituted tree)."""
+def _substitute_first_x(t: Tree, delta) -> Tree:
+    """The tree t with its first X child replaced by One."""
     kids = list(t.children)
     for n, k in enumerate(kids):
         ch = k.child
@@ -118,7 +119,7 @@ def _substitute_first_x(t: Tree, delta) -> tuple:
             kids[n] = I(ONE)
             sub = prod3(kids[0], kids[1], kids[2], delta)
             assert sub is not None
-            return ch.index, sub
+            return sub
     raise ValueError("no X child in %s" % tree_name(t))
 
 
@@ -158,7 +159,7 @@ def build_local_product(grid: Grid, universe, xi: np.ndarray,
         ells = heat_solve(grid, np.stack(list(pending.values())))
         for cu, ell in zip(pending, ells):
             lp._ell[cu] = ell
-            lp._grad[(1, cu)] = grad_x(grid, ell)
+            lp._grad[cu] = grad_x(grid, ell)
         pending.clear()
 
     def needs(planted) -> None:
@@ -194,8 +195,7 @@ def build_local_product(grid: Grid, universe, xi: np.ndarray,
                 val *= lp.planted_field(ct.children[1])
                 val *= lp.planted_field(ct.children[2])
         elif any(k.kind == GEN and k.label == "X" for k in kids):
-            j, sub = _substitute_first_x(t, delta)
-            val = grid.x_field * lp._X[canon(sub).uid]
+            val = grid.x_field * lp._X[canon(_substitute_first_x(t, delta)).uid]
         elif sum(1 for k in kids if k is ONE) >= 2:
             rest = [I(k) for k in kids if k is not ONE]
             needs(rest)
@@ -272,14 +272,7 @@ def standard_families(universe) -> tuple:
 
 
 def _arrangements(kids) -> list:
-    seen = []
-    out = []
-    for p in itertools.permutations(range(3)):
-        arr = tuple(kids[i] for i in p)
-        if arr not in seen:
-            seen.append(arr)
-            out.append(arr)
-    return out
+    return list(dict.fromkeys(itertools.permutations(kids)))
 
 
 def phi43_counterterms(grid: Grid, universe, seeds, eps: float,

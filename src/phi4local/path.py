@@ -32,18 +32,12 @@ class Path:
         self.grid = lp.grid
         u, cg, grid = self.u, self.cg, self.grid
 
-        # coproduct expansions of the unplanted product trees, reused throughout
-        self.pairs = {}
-        for t in u.T_r:
-            if t.kind == PROD:
-                self.pairs[t.uid] = list(cg.delta(t).items())
-
-        self.nu: dict = {}       # (i, uid) -> gradient of the centered solve
-                                 # at the diagonal; the Ip centering is -nu
+        self.nu: dict = {}       # uid -> gradient of the centered solve at
+                                 # the diagonal; the Ip centering is -nu
         self.cen_I: dict = {}    # uid -> centering field of I(tau) over N_ring,
                                  # One and X (1 and -x, shared and read-only)
         self.diag: dict = {}     # X_{z,z} tau for product trees
-        self.diag_im: dict = {}  # (i, uid) -> X_{z,z} Im_i(tau), tau in T_r
+        self.diag_im: dict = {}  # uid -> X_{z,z} Im(tau), tau in T_r
         self.A: dict = {}        # not stored: kept empty for the benchmark
         self.cen_Ip: dict = {}   # tracer (perfbench/tracing.py) reading them
 
@@ -52,7 +46,7 @@ class Path:
         neg_x.flags.writeable = False
         self.cen_I[X(1).uid] = neg_x     # build_local_product takes d = 1 only
 
-        # X_{z,z} Im_i(tau) is the lift gradient on W and Xi; off W it is nu,
+        # X_{z,z} Im(tau) is the lift gradient on W and Xi; off W it is nu,
         # which the Ip centering -nu cancels on N_tilde.  Entries share the
         # arrays of nu and the lift, so nothing may write to them.
         zero = grid.zeros()
@@ -62,22 +56,22 @@ class Path:
         for t in prods:
             if u.member("W", t):
                 self.diag[t.uid] = lp.value(t)
-                self.diag_im[(1, t.uid)] = lp.grad(1, t)
+                self.diag_im[t.uid] = lp.grad(t)
                 continue
             a = grid.zeros()     # heat solve of the centered tree, on the diagonal
             nu = grid.zeros()
             dg = grid.zeros()
-            for (l, f), c in self.pairs[t.uid]:
+            for (l, f), c in cg.delta(t).items():
                 cf = float(c) * self.cen_forest_field(f)
                 a += lp.ell(l) * cf
                 dg += lp.value(l) * cf
-                nu += lp.grad(1, l) * cf
+                nu += lp.grad(l) * cf
             self.diag[t.uid] = dg
             tilde = u.member("N_tilde", t)
-            self.nu[(1, t.uid)] = nu
-            self.diag_im[(1, t.uid)] = zero if tilde else nu
+            self.nu[t.uid] = nu
+            self.diag_im[t.uid] = zero if tilde else nu
             self.cen_I[t.uid] = -a + grid.x_field * nu if tilde else -a
-        self.diag_im[(1, XI.uid)] = lp.grad(1, XI)
+        self.diag_im[XI.uid] = lp.grad(XI)
         self.mol = Mollifier(grid)
         self._moll_cache: dict = {}
         # tree supports of the truncated sums in the equation module, built
@@ -95,7 +89,7 @@ class Path:
         if p.edge == EDGE_IP:
             if ch.kind == GEN:
                 return self.cen_I[ONE.uid]
-            return -self.nu[(p.index, ch.uid)]
+            return -self.nu[ch.uid]
         raise KeyError("no centering value on %s" % tree_name(p))
 
     def cen_forest_field(self, forest) -> np.ndarray:
@@ -107,7 +101,7 @@ class Path:
     def cen_at(self, p: Tree, x) -> float:
         """cen_planted_field(p)[x], read without building a whole field."""
         if p.edge == EDGE_IP and p.child.kind != GEN:
-            return -float(self.nu[(p.index, p.child.uid)][x])
+            return -float(self.nu[p.child.uid][x])
         return float(self.cen_planted_field(p)[x])
 
     def cen_forest_at(self, forest, x) -> float:
@@ -125,7 +119,7 @@ class Path:
             if u.member("W", s):
                 return float(lp.value(s)[z])
             acc = 0.0
-            for (l, f), c in self.pairs[s.uid]:
+            for (l, f), c in self.cg.delta(s).items():
                 acc += float(c) * float(lp.value(l)[z]) * self.cen_forest_at(f, x)
             return acc
         if s.kind != PLANTED:
@@ -141,12 +135,11 @@ class Path:
         elif s.edge == EDGE_IP:
             if ch.kind == GEN:
                 return 1.0
-            acc = float(-self.nu[(s.index, ch.uid)][x])
-            for (l, f), c in self.pairs[ch.uid]:
-                if not self.u.member("N_tilde", l):
+            acc = self.cen_at(s, x)
+            for (l, f), c in self.cg.delta(ch).items():
+                if not u.member("N_tilde", l):
                     continue
-                acc += (float(c) * float(self.nu[(s.index, l.uid)][z])
-                        * self.forest_at(f, z, x))
+                acc += float(c) * float(self.nu[l.uid][z]) * self.forest_at(f, z, x)
             return acc
         # EDGE_I off W and EDGE_IM
         acc = 0.0
@@ -167,27 +160,20 @@ class Path:
         lhs = 0.0
         for (l, f), c in self.cg.delta(s).items():
             lhs += float(c) * self.value_at(l, z, uu) * self.forest_at(f, uu, x)
-        rhs = self.value_at(s, z, x)
-        scale = max(1.0, abs(lhs), abs(rhs))
-        return abs(lhs - rhs), abs(lhs - rhs) / scale
+        return residual(lhs, self.value_at(s, z, x))
 
     def strong_chen_residual(self, s: Tree, x, y) -> tuple:
         """Centering change of base point on a planted tree s = I(tau)."""
         if s.kind != PLANTED or s.edge != EDGE_I:
             raise ValueError("strong form applies to I-planted trees")
-        lhs = self.cen_at(s, y) if self._has_cen(s) else None
-        if lhs is None:
+        if s.child.uid not in self.cen_I:
             raise ValueError("no centering for %s" % tree_name(s))
         rhs = 0.0
         for (l, f), c in self.cg.delta(s).items():
             rhs += float(c) * self.cen_at(l, x) * self.forest_at(f, x, y)
-        scale = max(1.0, abs(lhs), abs(rhs))
-        return abs(lhs - rhs), abs(lhs - rhs) / scale
+        return residual(self.cen_at(s, y), rhs)
 
-    def _has_cen(self, p: Tree) -> bool:
-        return p.child.uid in self.cen_I
-
-    def derivative_residual(self, i: int, t: Tree, z, x) -> tuple:
+    def derivative_residual(self, t: Tree, z, x) -> tuple:
         """Spatial difference of the centered planted tree against the
         derivative-edge evaluator; exact for interior z by construction."""
         j, m = z
@@ -196,10 +182,7 @@ class Path:
         s = I(t)
         fd = (self.value_at(s, (j, m + 1), x) - self.value_at(s, (j, m - 1), x)) \
             / (2 * self.grid.h)
-        sm = Im(i, t)
-        direct = self.value_at(sm, z, x)
-        scale = max(1.0, abs(fd), abs(direct))
-        return abs(fd - direct), abs(fd - direct) / scale
+        return residual(fd, self.value_at(Im(1, t), z, x))
 
     def renorm_path_residual(self, rmap_uid: dict, t: Tree, z, x) -> tuple:
         """X_{z,x} tau against X_{z,x} R tau for counterterm-built lifts."""
@@ -207,8 +190,7 @@ class Path:
         rhs = 0.0
         for forest, c in self.cg.renorm_expand(rmap_uid, t).items():
             rhs += float(c) * self.forest_at(forest, z, x)
-        scale = max(1.0, abs(lhs), abs(rhs))
-        return abs(lhs - rhs), abs(lhs - rhs) / scale
+        return residual(lhs, rhs)
 
     # order scans ---------------------------------------------------------------
 
@@ -226,22 +208,38 @@ class Path:
                 arr.flags.writeable = False
         return out
 
+    def smoothable(self, s: Tree) -> bool:
+        """Whether s carries a global field, smoothed at the base point: s
+        in T_r, or s = I(w) with w in W."""
+        u = self.u
+        return u.member("T_r", s) or (s.kind == PLANTED and s.edge == EDGE_I
+                                      and u.member("W", s.child))
+
     def smoothed_centered_at_base(self, s: Tree, L: float):
         """Field x -> (X_{.,x} s)_L(x) with its validity mask."""
-        u = self.u
-        if s.kind == PLANTED:
-            if s.edge != EDGE_I or not u.member("W", s.child):
-                raise ValueError("smoothed branch covers T_r and I(W) only")
-            return self._mollified(s, L)
-        if u.member("W", s):
+        if not self.smoothable(s):
+            raise ValueError("smoothed branch covers T_r and I(W) only")
+        if s.kind == PLANTED or self.u.member("W", s):
             return self._mollified(s, L)
         acc = self.grid.zeros()
         mask = None
-        for (l, f), c in self.pairs[s.uid]:
+        for (l, f), c in self.cg.delta(s).items():
             g, msk = self._mollified(l, L)
             acc = acc + float(c) * g * self.cen_forest_field(f)
             mask = msk if mask is None else (mask & msk)
         return acc, mask
+
+
+def residual(lhs: float, rhs: float) -> tuple:
+    """(absolute, relative) difference of the two sides of an identity,
+    relative to the larger side floored at 1."""
+    err = abs(lhs - rhs)
+    return err, err / max(1.0, abs(lhs), abs(rhs))
+
+
+def sup_on(g: np.ndarray, mask: np.ndarray) -> float:
+    """max |g| over the nodes of mask; 0 on an empty mask."""
+    return float(np.abs(g[mask]).max()) if mask.any() else 0.0
 
 
 @dataclass
@@ -286,16 +284,12 @@ def order_scan(path: Path, sigmas, scales, n_pairs: int = 400,
     probe = grid.probe_mask()
     rng = np.random.default_rng(seed)
     rows = []
-    smoothable = set(t.uid for t in u.T_r) | set(
-        s.uid for s in u.T_l
-        if s.edge == EDGE_I and u.member("W", s.child))
     for s in sigmas:
         vals = []
         for L in scales:
-            if s.uid in smoothable:
+            if path.smoothable(s):
                 g, mask = path.smoothed_centered_at_base(s, L)
-                mm = mask & probe
-                vals.append(float(np.abs(g[mm]).max()) if mm.any() else 0.0)
+                vals.append(sup_on(g, mask & probe))
             else:
                 vals.append(_pair_sup(path, s, L, probe, rng, n_pairs))
         target = float(u.order(s))

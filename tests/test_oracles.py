@@ -79,7 +79,7 @@ def build_local_product_serial(grid, universe, xi, rmap=None, coalg=None):
         cu = canon(t).uid
         lp._X[cu] = val
         lp._ell[cu] = heat_solve(grid, val)
-        lp._grad[(1, cu)] = grad_x(grid, lp._ell[cu])
+        lp._grad[cu] = grad_x(grid, lp._ell[cu])
 
     finish(XI, xi)
     unplanted = [t for t in universe.T_r if t.kind == PROD]
@@ -100,7 +100,7 @@ def build_local_product_serial(grid, universe, xi, rmap=None, coalg=None):
                 val *= lp.planted_field(ct.children[1])
                 val *= lp.planted_field(ct.children[2])
         elif any(k.kind == GEN and k.label == "X" for k in kids):
-            _j, sub = _substitute_first_x(t, universe.delta)
+            sub = _substitute_first_x(t, universe.delta)
             val = grid.x_field * lp._X[canon(sub).uid]
         else:
             rest = [k for k in kids if k is not ONE]
@@ -135,7 +135,7 @@ def cen_at_field(path, p, x):
             field = path.cen_I[ch.uid]
     else:
         assert p.edge == EDGE_IP
-        field = grid.ones() if ch.kind == GEN else -path.nu[(p.index, ch.uid)]
+        field = grid.ones() if ch.kind == GEN else -path.nu[ch.uid]
     return float(field[x])
 
 
@@ -156,7 +156,7 @@ def left_at_scalar(path, l, z):
             raise KeyError("unexpected left factor %s" % tree_name(l))
         if ch.kind == GEN and ch.label == "X":
             return 1.0
-        return float(lp.grad(l.index, ch)[z])
+        return float(lp.grad(ch)[z])
     raise KeyError("unexpected left factor %s" % tree_name(l))
 
 
@@ -194,17 +194,30 @@ def v2_loop(path, e, level, y, x):
     return acc
 
 
-def im_diag_loop(path, i, t):
-    """X_{z,z} Im_i(t) summed again over the coproduct, plus the Ip centering."""
+def vi_loop(path, e, i, level, y, x):
+    u = path.u
+    acc = 0.0
+    pool = u.N_tilde + (X(i),)
+    for t in pool:
+        if u.order(t) < level - 1:
+            p = Ip(i, t, u.delta)
+            if p is None:
+                continue
+            acc += e.theta_at(t, x) * path.value_at(p, y, x)
+    return acc
+
+
+def im_diag_loop(path, t):
+    """X_{z,z} Im(t) summed again over the coproduct, plus the Ip centering."""
     u, lp = path.u, path.lp
     out = path.grid.zeros()
     if t.kind == PROD and not u.member("W", t):
-        for (l, f), c in path.pairs[t.uid]:
-            out += float(c) * lp.grad(i, l) * path.cen_forest_field(f)
+        for (l, f), c in path.cg.delta(t).items():
+            out += float(c) * lp.grad(l) * path.cen_forest_field(f)
     else:
-        out += lp.grad(i, t)
+        out += lp.grad(t)
     if u.member("N_tilde", t):
-        out = out + -path.nu[(i, t.uid)]
+        out = out + -path.nu[t.uid]
     return out
 
 
@@ -226,7 +239,7 @@ def smoothed_centered_at_base_uid(path, memo, s, L):
         return mollified(s)
     acc = path.grid.zeros()
     mask = None
-    for (l, f), c in path.pairs[s.uid]:
+    for (l, f), c in path.cg.delta(s).items():
         g, msk = mollified(l)
         acc = acc + float(c) * g * path.cen_forest_field(f)
         mask = msk if mask is None else (mask & msk)
@@ -667,11 +680,16 @@ def test_truncated_sums_match_loops(request, name, smooth_v1):
     e = TreeExpansion(p, smooth_v1)
     gamma, levels = _levels(u)
     pairs = _pairs(p, 6, 4)
+    loops = ((equation._v_terms, v_loop), (equation._v2_terms, v2_loop),
+             (equation._vi_terms,
+              lambda p, e, level, y, x: vi_loop(p, e, 1, level, y, x)))
     for level in levels:
         for y, x in pairs:
-            assert equation._v_level(p, e, level, y, x) == v_loop(p, e, level, y, x)
-            assert equation._v2_level(p, e, level, y, x) == v2_loop(p, e, level, y, x)
+            for terms, loop in loops:
+                assert (equation._level_sum(p, e, terms, level, y, x)
+                        == loop(p, e, level, y, x))
     assert equation._support(p, equation._v2_terms, gamma + 1)
+    assert equation._support(p, equation._vi_terms, max(levels))
     cutoff = gamma - 2
     for t in u.N:
         for y, x in pairs:
@@ -737,11 +755,10 @@ def test_reconstruction_sums_pairs_in_order(u310):
 def test_diag_im_matches_loop(request, name):
     p = request.getfixturevalue(name)
     u = p.u
-    keys = [(i, t) for t in u.T_r if t.kind == PROD for i in range(1, u.d + 1)]
-    keys.append((1, XI))
-    assert sorted(p.diag_im) == sorted((i, t.uid) for i, t in keys)
-    for i, t in keys:
-        assert np.array_equal(p.diag_im[(i, t.uid)], im_diag_loop(p, i, t))
+    trees = [t for t in u.T_r if t.kind == PROD] + [XI]
+    assert sorted(p.diag_im) == sorted(t.uid for t in trees)
+    for t in trees:
+        assert np.array_equal(p.diag_im[t.uid], im_diag_loop(p, t))
 
 
 def _batch_records(path, coeffs, traces, config):

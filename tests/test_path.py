@@ -6,7 +6,9 @@ import pytest
 from phi4local.field import COARSE_GRID, noise_field
 from phi4local.lift import build_local_product, random_counterterm_map
 from phi4local.path import Path, fit_slope, order_scan, sample_nodes
-from phi4local.symtree import ONE, XI, I, Im, Ip, X, prod3, tree_name
+from phi4local.symtree import (
+    EDGE_I, ONE, PLANTED, XI, I, Im, Ip, X, enumerate_universe, prod3, tree_name,
+)
 
 D = Fraction(9, 20)
 
@@ -68,7 +70,7 @@ def test_diagonal_vanishing(coarse_path, u920):
 def test_diagonal_im_table_vanishes_on_positive_orders(coarse_path, u920):
     p = coarse_path
     for t in u920.N_tilde:
-        assert np.max(np.abs(p.diag_im[(1, t.uid)])) < 1e-10
+        assert np.max(np.abs(p.diag_im[t.uid])) < 1e-10
 
 
 def test_pathcopro_identity(coarse_path, u920):
@@ -81,7 +83,7 @@ def test_pathcopro_identity(coarse_path, u920):
         solve_at = {}
         for pt, node in (("z", z), ("x", x)):
             acc = 0.0
-            for (l, f), c in p.pairs[t.uid]:
+            for (l, f), c in p.cg.delta(t).items():
                 acc += c * float(p.lp.ell(l)[node]) * p.cen_forest_at(f, x)
             solve_at[pt] = acc
         defn = solve_at["z"] - solve_at["x"]
@@ -89,7 +91,7 @@ def test_pathcopro_identity(coarse_path, u920):
         # first-order term on N_tilde
         cen = float(p.cen_I[t.uid][x])
         if u920.member("N_tilde", t):
-            nu_x = float(p.nu[(1, t.uid)][x])
+            nu_x = float(p.nu[t.uid][x])
             defn -= (grid.xs[z[1]] - grid.xs[x[1]]) * nu_x
             cen -= grid.xs[x[1]] * nu_x
         assert p.value_at(I(t), z, x) == pytest.approx(defn, abs=1e-10)
@@ -144,7 +146,7 @@ def test_derivative_consistency(coarse_path, u920):
     p = coarse_path
     z, x = (14, 60), (28, 85)
     for t in u920.T_r:
-        _a, rel = p.derivative_residual(1, t, z, x)
+        _a, rel = p.derivative_residual(t, z, x)
         assert rel <= 1e-10
 
 
@@ -193,3 +195,17 @@ def test_fit_slope_zero_values():
 def test_order_scan_needs_scales(coarse_path):
     with pytest.raises(ValueError):
         order_scan(coarse_path, [I(ONE)], [0.25, 0.5])
+
+
+@pytest.mark.parametrize("delta", ["9/20", "2/5", "3/10", "13/50"])
+def test_smoothable_is_t_r_and_planted_w(delta):
+    # the trees order_scan smooths at the base point: T_r and I(W), over
+    # T_cen and every tree of T_plus (T_r, T_l and the Ip trees)
+    u = enumerate_universe(Fraction(delta))
+    grid = COARSE_GRID
+    p = Path(build_local_product(grid, u, grid.zeros()))
+    want = {t.uid for t in u.T_r} | {s.uid for s in u.T_l
+                                     if s.edge == EDGE_I and u.member("W", s.child)}
+    smoothable = {s.uid for s in u.T_cen + u.T_plus if p.smoothable(s)}
+    assert smoothable == want
+    assert any(s.kind == PLANTED and s.uid in smoothable for s in u.T_l)
