@@ -3,8 +3,10 @@
 A local product stores one field per unplanted tree (keyed by the canonical
 representative, so permuted trees share a field), together with the derived
 tables used everywhere downstream: the cut-off heat solves of those fields
-and their spatial gradients.  The solves are made by dependency level, one
-stacked heat solve per level.
+and their spatial gradients.  All solves of a lift are one heat solve: each
+dependency level marches field.LEVEL_LAG stored levels behind the one
+before, and its values are computed a block of rows at a time from the
+solve rows the march has written.
 
 Three construction routes are provided: the unique multiplicative lift of a
 noise field, lifts built from a permutation-invariant counterterm map through
@@ -22,7 +24,7 @@ import numpy as np
 from .coalgebra import Coalgebra
 from .field import Grid, grad_x, heat_solve, noise_field
 from .symtree import (
-    EDGE_I, EDGE_IP, GEN, ONE, PROD, XI,
+    EDGE_I, EDGE_IM, EDGE_IP, GEN, ONE, PROD, XI,
     I, Tree, canon, prod3, tree_name,
 )
 
@@ -104,9 +106,13 @@ class LocalProduct:
         return self._grad[canon(t).uid]
 
     def forest_value(self, forest, coeff=1.0) -> np.ndarray:
-        out = np.full((self.grid.nt, self.grid.nx), float(coeff))
+        return self.forest_rows(forest, coeff, slice(0, self.grid.nt))
+
+    def forest_rows(self, forest, coeff, rows: slice) -> np.ndarray:
+        """The forest's value, times coeff, on a slice of stored levels."""
+        out = np.full((rows.stop - rows.start, self.grid.nx), float(coeff))
         for p in forest:
-            out *= self.planted_field(p)
+            out *= self.planted_field(p)[rows]
         return out
 
 
@@ -133,10 +139,21 @@ def build_local_product(grid: Grid, universe, xi: np.ndarray,
     rmap given: the lift built from the counterterm map (triangular rewriting).
     custom given: fields for trees in Q keyed by Tree; remaining trees follow
     the extension rules.
+
+    xi and every custom field must be one field on the grid.  The trees fall
+    into dependency levels in tree order: a tree opens a new level when it
+    reads the solve (or gradient) of a tree of the current one.  Every value
+    is a rule on rows (products of planted fields, x times a value, forest
+    sums), so one heat solve marches all levels and asks each for its values
+    a block of stored levels at a time, once the solves they read are
+    written.  A gradient that a forest reads (an Im edge) is written on
+    those rows just before, by the level above its tree; every other
+    gradient is taken once the march is done.
     """
     if universe.d != 1:
         raise ValueError("the numerical layer supports d = 1 only, got a "
                          "universe of d = %d" % universe.d)
+    _check_field(grid, XI, xi)
     cg = coalg or Coalgebra(universe)
     lp = LocalProduct(grid, universe, cg, xi, rmap)
     delta = universe.delta
@@ -148,29 +165,45 @@ def build_local_product(grid: Grid, universe, xi: np.ndarray,
             cu = canon(t).uid
             if cu not in q_canon:
                 raise ValueError("custom field off Q: %s" % tree_name(t))
-            custom_by_uid[cu] = np.asarray(f, dtype=float)
+            custom_by_uid[cu] = _check_field(grid, t, np.asarray(f, dtype=float))
 
-    # Values whose heat solves are not made yet, in tree order: the current
-    # dependency level of the lift.  A value that reads one of their solves
-    # (or gradients) first solves the whole level as one stack.
-    pending: dict = {}
+    # uid -> the rule writing the rows of its value (None: given whole), by
+    # dependency level
+    levels: list = [{}]
 
-    def solve_level() -> None:
-        ells = heat_solve(grid, np.stack(list(pending.values())))
-        for cu, ell in zip(pending, ells):
-            lp._ell[cu] = ell
-            lp._grad[cu] = grad_x(grid, ell)
-        pending.clear()
-
-    def needs(planted) -> None:
-        if any(canon(p.child).uid in pending for p in planted):
-            solve_level()
-
-    def finish(t: Tree, val: np.ndarray) -> None:
+    def add(t: Tree, val: np.ndarray, rule, planted) -> None:
         cu = canon(t).uid
-        lp._X[cu] = pending[cu] = val
+        if any(canon(p.child).uid in levels[-1] for p in planted):
+            levels.append({})
+        levels[-1][cu] = rule
+        lp._X[cu] = val
+        lp._ell[cu] = np.empty((grid.nt, grid.nx))
+        for p in planted:
+            if p.edge == EDGE_IM:
+                lp._grad.setdefault(canon(p.child).uid,
+                                    np.empty((grid.nt, grid.nx)))
 
-    finish(XI, xi)
+    def product(fields: list) -> tuple:
+        val = np.empty((grid.nt, grid.nx))
+
+        def rule(rows: slice) -> None:
+            v = val[rows]
+            v[...] = fields[0][rows]
+            for g in fields[1:]:
+                v *= g[rows]
+        return val, rule
+
+    def forest_sum(terms: list) -> tuple:
+        val = np.empty((grid.nt, grid.nx))
+
+        def rule(rows: slice) -> None:
+            v = val[rows]
+            v[...] = 0.0
+            for forest, c in terms:
+                v += lp.forest_rows(forest, c, rows)
+        return val, rule
+
+    add(XI, xi, None, ())
     unplanted = [t for t in universe.T_r if t.kind == PROD]
     unplanted.sort(key=lambda t: (t.edges + t.m_x, t.edges, t.uid))
     for t in unplanted:
@@ -179,32 +212,50 @@ def build_local_product(grid: Grid, universe, xi: np.ndarray,
             continue
         kids = [k.child for k in t.children]
         if universe.member("Q", t):
-            if custom_by_uid and cu in custom_by_uid:
-                val = custom_by_uid[cu]
+            if cu in custom_by_uid:
+                add(t, custom_by_uid[cu], None, ())
             elif ruid is not None:
-                terms = cg.renorm_expand(ruid, canon(t)).items()
-                needs(p for forest, _c in terms for p in forest)
-                val = grid.zeros()
-                for forest, c in terms:
+                terms = list(cg.renorm_expand(ruid, canon(t)).items())
+                for forest, _c in terms:
                     _check_triangular(t, forest)
-                    val += lp.forest_value(forest, coeff=float(c))
+                add(t, *forest_sum(terms), [p for f, _c in terms for p in f])
             else:
-                ct = canon(t)
-                needs(ct.children)
-                val = lp.planted_field(ct.children[0]).copy()
-                val *= lp.planted_field(ct.children[1])
-                val *= lp.planted_field(ct.children[2])
+                planted = canon(t).children
+                add(t, *product([lp.planted_field(p) for p in planted]), planted)
         elif any(k.kind == GEN and k.label == "X" for k in kids):
-            val = grid.x_field * lp._X[canon(_substitute_first_x(t, delta)).uid]
+            sub = lp._X[canon(_substitute_first_x(t, delta)).uid]
+            add(t, *product([grid.x_field, sub]), ())
         elif sum(1 for k in kids if k is ONE) >= 2:
             rest = [I(k) for k in kids if k is not ONE]
-            needs(rest)
-            val = lp.planted_field(rest[0]).copy() if rest else grid.ones()
+            add(t, *product([lp.planted_field(rest[0]) if rest else lp._one]),
+                rest)
         else:
             raise AssertionError("unreachable extension case %s" % tree_name(t))
-        finish(t, val)
-    solve_level()
+
+    def forcing(level: dict, below: dict):
+        read = [cu for cu in below if cu in lp._grad]
+
+        def rows_of(rows: slice) -> list:
+            for cu in read:
+                lp._grad[cu][rows] = grad_x(grid, lp._ell[cu][rows])
+            for rule in level.values():
+                if rule is not None:
+                    rule(rows)
+            return [lp._X[cu][rows] for cu in level]
+        return rows_of
+
+    heat_solve(grid, [([lp._ell[cu] for cu in level], forcing(level, below))
+                      for level, below in zip(levels, [{}] + levels)])
+    lp._grad = {cu: lp._grad[cu] if cu in lp._grad else grad_x(grid, ell)
+                for cu, ell in lp._ell.items()}
     return lp
+
+
+def _check_field(grid: Grid, t: Tree, f: np.ndarray) -> np.ndarray:
+    if np.shape(f) != (grid.nt, grid.nx):
+        raise ValueError("the field of %s has shape %s, not the grid's (%d, %d)"
+                         % (tree_name(t), np.shape(f), grid.nt, grid.nx))
+    return f
 
 
 def _check_triangular(t: Tree, forest) -> None:

@@ -136,6 +136,20 @@ def test_heat_zero_and_linearity():
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
+@pytest.mark.parametrize("shape", ["transposed", "two-fields-flat", "one-row",
+                                   "flat", "stack-of-stacks"])
+def test_heat_solve_refuses_misshapen_forcing(shape):
+    grid = COARSE_GRID
+    f = noise_field(grid, "trig", seed=1)
+    bad = {"transposed": f.T,                     # (97, 52): the same size
+           "two-fields-flat": np.vstack([f, f]),  # (104, 97)
+           "one-row": f[:1],
+           "flat": f.ravel(),
+           "stack-of-stacks": f[None, None]}[shape]
+    with pytest.raises(ValueError, match="neither"):
+        heat_solve(grid, bad)
+
+
 def test_heat_constant_forcing_reference():
     u = heat_solve(G, G.ones())
     j, m = index_of(G, -0.3, 0.0)

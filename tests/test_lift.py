@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -194,3 +195,14 @@ def test_phi43_scaling_report():
                                       rel_se_tol=10.0)
         vals.append(rep["c_wick"])
     assert vals[2] > vals[0]
+
+
+def test_fields_off_the_grid_are_refused(setup):
+    u, cg, grid, xi = setup
+    with pytest.raises(ValueError, match=r"field of Xi has shape \(97, 52\)"):
+        build_local_product(grid, u, xi.T, coalg=cg)
+    # a row-by-row build would broadcast a one-row field silently
+    w = prod3(I(XI), I(XI), I(XI), D)
+    with pytest.raises(ValueError, match=r"field of %s has shape \(1, 97\)"
+                       % re.escape(tree_name(w))):
+        build_local_product(grid, u, xi, custom={w: xi[:1]}, coalg=cg)

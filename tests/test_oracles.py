@@ -31,7 +31,9 @@ from phi4local.equation import (
     BoundaryTrace, NumericalAbort, SolveConfig, TreeExpansion,
     reconstruction_check, seminorm_scale,
 )
-from phi4local.field import COARSE_GRID, DEFAULT_GRID, grad_x, heat_solve, noise_field
+from phi4local.field import (
+    COARSE_GRID, DEFAULT_GRID, Grid, grad_x, heat_solve, noise_field,
+)
 from phi4local.lift import (
     LocalProduct, _check_triangular, _substitute_first_x, build_local_product,
     phi43_counterterms, random_counterterm_map,
@@ -68,12 +70,12 @@ def heat_solve_loop(grid, f):
     return out
 
 
-def build_local_product_serial(grid, universe, xi, rmap=None, coalg=None):
+def build_local_product_serial(grid, universe, xi, rmap, custom, cg):
     """The lift of build_local_product with one heat solve per tree, made
-    as soon as the tree's value is (no custom fields)."""
-    cg = coalg or Coalgebra(universe)
+    as soon as the tree's value is."""
     lp = LocalProduct(grid, universe, cg, xi, rmap)
     ruid = rmap.as_uid_map() if rmap is not None else None
+    custom_by_uid = {canon(t).uid: f for t, f in (custom or {}).items()}
 
     def finish(t, val):
         cu = canon(t).uid
@@ -89,7 +91,9 @@ def build_local_product_serial(grid, universe, xi, rmap=None, coalg=None):
             continue
         kids = [k.child for k in t.children]
         if universe.member("Q", t):
-            if ruid is not None:
+            if canon(t).uid in custom_by_uid:
+                val = custom_by_uid[canon(t).uid]
+            elif ruid is not None:
                 val = grid.zeros()
                 for forest, c in cg.renorm_expand(ruid, canon(t)).items():
                     _check_triangular(t, forest)
@@ -612,31 +616,76 @@ def test_stacked_heat_solve_matches_loop(grid):
             assert np.array_equal(u, want)
 
 
-# the fields of each stacked solve: one level of the lift, closed when a
-# later tree reads one of its solves
-LEVEL_SIZES = {"u920": [2, 4, 3], "u25": [2, 4, 3, 2], "u310": [2, 4, 6, 7, 4]}
+# the level sizes of a lift's one heat solve: a level closes when a later
+# tree reads one of its solves
+LEVEL_SIZES = {"u920": [2, 4, 3], "u25": [2, 4, 3, 2], "u310": [2, 4, 6, 7, 4],
+               "u1350": [2, 4, 6, 7, 4, 8]}
+# a custom field reads no solve, so it stays in the level it comes in
+CUSTOM_LEVEL_SIZES = {"u920": [2, 4, 3], "u25": [2, 4, 5], "u310": [2, 4, 6, 8, 3]}
+# nt = 4, shorter than the lag of one level behind the one before
+SHORT_GRID = Grid(h=1 / 4, k_store=1 / 2, substeps=32)
 
 
-@pytest.mark.parametrize("universe", ["u920", "u25", "u310"])
-@pytest.mark.parametrize("lift", ["multiplicative", "counterterm"])
-def test_lift_by_levels_matches_serial(request, monkeypatch, universe, lift):
-    u = request.getfixturevalue(universe)
-    grid = COARSE_GRID
-    xi = noise_field(grid, "gauss", seed=4, eps=1 / 4)
-    rmap = None
-    if lift == "counterterm":
+@pytest.fixture(scope="module")
+def u1350():
+    return enumerate_universe(Fraction(13, 50))
+
+
+class ImCoalgebra(Coalgebra):
+    """renorm_expand with one more forest, reading the gradient of the solve
+    of a child, so that a level reads gradients while the march still
+    writes them (no universe at d = 1 gives such a forest)."""
+
+    added = 0
+
+    def renorm_expand(self, rmap, tau, unit=1):
+        acc = dict(super().renorm_expand(rmap, tau, unit))
+        kids = [k.child for k in tau.children if k.child.kind != GEN]
+        if kids:
+            acc[(Im(1, kids[0]), I(XI))] = Fraction(1, 3)
+            self.added += 1
+        return acc
+
+
+GRIDS = {"coarse": COARSE_GRID, "default": DEFAULT_GRID, "short": SHORT_GRID}
+
+
+@pytest.mark.parametrize("case", [
+    "multiplicative-u920", "multiplicative-u25", "multiplicative-u310",
+    "counterterm-u920", "counterterm-u25", "counterterm-u310",
+    "custom-u920", "custom-u25", "custom-u310",
+    "imforest-u920", "imforest-u310",
+    "multiplicative-u920-default",
+    "multiplicative-u920-short", "multiplicative-u1350-short",
+    "counterterm-u1350-short",
+])
+def test_lift_by_levels_matches_serial(request, monkeypatch, case):
+    lift, universe, name = (case + "-coarse").split("-")[:3]
+    grid, u = GRIDS[name], request.getfixturevalue(universe)
+    # trig is not zero on the first stored level, where each level starts
+    xi = (noise_field(grid, "gauss", seed=4, eps=1 / 4) if name == "coarse"
+          else noise_field(grid, "trig", seed=4))
+    rmap = custom = None
+    if lift in ("counterterm", "imforest"):
         rmap = random_counterterm_map(u, np.random.default_rng(9))
-    cg = Coalgebra(u)
-    sizes = []
+    if lift == "custom":
+        custom = {u.Q[0]: noise_field(grid, "bump"),
+                  u.Q[-1]: noise_field(grid, "trig", seed=2)}
+    cg = ImCoalgebra(u) if lift == "imforest" else Coalgebra(u)
+    calls = []
 
     def solve(grid, f):
-        sizes.append(len(f))
+        calls.append([len(out) for out, _forcing in f])
         return heat_solve(grid, f)
     monkeypatch.setattr(liftmod, "heat_solve", solve)
-    lp = build_local_product(grid, u, xi, rmap=rmap, coalg=cg)
-    assert sizes == LEVEL_SIZES[universe]
+    lp = build_local_product(grid, u, xi, rmap=rmap, custom=custom, coalg=cg)
     monkeypatch.undo()
-    want = build_local_product_serial(grid, u, xi, rmap=rmap, coalg=cg)
+    # one march per lift, its levels as the trees' dependencies order them
+    sizes = CUSTOM_LEVEL_SIZES if lift == "custom" else LEVEL_SIZES
+    assert calls == [sizes[universe]]
+    if lift == "imforest":
+        assert cg.added > 0
+    want = build_local_product_serial(grid, u, xi, rmap, custom, cg)
     for got, ref in ((lp._X, want._X), (lp._ell, want._ell), (lp._grad, want._grad)):
         assert got.keys() == ref.keys()
         for key, arr in ref.items():
