@@ -351,6 +351,9 @@ def _build_lift(cfg: RunConfig, grid, u, cg):
             if g != grid:
                 raise ConfigError("custom field %r is stored on grid %s, not on "
                                   "the run grid %s" % (name, g, grid))
+            if f.shape != (grid.nt, grid.nx):
+                raise ConfigError("custom field %r has shape %s, not the run "
+                                  "grid's %s" % (name, f.shape, (grid.nt, grid.nx)))
             if not np.all(np.isfinite(f)):
                 raise ConfigError("custom field %r has non-finite values" % name)
             custom[t] = f
@@ -363,6 +366,14 @@ def _build_path(cfg: RunConfig, cg):
     ensemble report (None unless the lift is phi43)."""
     lp, lift_rep = _build_lift(cfg, cfg.make_grid(), cg.u, cg)
     return pathmod.Path(lp), lift_rep
+
+
+def _strided(nodes, k: int) -> list:
+    """The batch of nodes split into k batches of every k-th node, so that
+    entry n of batch i is node k*n + i: its runs of k consecutive nodes."""
+    rows, cols = nodes
+    n = len(rows) // k * k
+    return [(rows[i:n:k], cols[i:n:k]) for i in range(k)]
 
 
 def _smooth_v1(grid) -> np.ndarray:
@@ -420,22 +431,24 @@ def cmd_verify(cfg: RunConfig) -> int:
         probe = grid.probe_mask()
         nodes = pathmod.sample_nodes(grid, probe, rng, 3 * 50)
         tol = cfg.tol.get("chen", 1e-8)
-        triples = [nodes[n:n + 3] for n in range(0, len(nodes) - 2, 3)]
-        pairs = [nodes[n:n + 2] for n in range(0, len(nodes) - 1, 2)]
+        # consecutive triples and pairs of the sample, as batches
+        z3, u3, x3 = _strided(nodes, 3)
+        z2, x2 = _strided(nodes, 2)
+        inner = (0 < z2[1]) & (z2[1] < grid.nx - 1)
+        zi, xi = (z2[0][inner], z2[1][inner]), (x2[0][inner], x2[1][inner])
         rows = [
-            _summary_row("chen", [p.chen_residual(s, z, uu, x)[1]
-                                  for s in u.T for z, uu, x in triples], tol),
-            _summary_row("strong-chen", [p.strong_chen_residual(I(t), x, y)[1]
-                                         for t in u.N for x, y in pairs], tol),
-            _summary_row("derivative-edge", [
-                p.derivative_residual(t, z, x)[1]
-                for t in u.T_r for z, x in pairs if 0 < z[1] < grid.nx - 1], tol),
+            _summary_row("chen", np.concatenate([
+                p.chen_residual(s, z3, u3, x3)[1] for s in u.T]), tol),
+            _summary_row("strong-chen", np.concatenate([
+                p.strong_chen_residual(I(t), z2, x2)[1] for t in u.N]), tol),
+            _summary_row("derivative-edge", np.concatenate([
+                p.derivative_residual(t, zi, xi)[1] for t in u.T_r]), tol),
         ]
         if lp.rmap is not None:
             ruid = lp.rmap.as_uid_map()
-            rows.append(_summary_row("path-rewrite", [
-                p.renorm_path_residual(ruid, t, z, x)[1]
-                for t in u.T_r if t.kind == PROD for z, x in pairs], tol))
+            rows.append(_summary_row("path-rewrite", np.concatenate([
+                p.renorm_path_residual(ruid, t, z2, x2)[1]
+                for t in u.T_r if t.kind == PROD]), tol))
             rows += liftmod.extension_consistency_report(lp)
         reports["path"] = rows
         failures.extend(coalgebra.report_failures(rows))
@@ -485,8 +498,10 @@ def cmd_solve(cfg: RunConfig) -> int:
     cube = equation.cube_formula_check(p, p.lp.rmap, _smooth_v1(grid))
     rng = np.random.default_rng(cfg.seed)
     nodes = pathmod.sample_nodes(grid, grid.probe_mask(), rng, 9)
-    chen = max(p.chen_residual(s, nodes[n], nodes[n + 1], nodes[n + 2])[1]
-               for s in u.T_r[:4] for n in range(0, 7, 3))
+    # Python's max over floats, tree by tree and triple by triple: it keeps
+    # a NaN only in first place
+    chen = max(r for s in u.T_r[:4]
+               for r in p.chen_residual(s, *_strided(nodes, 3))[1].tolist())
     rec["residuals"] = {"cube_formula": cube,
                         "chen_spot": chen}
     _emit(cfg, "solve", {"config": cfg.descriptor(), "run": rec,

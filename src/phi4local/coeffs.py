@@ -140,12 +140,12 @@ def resonance_values(universe) -> set:
     """Exact cut values a truncation level must avoid."""
     u = universe
     vals = set()
-    singles = [u.order(t) for t in u.N]
-    for o in singles:
+    orders = {u.order(t) for t in u.N}     # the sums depend on orders alone
+    for o in orders:
         vals.add(o + 2)       # level gamma with |tau| == gamma - 2
         vals.add(o + 1)       # derivative cutoffs
-    for o1 in singles:
-        for o2 in singles:
+    for o1 in orders:
+        for o2 in orders:
             vals.add(o1 + o2 + 4)
     return vals
 

@@ -58,8 +58,8 @@ class TreeExpansion:
             self._cache[t.uid] = arr
         return arr
 
-    def theta_at(self, t: Tree, node) -> float:
-        return float(self.theta(t)[node])
+    def theta_at(self, t: Tree, nodes) -> np.ndarray:
+        return self.theta(t)[nodes]
 
     def pointwise(self) -> np.ndarray:
         """X_{z,z} applied to the expansion: v1 plus the rough-tree solves."""
@@ -383,9 +383,9 @@ def _cut_terms(path: Path, t: Tree, cutoff: Fraction) -> tuple:
     return tuple((tb, f) for tb, f in cuts if f is not None)
 
 
-def u_tau_at(path: Path, e, t: Tree, cutoff: Fraction, y, x) -> float:
-    """Continuity error of the coefficient of t between base points y and x,
-    truncated to trees of order below the cutoff."""
+def u_tau_at(path: Path, e, t: Tree, cutoff: Fraction, y, x) -> np.ndarray:
+    """Continuity error of the coefficient of t between the base points of
+    the batches y and x, truncated to trees of order below the cutoff."""
     acc = e.theta_at(t, y)
     for tb, f in _support(path, _cut_terms, t, cutoff):
         acc -= e.theta_at(tb, x) * path.forest_at(f, y, x)
@@ -413,7 +413,7 @@ def _vi_terms(path: Path, level: Fraction) -> tuple:
     return tuple(((t, p),) for t, p in terms if p is not None)
 
 
-def _level_sum(path: Path, e, terms, level: Fraction, y, x) -> float:
+def _level_sum(path: Path, e, terms, level: Fraction, y, x):
     """The truncated sum over the support terms(path, level).  A term is
     the product of its thetas first, then of its path values, left to right
     (so a two-factor term reads ((theta1 theta2) v1) v2)."""
@@ -424,27 +424,33 @@ def _level_sum(path: Path, e, terms, level: Fraction, y, x) -> float:
     return acc
 
 
-def classified_u_tau_at(path: Path, e, t: Tree, cutoff: Fraction, y, x) -> float:
+def _float_pow(a: np.ndarray, p: int) -> np.ndarray:
+    """a ** p node by node through Python's float power: np.power may take
+    another (SIMD) pow, which need not round as libm's does."""
+    return np.array([v ** p for v in a.tolist()])
+
+
+def classified_u_tau_at(path: Path, e, t: Tree, cutoff: Fraction, y, x) -> np.ndarray:
     """The continuity error through its classified form (an exact rewriting
     at the levels gamma < 2 that modelled_norms admits)."""
     u = path.u
     c = classify_utau(t, u)
     level = cutoff - u.order(t)
     if c.kind == "V":
-        return c.sign * (float(e.v1[y]) - _level_sum(path, e, _v_terms, level, y, x))
+        return c.sign * (e.v1[y] - _level_sum(path, e, _v_terms, level, y, x))
     if c.kind == "V2":
-        return c.sign * (float(e.v1[y]) ** 2
+        return c.sign * (_float_pow(e.v1[y], 2)
                          - _level_sum(path, e, _v2_terms, level, y, x))
     if c.kind == "V3":
         # The V3 tree [I(One) I(One) I(One)] has order 0, so its level is
         # gamma - 2 < 0, and its sum would run over triples with an order sum
         # below level - 6 < -6.  Every order in N is at least -2, so the sum
         # is empty below gamma = 2, the only levels admitted here.
-        return c.sign * float(e.v1[y]) ** 3
+        return c.sign * _float_pow(e.v1[y], 3)
     if c.kind == "Vi":
-        return c.sign * (float(e.vX[y]) - _level_sum(path, e, _vi_terms, level, y, x))
+        return c.sign * (e.vX[y] - _level_sum(path, e, _vi_terms, level, y, x))
     # pure-noise trees: zero once the tree itself clears the cutoff
-    return 0.0 if u.order(t) < cutoff else float(c.sign)
+    return np.full(np.shape(y[0]), 0.0 if u.order(t) < cutoff else float(c.sign))
 
 
 @dataclass
@@ -475,18 +481,17 @@ def modelled_norms(path: Path, e, gamma: Fraction, n_pairs: int = 100,
     rng = np.random.default_rng(seed)
     xs_nodes = sample_nodes(grid, probe, rng, n_pairs)
     ys_nodes = sample_nodes(grid, probe, rng, n_pairs)
+    dists = [grid.pdist(grid.node(yj, ym), grid.node(xj, xm))
+             for yj, ym, xj, xm in zip(*ys_nodes, *xs_nodes)]
     rows = []
     for t in u.N:
-        vals, cls_vals, dists = [], [], []
-        for y, x in zip(ys_nodes, xs_nodes):
-            uv = u_tau_at(path, e, t, cutoff, y, x)
-            cv = classified_u_tau_at(path, e, t, cutoff, y, x)
-            vals.append(uv)
-            cls_vals.append(cv)
-            dists.append(grid.pdist(grid.node(*y), grid.node(*x)))
-        rel = float(np.max([residual(a, b)[1] for a, b in zip(vals, cls_vals)]))
+        vals = u_tau_at(path, e, t, cutoff, ys_nodes, xs_nodes)
+        cls_vals = classified_u_tau_at(path, e, t, cutoff, ys_nodes, xs_nodes)
+        rel = float(np.max(residual(vals, cls_vals)[1]))
         expo = float(cutoff - u.order(t))
-        semi = max((abs(v) / d ** expo) for v, d in zip(vals, dists) if d > 0)
+        # Python's float power and max, pair by pair
+        semi = max((abs(v) / d ** expo) for v, d in zip(vals.tolist(), dists)
+                   if d > 0)
         rows.append({"tree": tree_name(t), "mismatch": rel,
                      "seminorm": semi, "exponent": expo})
     # np.max, unlike max, keeps a NaN mismatch
@@ -514,16 +519,14 @@ def three_point_residual(path: Path, e, gamma: Fraction, n_triples: int = 50,
     zs = sample_nodes(grid, probe, rng, n_triples)
     ys = sample_nodes(grid, probe, rng, n_triples)
     xs = sample_nodes(grid, probe, rng, n_triples)
-    residuals = [0.0]
-    for z, y, x in zip(zs, ys, xs):
-        lhs = (_level_sum(path, e, _v_terms, gamma, z, x)
-               - _level_sum(path, e, _v_terms, gamma, z, y)
-               + _level_sum(path, e, _v_terms, gamma, y, y)
-               - _level_sum(path, e, _v_terms, gamma, y, x))
-        rhs = 0.0
-        for t in _support(path, _three_point_terms, cutoff):
-            rhs -= u_tau_at(path, e, t, cutoff, y, x) * path.value_at(I(t), z, y)
-        residuals.append(residual(lhs, rhs)[1])
+    lhs = (_level_sum(path, e, _v_terms, gamma, zs, xs)
+           - _level_sum(path, e, _v_terms, gamma, zs, ys)
+           + _level_sum(path, e, _v_terms, gamma, ys, ys)
+           - _level_sum(path, e, _v_terms, gamma, ys, xs))
+    rhs = 0.0
+    for t in _support(path, _three_point_terms, cutoff):
+        rhs -= u_tau_at(path, e, t, cutoff, ys, xs) * path.value_at(I(t), zs, ys)
+    residuals = np.append(0.0, residual(lhs, rhs)[1])
     return {"max_rel_residual": float(np.max(residuals)), "gamma": str(gamma)}
 
 

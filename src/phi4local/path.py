@@ -98,57 +98,60 @@ class Path:
             out = out * self.cen_planted_field(p)
         return out
 
-    def cen_at(self, p: Tree, x) -> float:
-        """cen_planted_field(p)[x], read without building a whole field."""
-        if p.edge == EDGE_IP and p.child.kind != GEN:
-            return -float(self.nu[p.child.uid][x])
-        return float(self.cen_planted_field(p)[x])
+    # point evaluators --------------------------------------------------------
+    # The nodes z, x, ... are batches: (rows, cols) pairs of equal-length int
+    # arrays.  An evaluator returns one value per node, and every node sums
+    # the same coproduct terms in the same order, so each entry has the bits
+    # of the evaluation at that node alone.
 
-    def cen_forest_at(self, forest, x) -> float:
+    def cen_at(self, p: Tree, x) -> np.ndarray:
+        """cen_planted_field(p) at the nodes x."""
+        if p.edge == EDGE_IP and p.child.kind != GEN:
+            return -self.nu[p.child.uid][x]
+        return self.cen_planted_field(p)[x]
+
+    def cen_forest_at(self, forest, x):
         out = 1.0
         for p in forest:
             out *= self.cen_at(p, x)
         return out
 
-    # point evaluators --------------------------------------------------------
-
-    def value_at(self, s: Tree, z, x) -> float:
-        """X_{z,x} s for s in the path domain; z, x are (row, col) nodes."""
+    def value_at(self, s: Tree, z, x) -> np.ndarray:
+        """X_{z,x} s for s in the path domain."""
         u, lp = self.u, self.lp
         if s.kind == PROD or s is XI:
             if u.member("W", s):
-                return float(lp.value(s)[z])
+                return lp.value(s)[z]
             acc = 0.0
             for (l, f), c in self.cg.delta(s).items():
-                acc += float(c) * float(lp.value(l)[z]) * self.cen_forest_at(f, x)
+                acc += float(c) * lp.value(l)[z] * self.cen_forest_at(f, x)
             return acc
         if s.kind != PLANTED:
             raise ValueError("path undefined on generator %s" % tree_name(s))
         ch = s.child
         if s.edge == EDGE_I:
             if ch is ONE:
-                return 1.0
+                return np.ones(np.shape(z[0]))
             if ch.kind == GEN and ch.label == "X":
-                return float(self.grid.xs[z[1]] - self.grid.xs[x[1]])
+                return self.grid.xs[z[1]] - self.grid.xs[x[1]]
             if u.member("W", ch):
-                return float(lp.ell(ch)[z])
+                return lp.ell(ch)[z]
         elif s.edge == EDGE_IP:
             if ch.kind == GEN:
-                return 1.0
+                return np.ones(np.shape(z[0]))
             acc = self.cen_at(s, x)
             for (l, f), c in self.cg.delta(ch).items():
                 if not u.member("N_tilde", l):
                     continue
-                acc += float(c) * float(self.nu[l.uid][z]) * self.forest_at(f, z, x)
+                acc += float(c) * self.nu[l.uid][z] * self.forest_at(f, z, x)
             return acc
         # EDGE_I off W and EDGE_IM
         acc = 0.0
         for (l, f), c in self.cg.delta(s).items():
-            acc += (float(c) * float(lp.planted_field(l)[z])
-                    * self.cen_forest_at(f, x))
+            acc += float(c) * lp.planted_field(l)[z] * self.cen_forest_at(f, x)
         return acc
 
-    def forest_at(self, forest, z, x) -> float:
+    def forest_at(self, forest, z, x):
         out = 1.0
         for p in forest:
             out *= self.value_at(p, z, x)
@@ -177,8 +180,8 @@ class Path:
         """Spatial difference of the centered planted tree against the
         derivative-edge evaluator; exact for interior z by construction."""
         j, m = z
-        if not (0 < m < self.grid.nx - 1):
-            raise ValueError("needs an interior node")
+        if not np.all((0 < m) & (m < self.grid.nx - 1)):
+            raise ValueError("needs interior nodes")
         s = I(t)
         fd = (self.value_at(s, (j, m + 1), x) - self.value_at(s, (j, m - 1), x)) \
             / (2 * self.grid.h)
@@ -230,11 +233,12 @@ class Path:
         return acc, mask
 
 
-def residual(lhs: float, rhs: float) -> tuple:
+def residual(lhs, rhs) -> tuple:
     """(absolute, relative) difference of the two sides of an identity,
-    relative to the larger side floored at 1."""
-    err = abs(lhs - rhs)
-    return err, err / max(1.0, abs(lhs), abs(rhs))
+    relative to the larger side floored at 1, node by node.  fmax skips a
+    NaN side as max(1.0, ...) over floats does."""
+    err = np.abs(lhs - rhs)
+    return err, err / np.fmax(np.fmax(1.0, np.abs(lhs)), np.abs(rhs))
 
 
 def sup_on(g: np.ndarray, mask: np.ndarray) -> float:
@@ -299,6 +303,8 @@ def order_scan(path: Path, sigmas, scales, n_pairs: int = 400,
 
 
 def _pair_sup(path: Path, s: Tree, L: float, probe, rng, n_pairs: int) -> float:
+    """max |X_{z,x} s| over sampled base points x and their four neighbours
+    z at separation L that lie on the grid, in the order (pair, offset)."""
     grid = path.grid
     jj, mm = np.where(probe)
     if jj.size == 0:
@@ -306,18 +312,18 @@ def _pair_sup(path: Path, s: Tree, L: float, probe, rng, n_pairs: int) -> float:
     pick = rng.integers(0, jj.size, size=n_pairs)
     oj = max(1, int(round(L ** 2 / grid.k_store)))
     om = max(1, int(round(L / grid.h)))
-    best = 0.0
-    for n in pick:
-        x = (int(jj[n]), int(mm[n]))
-        for off in ((0, om), (0, -om), (oj, 0), (-oj, 0)):
-            z = (x[0] + off[0], x[1] + off[1])
-            if not (0 <= z[0] < grid.nt and 0 <= z[1] < grid.nx):
-                continue
-            best = max(best, abs(path.value_at(s, z, x)))
-    return best
+    xj = np.repeat(jj[pick], 4)
+    xm = np.repeat(mm[pick], 4)
+    zj = xj + np.tile([0, 0, oj, -oj], n_pairs)
+    zm = xm + np.tile([om, -om, 0, 0], n_pairs)
+    on = (0 <= zj) & (zj < grid.nt) & (0 <= zm) & (zm < grid.nx)
+    vals = np.abs(path.value_at(s, (zj[on], zm[on]), (xj[on], xm[on])))
+    # Python's max over floats, 0.0 first: a NaN value never wins
+    return max([0.0, *vals.tolist()])
 
 
-def sample_nodes(grid, probe, rng, n: int) -> list:
+def sample_nodes(grid, probe, rng, n: int) -> tuple:
+    """n nodes drawn from the probe region, as a batch (rows, cols)."""
     jj, mm = np.where(probe)
     idx = rng.integers(0, jj.size, size=n)
-    return [(int(jj[k]), int(mm[k])) for k in idx]
+    return jj[idx], mm[idx]

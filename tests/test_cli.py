@@ -139,6 +139,13 @@ def _grid_manifest(base, grid, name="[I(One) I(Xi) I(Xi)]"):
     return _custom_manifest(base, name)
 
 
+def _shape_manifest(base):
+    """A custom lift whose one field is stored on the run grid as one row."""
+    grid = RunConfig(grid=SMALL[3]).make_grid()
+    save_field(base / "field", grid, np.zeros((1, grid.nx)))
+    return _custom_manifest(base, "[I(One) I(Xi) I(Xi)]")
+
+
 def _sidecar_manifest(base, key, value=None):
     """A custom lift whose one field's sidecar lacks `key`, or holds `value`
     there if one is given."""
@@ -260,6 +267,7 @@ def _sidecar_manifest(base, key, value=None):
     # the noise fits, but the phi43 ensemble's default 4h kernel does not
     lambda d: ["solve", "--grid", "1,1/16,5/2", "--noise", "gauss:0:2",
                "--lift", "phi43"],
+    lambda d: ["verify", "--suite", "path", "--lift", _shape_manifest(d)],
 ], ids=["custom-missing", "counterterm-missing", "config-missing",
         "custom-malformed-name", "custom-vanishing-name", "custom-missing-field",
         "dim2-path", "dim2-products", "dim2-all", "dim2-solve", "dim2-scan",
@@ -285,7 +293,8 @@ def _sidecar_manifest(base, key, value=None):
         "config-not-utf8", "phi43-families-off-q", "phi43-families-restricted",
         "tol-nan", "tol-negative", "tol-infinite", "config-tol-nan",
         "config-tol-negative", "config-cfg-tol-infinite", "config-cfg-tol-negative",
-        "noise-default-eps-kernel-too-wide", "phi43-ensemble-kernel-too-wide"])
+        "noise-default-eps-kernel-too-wide", "phi43-ensemble-kernel-too-wide",
+        "custom-field-wrong-shape"])
 def test_bad_config_exit_code(tmp_path, capsys, argv):
     args = argv(tmp_path)
     for flag, value in zip(SMALL[::2], SMALL[1::2]):

@@ -276,16 +276,17 @@ def test_utau_special_cases(coarse_path, u920):
     grid = p.grid
     v1 = 0.5 + 0.3 * np.sin(2.0 * grid.x_field) * np.cos(1.5 * grid.t_field)
     e = TreeExpansion(p, v1)
-    y, x = (20, 60), (30, 90)
+    y, x = (np.array([20, 0]), np.array([60, 5])), (np.array([30, 40]),
+                                                       np.array([90, grid.nx - 1]))
     # low level: only the unit tree enters, the error is the plain increment
     gamma = pick_gamma(u920, Fraction(1, 20))
     got = u_tau_at(p, e, ONE, gamma - 2, y, x)
-    assert got == pytest.approx(float(v1[y] - v1[x]), abs=1e-12)
+    assert got == pytest.approx(v1[y] - v1[x], abs=1e-12)
     # pure-noise trees have identically vanishing errors at high level
     gamma = pick_gamma(u920, Fraction(3, 2))
     for t in u920.N_ring:
         if t.m_one == 0 and t.m_x == 0:
-            assert abs(u_tau_at(p, e, t, gamma - 2, y, x)) < 1e-12
+            assert np.all(np.abs(u_tau_at(p, e, t, gamma - 2, y, x)) < 1e-12)
 
 
 def test_utau_classified_crosscheck(coarse_path, u920):

@@ -1,5 +1,6 @@
-"""Loop forms of the point evaluators, truncated sums, heat march, diagonal
-derivative tables, remainder march and renormalization operator, the
+"""One-node forms of the point evaluators and of the rows and scans that
+read them, loop forms of the truncated sums, resonance values, heat march,
+diagonal derivative tables, remainder march and renormalization operator, the
 Fraction form of the renormalization identity and the unmemoised tree
 names, the
 case-by-case forms of the centering and planted-field lookups, the
@@ -7,7 +8,7 @@ all-candidate scans for the cut maps, the one-solve-per-tree lift and
 phi43 rounds, and the scans smoothing per tree uid and per channel pair,
 kept as reference oracles.
 
-The package versions read precomputed tree supports, scalar table entries,
+The package versions read precomputed tree supports, batches of nodes,
 shared tables, one right-hand side and an index of the C- cuts, generate
 the cuts from the children's cuts, march all boundary traces as one array,
 solve stacks of fields and smooth each distinct field once per scale; they
@@ -15,6 +16,7 @@ must agree with these direct forms bit for bit, since they perform the same
 float operations in the same order.
 """
 
+import copy
 import functools
 import json
 import math
@@ -23,10 +25,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from phi4local import equation
+from phi4local import cli, equation
+from phi4local import path as pathmod
 from phi4local import lift as liftmod
 from phi4local.coalgebra import UNIT, Coalgebra, _add, _row, forest_key, report_failures
-from phi4local.coeffs import check_coherence, pick_gamma
+from phi4local.coeffs import check_coherence, classify_utau, pick_gamma, resonance_values
 from phi4local.equation import (
     BoundaryTrace, NumericalAbort, SolveConfig, TreeExpansion,
     reconstruction_check, seminorm_scale,
@@ -40,7 +43,7 @@ from phi4local.lift import (
 )
 from phi4local.path import Path, fit_slope, order_scan, sample_nodes
 from phi4local.symtree import (
-    EDGE_I, EDGE_IP, GEN, ONE, PLANTED, PROD, XI, I, Im, Ip, X, _leaf_counts,
+    EDGE_I, EDGE_IM, EDGE_IP, GEN, ONE, PLANTED, PROD, XI, I, Im, Ip, X, _leaf_counts,
     _raw_planted, _raw_prod, canon, check_delta_admissible, enumerate_universe,
     prod3, tree_name,
 )
@@ -164,16 +167,118 @@ def left_at_scalar(path, l, z):
     raise KeyError("unexpected left factor %s" % tree_name(l))
 
 
+# The point evaluators at one node: z, x, ... are (row, col) pairs of ints
+# and every value is a Python float.  The package evaluators take batches of
+# nodes and must give these floats node by node.
+
+def residual_scalar(lhs, rhs):
+    err = abs(lhs - rhs)
+    return err, err / max(1.0, abs(lhs), abs(rhs))
+
+
+def cen_at_scalar(path, p, x):
+    if p.edge == EDGE_IP and p.child.kind != GEN:
+        return -float(path.nu[p.child.uid][x])
+    return float(path.cen_planted_field(p)[x])
+
+
+def cen_forest_at_scalar(path, forest, x):
+    out = 1.0
+    for p in forest:
+        out *= cen_at_scalar(path, p, x)
+    return out
+
+
+def value_at_scalar(path, s, z, x):
+    u, lp, cg = path.u, path.lp, path.cg
+    if s.kind == PROD or s is XI:
+        if u.member("W", s):
+            return float(lp.value(s)[z])
+        acc = 0.0
+        for (l, f), c in cg.delta(s).items():
+            acc += (float(c) * float(lp.value(l)[z])
+                    * cen_forest_at_scalar(path, f, x))
+        return acc
+    if s.kind != PLANTED:
+        raise ValueError("path undefined on generator %s" % tree_name(s))
+    ch = s.child
+    if s.edge == EDGE_I:
+        if ch is ONE:
+            return 1.0
+        if ch.kind == GEN and ch.label == "X":
+            return float(path.grid.xs[z[1]] - path.grid.xs[x[1]])
+        if u.member("W", ch):
+            return float(lp.ell(ch)[z])
+    elif s.edge == EDGE_IP:
+        if ch.kind == GEN:
+            return 1.0
+        acc = cen_at_scalar(path, s, x)
+        for (l, f), c in cg.delta(ch).items():
+            if not u.member("N_tilde", l):
+                continue
+            acc += (float(c) * float(path.nu[l.uid][z])
+                    * forest_at_scalar(path, f, z, x))
+        return acc
+    acc = 0.0
+    for (l, f), c in cg.delta(s).items():
+        acc += (float(c) * float(lp.planted_field(l)[z])
+                * cen_forest_at_scalar(path, f, x))
+    return acc
+
+
+def forest_at_scalar(path, forest, z, x):
+    out = 1.0
+    for p in forest:
+        out *= value_at_scalar(path, p, z, x)
+    return out
+
+
+def chen_residual_scalar(path, s, z, uu, x):
+    lhs = 0.0
+    for (l, f), c in path.cg.delta(s).items():
+        lhs += (float(c) * value_at_scalar(path, l, z, uu)
+                * forest_at_scalar(path, f, uu, x))
+    return residual_scalar(lhs, value_at_scalar(path, s, z, x))
+
+
+def strong_chen_residual_scalar(path, s, x, y):
+    rhs = 0.0
+    for (l, f), c in path.cg.delta(s).items():
+        rhs += (float(c) * cen_at_scalar(path, l, x)
+                * forest_at_scalar(path, f, x, y))
+    return residual_scalar(cen_at_scalar(path, s, y), rhs)
+
+
+def derivative_residual_scalar(path, t, z, x):
+    j, m = z
+    s = I(t)
+    fd = (value_at_scalar(path, s, (j, m + 1), x)
+          - value_at_scalar(path, s, (j, m - 1), x)) / (2 * path.grid.h)
+    return residual_scalar(fd, value_at_scalar(path, Im(1, t), z, x))
+
+
+def renorm_path_residual_scalar(path, rmap_uid, t, z, x):
+    lhs = value_at_scalar(path, t, z, x)
+    rhs = 0.0
+    for forest, c in path.cg.renorm_expand(rmap_uid, t).items():
+        rhs += float(c) * forest_at_scalar(path, forest, z, x)
+    return residual_scalar(lhs, rhs)
+
+
+def theta_at_scalar(e, t, node):
+    return float(e.theta(t)[node])
+
+
 def u_tau_loop(path, e, t, cutoff, y, x):
     u = path.u
-    acc = e.theta_at(t, y)
+    acc = theta_at_scalar(e, t, y)
     for tb in u.N:
         if u.order(tb) >= cutoff:
             continue
         f = path.cg.cplus(t, tb)
         if f is None:
             continue
-        acc -= e.theta_at(tb, x) * path.forest_at(f, y, x)
+        acc -= theta_at_scalar(e, tb, x) * forest_at_scalar(path, f, y, x)
     return acc
 
 
@@ -182,7 +287,7 @@ def v_loop(path, e, level, y, x):
     acc = 0.0
     for t in u.N:
         if u.order(t) < level - 2:
-            acc += e.theta_at(t, x) * path.value_at(I(t), y, x)
+            acc += theta_at_scalar(e, t, x) * value_at_scalar(path, I(t), y, x)
     return acc
 
 
@@ -193,8 +298,9 @@ def v2_loop(path, e, level, y, x):
         o1 = u.order(t1)
         for t2 in u.N:
             if o1 + u.order(t2) < level - 4:
-                acc += (e.theta_at(t1, x) * e.theta_at(t2, x)
-                        * path.value_at(I(t1), y, x) * path.value_at(I(t2), y, x))
+                acc += (theta_at_scalar(e, t1, x) * theta_at_scalar(e, t2, x)
+                        * value_at_scalar(path, I(t1), y, x)
+                        * value_at_scalar(path, I(t2), y, x))
     return acc
 
 
@@ -207,8 +313,140 @@ def vi_loop(path, e, i, level, y, x):
             p = Ip(i, t, u.delta)
             if p is None:
                 continue
-            acc += e.theta_at(t, x) * path.value_at(p, y, x)
+            acc += theta_at_scalar(e, t, x) * value_at_scalar(path, p, y, x)
     return acc
+
+
+def classified_u_tau_loop(path, e, t, cutoff, y, x):
+    u = path.u
+    c = classify_utau(t, u)
+    level = cutoff - u.order(t)
+    if c.kind == "V":
+        return c.sign * (float(e.v1[y]) - v_loop(path, e, level, y, x))
+    if c.kind == "V2":
+        return c.sign * (float(e.v1[y]) ** 2 - v2_loop(path, e, level, y, x))
+    if c.kind == "V3":
+        return c.sign * float(e.v1[y]) ** 3
+    if c.kind == "Vi":
+        return c.sign * (float(e.vX[y]) - vi_loop(path, e, 1, level, y, x))
+    return 0.0 if u.order(t) < cutoff else float(c.sign)
+
+
+def node_list(nodes):
+    """A batch (rows, cols) as a list of (row, col) pairs of ints."""
+    return list(zip(nodes[0].tolist(), nodes[1].tolist()))
+
+
+def modelled_norms_loop(path, e, gamma, n_pairs, seed):
+    """The rows and worst mismatch of equation.modelled_norms, pair by pair."""
+    u, grid = path.u, path.grid
+    cutoff = gamma - 2
+    rng = np.random.default_rng(seed)
+    xs_nodes = node_list(sample_nodes(grid, grid.probe_mask(), rng, n_pairs))
+    ys_nodes = node_list(sample_nodes(grid, grid.probe_mask(), rng, n_pairs))
+    rows = []
+    for t in u.N:
+        vals, cls_vals, dists = [], [], []
+        for y, x in zip(ys_nodes, xs_nodes):
+            vals.append(u_tau_loop(path, e, t, cutoff, y, x))
+            cls_vals.append(classified_u_tau_loop(path, e, t, cutoff, y, x))
+            dists.append(grid.pdist(grid.node(*y), grid.node(*x)))
+        rel = float(np.max([residual_scalar(a, b)[1]
+                            for a, b in zip(vals, cls_vals)]))
+        expo = float(cutoff - u.order(t))
+        semi = max((abs(v) / d ** expo) for v, d in zip(vals, dists) if d > 0)
+        rows.append({"tree": tree_name(t), "mismatch": rel,
+                     "seminorm": semi, "exponent": expo})
+    return rows, float(np.max([0.0] + [r["mismatch"] for r in rows]))
+
+
+def three_point_loop(path, e, gamma, n_triples, seed):
+    """equation.three_point_residual, triple by triple."""
+    u, grid = path.u, path.grid
+    cutoff = gamma - 2
+    rng = np.random.default_rng(seed)
+    zs, ys, xs = (node_list(sample_nodes(grid, grid.probe_mask(), rng, n_triples))
+                  for _ in range(3))
+    residuals = [0.0]
+    for z, y, x in zip(zs, ys, xs):
+        lhs = (v_loop(path, e, gamma, z, x) - v_loop(path, e, gamma, z, y)
+               + v_loop(path, e, gamma, y, y) - v_loop(path, e, gamma, y, x))
+        rhs = 0.0
+        for t in u.N:
+            if t is not ONE and u.order(t) < cutoff:
+                rhs -= (u_tau_loop(path, e, t, cutoff, y, x)
+                        * value_at_scalar(path, I(t), z, y))
+        residuals.append(residual_scalar(lhs, rhs)[1])
+    return {"max_rel_residual": float(np.max(residuals)), "gamma": str(gamma)}
+
+
+def pair_sup_loop(path, s, L, probe, rng, n_pairs):
+    """path._pair_sup with a running max over one pair and offset at a time."""
+    grid = path.grid
+    jj, mm = np.where(probe)
+    if jj.size == 0:
+        return 0.0
+    pick = rng.integers(0, jj.size, size=n_pairs)
+    oj = max(1, int(round(L ** 2 / grid.k_store)))
+    om = max(1, int(round(L / grid.h)))
+    best = 0.0
+    for n in pick:
+        x = (int(jj[n]), int(mm[n]))
+        for off in ((0, om), (0, -om), (oj, 0), (-oj, 0)):
+            z = (x[0] + off[0], x[1] + off[1])
+            if not (0 <= z[0] < grid.nt and 0 <= z[1] < grid.nx):
+                continue
+            best = max(best, abs(value_at_scalar(path, s, z, x)))
+    return best
+
+
+def path_rows_loop(path, seed, tol):
+    """The rows of the CLI's path suite, node by node (its extension rows
+    read no point evaluator and are left out)."""
+    u, grid = path.u, path.grid
+    rng = np.random.default_rng(seed)
+    nodes = node_list(sample_nodes(grid, grid.probe_mask(), rng, 3 * 50))
+    triples = [nodes[n:n + 3] for n in range(0, len(nodes) - 2, 3)]
+    pairs = [nodes[n:n + 2] for n in range(0, len(nodes) - 1, 2)]
+    rows = [
+        cli._summary_row("chen", [chen_residual_scalar(path, s, z, uu, x)[1]
+                             for s in u.T for z, uu, x in triples], tol),
+        cli._summary_row("strong-chen", [
+            strong_chen_residual_scalar(path, I(t), x, y)[1]
+            for t in u.N for x, y in pairs], tol),
+        cli._summary_row("derivative-edge", [
+            derivative_residual_scalar(path, t, z, x)[1]
+            for t in u.T_r for z, x in pairs if 0 < z[1] < grid.nx - 1], tol),
+    ]
+    if path.lp.rmap is not None:
+        ruid = path.lp.rmap.as_uid_map()
+        rows.append(cli._summary_row("path-rewrite", [
+            renorm_path_residual_scalar(path, ruid, t, z, x)[1]
+            for t in u.T_r if t.kind == PROD for z, x in pairs], tol))
+    return rows
+
+
+def chen_spot_loop(path, seed):
+    """The chen_spot of the CLI's solve report, triple by triple."""
+    grid = path.grid
+    rng = np.random.default_rng(seed)
+    nodes = node_list(sample_nodes(grid, grid.probe_mask(), rng, 9))
+    return max(chen_residual_scalar(path, s, *nodes[n:n + 3])[1]
+               for s in path.u.T_r[:4] for n in range(0, 7, 3))
+
+
+def resonance_values_pairs(universe):
+    """coeffs.resonance_values over every tree and pair of trees of N."""
+    u = universe
+    vals = set()
+    singles = [u.order(t) for t in u.N]
+    for o in singles:
+        vals.add(o + 2)
+        vals.add(o + 1)
+    for o1 in singles:
+        for o2 in singles:
+            vals.add(o1 + o2 + 4)
+    return vals
 
 
 def im_diag_loop(path, t):
@@ -580,8 +818,30 @@ FIXTURES = ["default_path_trig", "default_path_gauss"]
 def _pairs(path, n, seed):
     rng = np.random.default_rng(seed)
     probe = path.grid.probe_mask()
-    return list(zip(sample_nodes(path.grid, probe, rng, n),
-                    sample_nodes(path.grid, probe, rng, n)))
+    return list(zip(node_list(sample_nodes(path.grid, probe, rng, n)),
+                    node_list(sample_nodes(path.grid, probe, rng, n))))
+
+
+def same_bits(got, want) -> bool:
+    """Whether the batch result got holds the floats want node by node:
+    equal values, NaN at the same nodes, and equal sign bits."""
+    want = np.array(want, dtype=float)
+    got = np.broadcast_to(np.asarray(got, dtype=float), want.shape)
+    return (np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+def _oracle_nodes(path, n, seed):
+    """n probe nodes, then four nodes on the first and last row and column."""
+    grid = path.grid
+    rows, cols = sample_nodes(grid, grid.probe_mask(),
+                              np.random.default_rng(seed), n)
+    return (np.concatenate([rows, [0, grid.nt - 1, 3, grid.nt // 2]]),
+            np.concatenate([cols, [0, grid.nx - 1, grid.nx - 1, 0]]))
+
+
+def _rolled(nodes, k):
+    return np.roll(nodes[0], k), np.roll(nodes[1], k)
 
 
 def _levels(u):
@@ -703,10 +963,10 @@ def test_phi43_stacked_rounds_match_serial(u920):
 @pytest.mark.parametrize("name", FIXTURES)
 def test_cen_at_matches_field_lookup(request, name):
     p = request.getfixturevalue(name)
-    nodes = [x for pair in _pairs(p, 20, 3) for x in pair]
+    nodes = _oracle_nodes(p, 40, 3)
     for s in p.u.T_cen:
-        for x in nodes:
-            assert p.cen_at(s, x) == cen_at_field(p, s, x)
+        assert same_bits(p.cen_at(s, nodes),
+                         [cen_at_field(p, s, x) for x in node_list(nodes)])
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -728,22 +988,250 @@ def test_truncated_sums_match_loops(request, name, smooth_v1):
     u = p.u
     e = TreeExpansion(p, smooth_v1)
     gamma, levels = _levels(u)
-    pairs = _pairs(p, 6, 4)
+    y = _oracle_nodes(p, 6, 4)
+    x = _rolled(y, 1)
+    pairs = list(zip(node_list(y), node_list(x)))
     loops = ((equation._v_terms, v_loop), (equation._v2_terms, v2_loop),
              (equation._vi_terms,
               lambda p, e, level, y, x: vi_loop(p, e, 1, level, y, x)))
     for level in levels:
-        for y, x in pairs:
-            for terms, loop in loops:
-                assert (equation._level_sum(p, e, terms, level, y, x)
-                        == loop(p, e, level, y, x))
+        for terms, loop in loops:
+            assert same_bits(equation._level_sum(p, e, terms, level, y, x),
+                             [loop(p, e, level, *pair) for pair in pairs])
     assert equation._support(p, equation._v2_terms, gamma + 1)
     assert equation._support(p, equation._vi_terms, max(levels))
     cutoff = gamma - 2
     for t in u.N:
-        for y, x in pairs:
-            assert (equation.u_tau_at(p, e, t, cutoff, y, x)
-                    == u_tau_loop(p, e, t, cutoff, y, x))
+        assert same_bits(equation.u_tau_at(p, e, t, cutoff, y, x),
+                         [u_tau_loop(p, e, t, cutoff, *pair) for pair in pairs])
+        assert same_bits(equation.classified_u_tau_at(p, e, t, cutoff, y, x),
+                         [classified_u_tau_loop(p, e, t, cutoff, *pair)
+                          for pair in pairs])
+
+
+LIFTS = ("multiplicative", "counterterm", "custom")
+
+
+@pytest.fixture(scope="module", params=[
+    (universe, lift) for universe in ("u920", "u25", "u310", "u1350")
+    for lift in LIFTS], ids="-".join)
+def lift_path(request):
+    """A path on the coarse grid over each universe, of each lift kind."""
+    universe, lift = request.param
+    return _coarse_lift_path(request.getfixturevalue(universe), lift)
+
+
+def _coarse_lift_path(u, lift):
+    grid = COARSE_GRID
+    rmap = custom = None
+    if lift == "counterterm":
+        rmap = random_counterterm_map(u, np.random.default_rng(9))
+    if lift == "custom":
+        custom = {u.Q[0]: noise_field(grid, "bump"),
+                  u.Q[-1]: noise_field(grid, "trig", seed=2)}
+    xi = noise_field(grid, "trig", seed=4)
+    return Path(build_local_product(grid, u, xi, rmap=rmap, custom=custom))
+
+
+def _same_residuals(got, want) -> bool:
+    """Whether the (abs, rel) batches got hold the scalar pairs want."""
+    return all(same_bits(g, [w[i] for w in want]) for i, g in enumerate(got))
+
+
+def test_point_path_matches_scalar(lift_path):
+    # every evaluator of a batch gives the floats of the evaluation at each
+    # node alone, sign bits included, on every branch of the path domain
+    p, u = lift_path, lift_path.u
+    z = _oracle_nodes(p, 6, 5)
+    uu, x = _rolled(z, 1), _rolled(z, 2)
+    zs, us, xs = node_list(z), node_list(uu), node_list(x)
+    trees = {s.uid: s for s in (*u.T, *u.T_plus, *u.T_cen,
+                                *(Im(1, t) for t in u.T_r))}
+    branches = set()
+    for s in trees.values():
+        try:
+            want = [value_at_scalar(p, s, a, b) for a, b in zip(zs, xs)]
+        except (KeyError, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                p.value_at(s, z, x)
+            continue
+        assert same_bits(p.value_at(s, z, x), want), tree_name(s)
+        if s.kind == PLANTED:
+            branches.add(s.edge)
+    assert branches == {EDGE_I, EDGE_IP, EDGE_IM}
+    for s in u.T_cen:
+        assert same_bits(p.cen_at(s, x), [cen_at_scalar(p, s, b) for b in xs])
+    for s in u.T:
+        assert _same_residuals(p.chen_residual(s, z, uu, x), [
+            chen_residual_scalar(p, s, *n) for n in zip(zs, us, xs)]), tree_name(s)
+    for t in u.N:
+        assert _same_residuals(p.strong_chen_residual(I(t), z, x), [
+            strong_chen_residual_scalar(p, I(t), *n) for n in zip(zs, xs)])
+    # the differences at columns 1 and nx - 2 read the boundary columns
+    inner = [n for n, (_j, m) in enumerate(zs) if 0 < m < p.grid.nx - 1]
+    zi = (z[0][inner], z[1][inner])
+    zi = (np.append(zi[0], [2, 5]), np.append(zi[1], [1, p.grid.nx - 2]))
+    xi = (np.resize(x[0], zi[0].size), np.resize(x[1], zi[0].size))
+    for t in u.T_r:
+        assert _same_residuals(p.derivative_residual(t, zi, xi), [
+            derivative_residual_scalar(p, t, *n)
+            for n in zip(node_list(zi), node_list(xi))])
+    if p.lp.rmap is not None:
+        ruid = p.lp.rmap.as_uid_map()
+        for t in u.T_r:
+            if t.kind == PROD:
+                assert _same_residuals(p.renorm_path_residual(ruid, t, z, x), [
+                    renorm_path_residual_scalar(p, ruid, t, *n)
+                    for n in zip(zs, xs)])
+
+
+@pytest.mark.parametrize("name", ["coarse_path"] + FIXTURES)
+def test_order_scan_pairs_match_loop(request, monkeypatch, name):
+    # the sampled pairs of the centering trees, as one batch per tree and
+    # scale, give the running max of the pair-by-pair scan
+    p = request.getfixturevalue(name)
+    sigmas = [s for s in p.u.T_cen + p.u.T_r if s.m_xi <= 3]
+    scales = [1 / 8, 1 / 4, 1 / 2]
+    got = order_scan(p, sigmas, scales, n_pairs=80, seed=6)
+    monkeypatch.setattr(pathmod, "_pair_sup", pair_sup_loop)
+    assert got == order_scan(p, sigmas, scales, n_pairs=80, seed=6)
+
+
+def test_batched_residuals_keep_their_errors(coarse_path, u920):
+    p = coarse_path
+    z = _oracle_nodes(p, 6, 5)         # its last four are on the boundary
+    with pytest.raises(ValueError, match="interior"):
+        p.derivative_residual(u920.T_r[0], z, z)
+    with pytest.raises(ValueError, match="I-planted"):
+        p.strong_chen_residual(XI, z, z)
+
+
+# The loop oracle of the V2 sums scans every pair of trees of N, which takes
+# about a minute at delta 3/10; the products suite runs at 9/20 and 2/5.
+@pytest.mark.parametrize("lift", LIFTS)
+@pytest.mark.parametrize("universe", ["u920", "u25"])
+def test_products_rows_match_loops(request, universe, lift):
+    u = request.getfixturevalue(universe)
+    p = _coarse_lift_path(u, lift)
+    grid = p.grid
+    v1 = 0.5 + 0.3 * np.sin(2.0 * grid.x_field) * np.cos(1.5 * grid.t_field)
+    e = TreeExpansion(p, v1)
+    gamma = pick_gamma(u, Fraction(3, 2))
+    mn = equation.modelled_norms(p, e, gamma, n_pairs=8, seed=2)
+    assert (mn.rows, mn.max_rel_mismatch) == modelled_norms_loop(p, e, gamma, 8, 2)
+    assert (equation.three_point_residual(p, e, gamma, n_triples=6, seed=3)
+            == three_point_loop(p, e, gamma, 6, 3))
+
+
+@pytest.mark.parametrize("name", ["coarse_path", "coarse_counterterm_path"])
+def test_cli_point_rows_match_loops(request, monkeypatch, tmp_path, name):
+    # the path, products and solve reports read the batched evaluators; each
+    # of their point rows is the row of the node-by-node loops
+    p = request.getfixturevalue(name)
+    monkeypatch.setattr(cli, "_build_path", lambda cfg, cg: (p, None))
+    seed = 4
+    common = ["--delta", "9/20", "--seed", str(seed), "--out", str(tmp_path)]
+    cli.main(["verify", "--suite", "path", *common])
+    cli.main(["verify", "--suite", "products", *common])
+    assert cli.main(["solve", *common]) == 0
+    path_rows = json.loads((tmp_path / "verify-path.json").read_text())
+    want = path_rows_loop(p, seed, 1e-8)
+    assert path_rows["reports"]["path"][:len(want)] == want
+    products = json.loads((tmp_path / "verify-products.json").read_text())
+    e = TreeExpansion(p, cli._smooth_v1(p.grid))
+    gamma = pick_gamma(p.u, Fraction(3, 2))
+    _rows, worst = modelled_norms_loop(p, e, gamma, 60, seed)
+    three = three_point_loop(p, e, gamma, 40, seed)
+    assert products["reports"]["products"][1:] == [
+        cli._summary_row("utau-classified", [worst], 1e-8),
+        cli._summary_row("three-point", [three["max_rel_residual"]], 1e-8)]
+    solve = json.loads((tmp_path / "solve.json").read_text())
+    assert solve["run"]["residuals"]["chen_spot"] == chen_spot_loop(p, seed)
+
+
+@pytest.fixture(scope="module")
+def coarse_counterterm_path(u920, cg920):
+    grid = COARSE_GRID
+    rmap = random_counterterm_map(u920, np.random.default_rng(9))
+    lp = build_local_product(grid, u920, noise_field(grid, "trig", seed=0),
+                             rmap=rmap, coalg=cg920)
+    return Path(lp)
+
+
+def _with_nan(path, table, t, node):
+    """A copy of the path whose lift holds NaN at one node of one stored
+    field of the tree t; the path and its lift are left as they are."""
+    lp = copy.copy(path.lp)
+    fields = dict(getattr(lp, table))
+    poisoned = fields[canon(t).uid].copy()
+    poisoned[node] = np.nan
+    fields[canon(t).uid] = poisoned
+    setattr(lp, table, fields)
+    out = copy.copy(path)
+    out.lp = lp
+    return out
+
+
+def _nth_node(grid, seed, n, k=0, skip=0):
+    """Node k of the n-node sample the CLI draws after skip n-node ones."""
+    rng = np.random.default_rng(seed)
+    for _ in range(skip):
+        sample_nodes(grid, grid.probe_mask(), rng, n)
+    rows, cols = sample_nodes(grid, grid.probe_mask(), rng, n)
+    return int(rows[k]), int(cols[k])
+
+
+def _run_with_nan(monkeypatch, tmp_path, path, table, t, node, argv):
+    """(exit code, report, path) of a CLI call on a copy of path with NaN at
+    one node of the stored field of t."""
+    poisoned = _with_nan(path, table, t, node)
+    monkeypatch.setattr(cli, "_build_path", lambda cfg, cg: (poisoned, None))
+    out = tmp_path / "out"
+    code = cli.main([*argv, "--delta", "9/20", "--seed", "0", "--out", str(out)])
+    name = "solve" if argv[0] == "solve" else "verify-" + argv[2]
+    return code, json.loads((out / (name + ".json")).read_text()), poisoned
+
+
+def test_nan_in_a_lift_value_fails_the_rows(monkeypatch, tmp_path, coarse_path):
+    # a NaN in one stored value keeps the chen and utau-classified rows at
+    # FAIL, written as "NaN"
+    grid = coarse_path.grid
+    code, report, _p = _run_with_nan(
+        monkeypatch, tmp_path, coarse_path, "_X", XI, _nth_node(grid, 0, 150),
+        ["verify", "--suite", "path"])
+    chen = report["reports"]["path"][0]
+    assert code == 1 and chen["identity"] == "chen"
+    assert chen["status"] == "FAIL" and chen["residual"] == "NaN"
+    # the continuity errors read the solve of [I(Xi) I(Xi) I(Xi)] at the
+    # first y node
+    xi3 = prod3(I(XI), I(XI), I(XI), coarse_path.u.delta)
+    code, report, _p = _run_with_nan(
+        monkeypatch, tmp_path, coarse_path, "_ell", xi3,
+        _nth_node(grid, 0, 60, skip=1), ["verify", "--suite", "products"])
+    utau, = (r for r in report["reports"]["products"]
+             if r["identity"] == "utau-classified")
+    assert code == 1 and utau["status"] == "FAIL" and utau["residual"] == "NaN"
+
+
+@pytest.mark.parametrize("k", [0, 3], ids=["first", "later"])
+def test_chen_spot_keeps_python_max_over_a_nan(monkeypatch, tmp_path,
+                                               coarse_path, k):
+    # Xi at z node k makes the chen residual of Xi NaN on triple k / 3, and
+    # no other residual of chen_spot: Python's max over floats in order keeps
+    # it only in first place
+    code, report, poisoned = _run_with_nan(
+        monkeypatch, tmp_path, coarse_path, "_X", XI,
+        _nth_node(coarse_path.grid, 0, 9, k), ["solve"])
+    want = chen_spot_loop(poisoned, 0)
+    assert math.isnan(want) == (k == 0)
+    got = report["run"]["residuals"]["chen_spot"]
+    assert code == 0 and got == ("NaN" if k == 0 else want)
+
+
+@pytest.mark.parametrize("delta", ["9/20", "2/5", "3/10", "13/50"])
+def test_resonance_values_over_orders_match_pairs(delta):
+    u = enumerate_universe(Fraction(delta))
+    assert resonance_values(u) == resonance_values_pairs(u)
 
 
 @pytest.fixture(scope="module")
@@ -962,11 +1450,6 @@ def test_leaf_count_lattice_matches_loops():
         assert [tup for tup, o in lattice if o < 0] == neg
         assert sorted((tup for tup, o in lattice if o <= 0 and sum(tup) >= 3),
                       key=lambda t: (sum(t), t)) == universe_tuples_loop(delta, neg)
-
-
-@pytest.fixture(scope="module")
-def u1350():
-    return enumerate_universe(Fraction(13, 50))
 
 
 @pytest.mark.parametrize("name", ["u310", "u1350"])

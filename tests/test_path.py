@@ -13,22 +13,35 @@ from phi4local.symtree import (
 D = Fraction(9, 20)
 
 
+def _batch(*nodes):
+    """The batch (rows, cols) of the given (row, col) nodes."""
+    rows, cols = zip(*nodes)
+    return np.array(rows), np.array(cols)
+
+
+def _strided(nodes, k, n):
+    """Batches of the nodes k*j + i below n, for i < k: the sample's runs of
+    k consecutive nodes."""
+    rows, cols = nodes
+    return [(rows[i:n:k], cols[i:n:k]) for i in range(k)]
+
+
 def test_polynomial_paths(coarse_path):
     p = coarse_path
     grid = p.grid
-    z, x = (10, 40), (20, 88)
-    assert p.value_at(I(ONE), z, x) == 1.0
+    z, x = _batch((10, 40), (0, grid.nx - 1)), _batch((20, 88), (3, 0))
+    assert np.all(p.value_at(I(ONE), z, x) == 1.0)
     assert p.value_at(I(X(1)), z, x) == pytest.approx(
         grid.xs[z[1]] - grid.xs[x[1]], abs=0)
-    assert p.value_at(Ip(1, X(1), D), z, x) == 1.0
+    assert np.all(p.value_at(Ip(1, X(1), D), z, x) == 1.0)
 
 
 def test_centering_base_values(coarse_path):
     p = coarse_path
-    x = (15, 50)
-    assert p.cen_at(I(ONE), x) == 1.0
-    assert p.cen_at(Ip(1, X(1), D), x) == 1.0
-    assert p.cen_at(I(X(1)), x) == -p.grid.xs[x[1]]
+    x = _batch((15, 50), (0, p.grid.nx - 1))
+    assert np.all(p.cen_at(I(ONE), x) == 1.0)
+    assert np.all(p.cen_at(Ip(1, X(1), D), x) == 1.0)
+    assert np.array_equal(p.cen_at(I(X(1)), x), -p.grid.xs[x[1]])
 
 
 def test_shared_fields_are_read_only(coarse_path):
@@ -49,22 +62,22 @@ def test_shared_fields_are_read_only(coarse_path):
 
 def test_rough_paths_basepoint_free(coarse_path, u920):
     p = coarse_path
-    z, x1, x2 = (12, 30), (30, 80), (5, 92)
+    z, x1, x2 = _batch((12, 30)), _batch((30, 80)), _batch((5, 92))
     for w in u920.W:
-        assert p.value_at(w, z, x1) == p.value_at(w, z, x2)
-        assert p.value_at(I(w), z, x1) == p.value_at(I(w), z, x2)
+        assert np.array_equal(p.value_at(w, z, x1), p.value_at(w, z, x2))
+        assert np.array_equal(p.value_at(I(w), z, x1), p.value_at(I(w), z, x2))
 
 
 def test_diagonal_vanishing(coarse_path, u920):
     # centered planted trees vanish at the base point; positive-order
     # derivative trees vanish there too
     p = coarse_path
-    for x in ((12, 40), (25, 88)):
-        for t in u920.N:
-            if t is not ONE:
-                assert abs(p.value_at(I(t), x, x)) < 1e-12
-        for t in u920.N_tilde:
-            assert abs(p.value_at(Im(1, t), x, x)) < 1e-10
+    x = _batch((12, 40), (25, 88))
+    for t in u920.N:
+        if t is not ONE:
+            assert np.all(np.abs(p.value_at(I(t), x, x)) < 1e-12)
+    for t in u920.N_tilde:
+        assert np.all(np.abs(p.value_at(Im(1, t), x, x)) < 1e-10)
 
 
 def test_diagonal_im_table_vanishes_on_positive_orders(coarse_path, u920):
@@ -79,12 +92,13 @@ def test_pathcopro_identity(coarse_path, u920):
     p = coarse_path
     grid = p.grid
     z, x = (18, 70), (30, 95)
+    zb, xb = _batch(z), _batch(x)
     for t in u920.N_ring:
         solve_at = {}
         for pt, node in (("z", z), ("x", x)):
             acc = 0.0
             for (l, f), c in p.cg.delta(t).items():
-                acc += c * float(p.lp.ell(l)[node]) * p.cen_forest_at(f, x)
+                acc += c * float(p.lp.ell(l)[node]) * p.cen_forest_at(f, xb)
             solve_at[pt] = acc
         defn = solve_at["z"] - solve_at["x"]
         # the stored centering is minus the solve at the base point, plus the
@@ -94,24 +108,24 @@ def test_pathcopro_identity(coarse_path, u920):
             nu_x = float(p.nu[t.uid][x])
             defn -= (grid.xs[z[1]] - grid.xs[x[1]]) * nu_x
             cen -= grid.xs[x[1]] * nu_x
-        assert p.value_at(I(t), z, x) == pytest.approx(defn, abs=1e-10)
+        assert p.value_at(I(t), zb, xb) == pytest.approx(defn, abs=1e-10)
         assert -cen == pytest.approx(solve_at["x"], abs=1e-12)
 
 
 def test_chen_exact_on_rough(coarse_path, u920):
     p = coarse_path
-    z, uu, x = (10, 30), (20, 60), (30, 90)
+    z, uu, x = _batch((10, 30)), _batch((20, 60)), _batch((30, 90))
     for w in u920.W:
         a, _ = p.chen_residual(w, z, uu, x)
-        assert a == 0.0
+        assert np.all(a == 0.0)
 
 
 def test_chen_degenerate_triple(coarse_path, u920):
     p = coarse_path
-    z, x = (10, 30), (25, 80)
+    z, x = _batch((10, 30)), _batch((25, 80))
     for s in u920.T:
         a, rel = p.chen_residual(s, z, x, x)
-        assert rel < 1e-12
+        assert np.all(rel < 1e-12)
 
 
 def test_chen_sampled(coarse_path, u920):
@@ -120,9 +134,8 @@ def test_chen_sampled(coarse_path, u920):
     nodes = sample_nodes(p.grid, p.grid.probe_mask(), rng, 60)
     worst = 0.0
     for s in u920.T:
-        for n in range(0, 57, 3):
-            _a, rel = p.chen_residual(s, nodes[n], nodes[n + 1], nodes[n + 2])
-            worst = max(worst, rel)
+        _a, rel = p.chen_residual(s, *_strided(nodes, 3, 57))
+        worst = max(worst, np.max(rel))
     assert worst <= 1e-8
 
 
@@ -132,22 +145,21 @@ def test_strong_chen(coarse_path, u920):
     nodes = sample_nodes(p.grid, p.grid.probe_mask(), rng, 40)
     worst = 0.0
     for t in u920.N:
-        for n in range(0, 38, 2):
-            _a, rel = p.strong_chen_residual(I(t), nodes[n], nodes[n + 1])
-            worst = max(worst, rel)
+        _a, rel = p.strong_chen_residual(I(t), *_strided(nodes, 2, 38))
+        worst = max(worst, np.max(rel))
     assert worst <= 1e-8
-    # degenerate pair
+    # degenerate pairs
     for t in u920.N:
-        _a, rel = p.strong_chen_residual(I(t), nodes[0], nodes[0])
-        assert rel < 1e-12
+        _a, rel = p.strong_chen_residual(I(t), nodes, nodes)
+        assert np.all(rel < 1e-12)
 
 
 def test_derivative_consistency(coarse_path, u920):
     p = coarse_path
-    z, x = (14, 60), (28, 85)
+    z, x = _batch((14, 60), (3, 1)), _batch((28, 85), (0, 0))
     for t in u920.T_r:
         _a, rel = p.derivative_residual(t, z, x)
-        assert rel <= 1e-10
+        assert np.all(rel <= 1e-10)
 
 
 def test_renorm_path_identity(u920, cg920):
@@ -162,9 +174,8 @@ def test_renorm_path_identity(u920, cg920):
     for t in u920.T_r:
         if t.kind != "prod":
             continue
-        for n in range(0, 18, 2):
-            _a, rel = p.renorm_path_residual(ruid, t, nodes[n], nodes[n + 1])
-            assert rel <= 1e-10
+        _a, rel = p.renorm_path_residual(ruid, t, *_strided(nodes, 2, 18))
+        assert np.all(rel <= 1e-10)
 
 
 def test_order_scan_polynomial_rows(coarse_path):
