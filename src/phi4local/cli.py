@@ -140,7 +140,14 @@ class RunConfig:
         if sub * nx > MAX_GRID_NODES:
             raise ConfigError("grid %r marches %d substeps of ~%d nodes, above "
                               "the bound of %d" % (self.grid, sub, nx, MAX_GRID_NODES))
-        return fieldmod.Grid(S=S, h=h, k_store=k, substeps=sub)
+        grid = fieldmod.Grid(S=S, h=h, k_store=k, substeps=sub)
+        probe = int(grid.probe_mask().sum())
+        if probe < 2:
+            raise ConfigError("grid %r has %d node(s) in the probe region (the "
+                              "unit cylinder shrunk by 0.1), where the checks "
+                              "sample pairs of nodes; it needs 2"
+                              % (self.grid, probe))
+        return grid
 
     def make_noise(self, grid) -> np.ndarray:
         kind, _, rest = self.noise.partition(":")

@@ -18,7 +18,7 @@ import numpy as np
 from .coeffs import classify_utau, is_resonant, monomial_product, upsilon_monomial
 from .field import grad_x
 from .lift import CountertermMap
-from .path import Path, fit_slope, order_scan, residual, sample_nodes, sup_on
+from .path import ALL, Path, fit_slope, order_scan, residual, sample_nodes, sup_on
 from .symtree import ONE, PROD, I, Ip, Tree, X, prod3, sign_of, tree_name
 
 
@@ -57,9 +57,6 @@ class TreeExpansion:
                 arr = arr * self.vX ** e
             self._cache[t.uid] = arr
         return arr
-
-    def theta_at(self, t: Tree, nodes) -> np.ndarray:
-        return self.theta(t)[nodes]
 
     def pointwise(self) -> np.ndarray:
         """X_{z,z} applied to the expansion: v1 plus the rough-tree solves."""
@@ -386,9 +383,9 @@ def _cut_terms(path: Path, t: Tree, cutoff: Fraction) -> tuple:
 def u_tau_at(path: Path, e, t: Tree, cutoff: Fraction, y, x) -> np.ndarray:
     """Continuity error of the coefficient of t between the base points of
     the batches y and x, truncated to trees of order below the cutoff."""
-    acc = e.theta_at(t, y)
+    acc = e.theta(t)[y]
     for tb, f in _support(path, _cut_terms, t, cutoff):
-        acc -= e.theta_at(tb, x) * path.forest_at(f, y, x)
+        acc -= e.theta(tb)[x] * path.forest_at(f, y, x)
     return acc
 
 
@@ -401,9 +398,15 @@ def _v_terms(path: Path, level: Fraction) -> tuple:
 
 
 def _v2_terms(path: Path, level: Fraction) -> tuple:
+    """The pairs (t1, t2) of N, in loop order, whose orders add up below
+    level - 4: one exact comparison per pair of distinct orders."""
     u = path.u
-    return tuple(((t1, I(t1)), (t2, I(t2))) for t1 in u.N for t2 in u.N
-                 if u.order(t1) + u.order(t2) < level - 4)
+    orders = sorted({u.order(t) for t in u.N})
+    below = [[o1 + o2 < level - 4 for o2 in orders] for o1 in orders]
+    rank = {o: i for i, o in enumerate(orders)}
+    terms = [(rank[u.order(t)], (t, I(t))) for t in u.N]
+    return tuple((f1, f2) for r1, f1 in terms for r2, f2 in terms
+                 if below[r1][r2])
 
 
 def _vi_terms(path: Path, level: Fraction) -> tuple:
@@ -419,7 +422,7 @@ def _level_sum(path: Path, e, terms, level: Fraction, y, x):
     (so a two-factor term reads ((theta1 theta2) v1) v2)."""
     acc = 0.0
     for term in _support(path, terms, level):
-        acc += math.prod([*(e.theta_at(t, x) for t, _p in term),
+        acc += math.prod([*(e.theta(t)[x] for t, _p in term),
                           *(path.value_at(p, y, x) for _t, p in term)])
     return acc
 
@@ -555,8 +558,8 @@ def _channel_pairs(path: Path, e, t: Tree, composite: Tree, cutoff: Fraction):
             key = tuple(p.uid for p in lf)
             if key not in index:
                 index[key] = len(fields)
-                fields.append(dg * lp.forest_value(lf))
-            xf = -float(c) * e.theta(tb) * path.cen_forest_field(gf)
+                fields.append(dg * lp.forest_rows(lf))
+            xf = -float(c) * e.theta(tb) * path.cen_forest_at(gf, ALL)
             pairs.append((index[key], xf))
     return fields, pairs
 
@@ -593,22 +596,16 @@ def reconstruction_check(path: Path, e, w1: Tree, w2: Tree, scales) -> dict:
     values = []
     channel_values = {name: [] for name in channels}
     for L in scales:
+        # every field smoothed here is (nt, nx), so all smoothings at scale
+        # L share the mask of the f_diag smoothing
         acc = grid.zeros()
-        mask = None
         for t, tt in kept:
-            g, msk = path.smoothed_centered_at_base(tt, L)
-            acc = acc + e.theta(t) * g
-            mask = msk if mask is None else (mask & msk)
-        g0, msk0 = path.mol.smooth(f_diag, L)
-        acc = acc - g0
-        mask = mask & msk0 & probe
-        values.append(sup_on(acc, mask))
+            acc = acc + e.theta(t) * path.smoothed_centered_at_base(tt, L)[0]
+        g0, mask = path.mol.smooth(f_diag, L)
+        mask = mask & probe
+        values.append(sup_on(acc - g0, mask))
         for name, (fields, pairs) in channels.items():
-            smoothed = []
-            for yf in fields:
-                g, msk = path.mol.smooth(yf, L)
-                smoothed.append(g)
-                mask = mask & msk
+            smoothed = [path.mol.smooth(yf, L)[0] for yf in fields]
             ch = grid.zeros()
             for n, xf in pairs:
                 ch = ch + smoothed[n] * xf

@@ -344,8 +344,11 @@ class Mollifier:
         """(f)_L with depth n (default: maximal resolvable depth).
 
         Returns (g, mask): g is the smoothed field, valid where mask is True
-        (nodes whose backward kernel window stays inside the field).  The
-        field may have any (levels, nodes) shape on the grid's spacing.  The
+        (nodes whose backward kernel window stays inside the field) and 0
+        elsewhere.  The field may have any (levels, nodes) shape on the
+        grid's spacing; the mask depends on L, n and that shape alone, so
+        every smoothing of an (nt, nx) field at one scale, as the scans make,
+        has one mask.  The
         kernel's spectrum is computed once per (L, n, field shape), so a
         smoothing is one forward and one inverse transform; the result is
         that of _fftconvolve(f, kernel) to the bit.
@@ -407,8 +410,7 @@ def noise_field(grid: Grid, kind: str, seed: int = 0, eps: float | None = None,
         rng = np.random.default_rng(seed)
         white = rng.standard_normal((grid.nt, grid.nx))
         white *= amp / math.sqrt(grid.k_store * grid.h)
-        g, mask = Mollifier(grid).smooth(white, eps)
-        return np.where(mask, g, 0.0)
+        return Mollifier(grid).smooth(white, eps)[0]
     raise ValueError("unknown noise kind %r" % kind)
 
 

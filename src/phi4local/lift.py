@@ -105,12 +105,11 @@ class LocalProduct:
         """Spatial gradient of the heat solve of an unplanted tree."""
         return self._grad[canon(t).uid]
 
-    def forest_value(self, forest, coeff=1.0) -> np.ndarray:
-        return self.forest_rows(forest, coeff, slice(0, self.grid.nt))
-
-    def forest_rows(self, forest, coeff, rows: slice) -> np.ndarray:
-        """The forest's value, times coeff, on a slice of stored levels."""
-        out = np.full((rows.stop - rows.start, self.grid.nx), float(coeff))
+    def forest_rows(self, forest, coeff=1.0,
+                    rows: slice = slice(None)) -> np.ndarray:
+        """The forest's value, times coeff, on a slice of stored levels
+        (all of them by default)."""
+        out = np.full((self.grid.ts[rows].size, self.grid.nx), float(coeff))
         for p in forest:
             out *= self.planted_field(p)[rows]
         return out
@@ -277,7 +276,7 @@ def extension_consistency_report(lp: LocalProduct) -> list:
             continue
         val = np.zeros_like(lp.xi)
         for forest, c in cg.renorm_expand(ruid, canon(t)).items():
-            val += lp.forest_value(forest, coeff=float(c))
+            val += lp.forest_rows(forest, float(c))
         err = float(np.max(np.abs(val - lp.value(t))))
         scale = max(1.0, float(np.max(np.abs(val))))
         rows.append({"identity": "extension-rewrite", "tree": tree_name(t),

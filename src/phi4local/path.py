@@ -22,6 +22,10 @@ from .symtree import (
 )
 
 
+# The batch of every node: cen_at and cen_forest_at read whole fields there.
+ALL = (slice(None), slice(None))
+
+
 class Path:
     """Evaluators for the centered local product and the centering tables."""
 
@@ -62,7 +66,7 @@ class Path:
             nu = grid.zeros()
             dg = grid.zeros()
             for (l, f), c in cg.delta(t).items():
-                cf = float(c) * self.cen_forest_field(f)
+                cf = float(c) * self.cen_forest_at(f, ALL)
                 a += lp.ell(l) * cf
                 dg += lp.value(l) * cf
                 nu += lp.grad(l) * cf
@@ -78,26 +82,6 @@ class Path:
         # once per (builder, level) instead of at every point evaluation
         self.supports: dict = {}
 
-    # centering tables -------------------------------------------------------
-
-    def cen_planted_field(self, p: Tree) -> np.ndarray:
-        """Centering field of a planted tree: the cen_I entry of I(tau), 1 on
-        Ip(X_i) and -nu on Ip(tau) for a product tau."""
-        ch = p.child
-        if p.edge == EDGE_I:
-            return self.cen_I[ch.uid]
-        if p.edge == EDGE_IP:
-            if ch.kind == GEN:
-                return self.cen_I[ONE.uid]
-            return -self.nu[ch.uid]
-        raise KeyError("no centering value on %s" % tree_name(p))
-
-    def cen_forest_field(self, forest) -> np.ndarray:
-        out = self.cen_I[ONE.uid]
-        for p in forest:
-            out = out * self.cen_planted_field(p)
-        return out
-
     # point evaluators --------------------------------------------------------
     # The nodes z, x, ... are batches: (rows, cols) pairs of equal-length int
     # arrays.  An evaluator returns one value per node, and every node sums
@@ -105,10 +89,16 @@ class Path:
     # of the evaluation at that node alone.
 
     def cen_at(self, p: Tree, x) -> np.ndarray:
-        """cen_planted_field(p) at the nodes x."""
-        if p.edge == EDGE_IP and p.child.kind != GEN:
-            return -self.nu[p.child.uid][x]
-        return self.cen_planted_field(p)[x]
+        """Centering of a planted tree at the nodes x: the cen_I entry of
+        I(tau), 1 on Ip(X_i) and -nu on Ip(tau) for a product tau."""
+        ch = p.child
+        if p.edge == EDGE_I:
+            return self.cen_I[ch.uid][x]
+        if p.edge == EDGE_IP:
+            if ch.kind == GEN:
+                return self.cen_I[ONE.uid][x]
+            return -self.nu[ch.uid][x]
+        raise KeyError("no centering value on %s" % tree_name(p))
 
     def cen_forest_at(self, forest, x):
         out = 1.0
@@ -119,36 +109,34 @@ class Path:
     def value_at(self, s: Tree, z, x) -> np.ndarray:
         """X_{z,x} s for s in the path domain."""
         u, lp = self.u, self.lp
-        if s.kind == PROD or s is XI:
+        if s.kind == PLANTED:
+            ch = s.child
+            if s.edge == EDGE_I:
+                if ch is ONE:
+                    return np.ones(np.shape(z[0]))
+                if ch.kind == GEN and ch.label == "X":
+                    return self.grid.xs[z[1]] - self.grid.xs[x[1]]
+                if u.member("W", ch):
+                    return lp.ell(ch)[z]
+            elif s.edge == EDGE_IP:
+                if ch.kind == GEN:
+                    return np.ones(np.shape(z[0]))
+                acc = self.cen_at(s, x)
+                for (l, f), c in self.cg.delta(ch).items():
+                    if not u.member("N_tilde", l):
+                        continue
+                    acc += float(c) * self.nu[l.uid][z] * self.forest_at(f, z, x)
+                return acc
+            look = lp.planted_field      # EDGE_I off W and EDGE_IM
+        elif s.kind == PROD or s is XI:
             if u.member("W", s):
                 return lp.value(s)[z]
-            acc = 0.0
-            for (l, f), c in self.cg.delta(s).items():
-                acc += float(c) * lp.value(l)[z] * self.cen_forest_at(f, x)
-            return acc
-        if s.kind != PLANTED:
+            look = lp.value
+        else:
             raise ValueError("path undefined on generator %s" % tree_name(s))
-        ch = s.child
-        if s.edge == EDGE_I:
-            if ch is ONE:
-                return np.ones(np.shape(z[0]))
-            if ch.kind == GEN and ch.label == "X":
-                return self.grid.xs[z[1]] - self.grid.xs[x[1]]
-            if u.member("W", ch):
-                return lp.ell(ch)[z]
-        elif s.edge == EDGE_IP:
-            if ch.kind == GEN:
-                return np.ones(np.shape(z[0]))
-            acc = self.cen_at(s, x)
-            for (l, f), c in self.cg.delta(ch).items():
-                if not u.member("N_tilde", l):
-                    continue
-                acc += float(c) * self.nu[l.uid][z] * self.forest_at(f, z, x)
-            return acc
-        # EDGE_I off W and EDGE_IM
         acc = 0.0
         for (l, f), c in self.cg.delta(s).items():
-            acc += float(c) * lp.planted_field(l)[z] * self.cen_forest_at(f, x)
+            acc += float(c) * look(l)[z] * self.cen_forest_at(f, x)
         return acc
 
     def forest_at(self, forest, z, x):
@@ -219,17 +207,16 @@ class Path:
                                       and u.member("W", s.child))
 
     def smoothed_centered_at_base(self, s: Tree, L: float):
-        """Field x -> (X_{.,x} s)_L(x) with its validity mask."""
+        """Field x -> (X_{.,x} s)_L(x) with its validity mask, the one mask
+        of every smoothing at scale L."""
         if not self.smoothable(s):
             raise ValueError("smoothed branch covers T_r and I(W) only")
         if s.kind == PLANTED or self.u.member("W", s):
             return self._mollified(s, L)
-        acc = self.grid.zeros()
-        mask = None
+        acc = 0.0
         for (l, f), c in self.cg.delta(s).items():
-            g, msk = self._mollified(l, L)
-            acc = acc + float(c) * g * self.cen_forest_field(f)
-            mask = msk if mask is None else (mask & msk)
+            g, mask = self._mollified(l, L)
+            acc = acc + float(c) * g * self.cen_forest_at(f, ALL)
         return acc, mask
 
 
@@ -306,14 +293,11 @@ def _pair_sup(path: Path, s: Tree, L: float, probe, rng, n_pairs: int) -> float:
     """max |X_{z,x} s| over sampled base points x and their four neighbours
     z at separation L that lie on the grid, in the order (pair, offset)."""
     grid = path.grid
-    jj, mm = np.where(probe)
-    if jj.size == 0:
+    if not probe.any():
         return 0.0
-    pick = rng.integers(0, jj.size, size=n_pairs)
+    xj, xm = (np.repeat(a, 4) for a in sample_nodes(grid, probe, rng, n_pairs))
     oj = max(1, int(round(L ** 2 / grid.k_store)))
     om = max(1, int(round(L / grid.h)))
-    xj = np.repeat(jj[pick], 4)
-    xm = np.repeat(mm[pick], 4)
     zj = xj + np.tile([0, 0, oj, -oj], n_pairs)
     zm = xm + np.tile([om, -om, 0, 0], n_pairs)
     on = (0 <= zj) & (zj < grid.nt) & (0 <= zm) & (zm < grid.nx)

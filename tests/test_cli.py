@@ -106,6 +106,23 @@ def test_solve_smoke(tmp_path):
     assert "norms" in data["run"]
 
 
+def test_runs_repeat_in_one_process(tmp_path):
+    # the memos a process keeps (cut maps, supports, kernels, spectra,
+    # orders) leave a second run's reports byte for byte those of the first
+    runs = [["verify", "--suite", "all", "--delta", "2/5"], ["solve"],
+            ["scan", "--kind", "order"], ["scan", "--kind", "apriori"],
+            ["scan", "--kind", "reconstruction"]]
+    for name in ("a", "b"):
+        for argv in runs:
+            assert main(argv + ["--grid", "1/16,1/32,3",
+                                "--out", str(tmp_path / name)]) == 0
+    reports = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert len(reports) == len(runs)
+    for report in reports:
+        assert ((tmp_path / "a" / report).read_bytes()
+                == (tmp_path / "b" / report).read_bytes())
+
+
 SMALL = ["--delta", "9/20", "--grid", "1/16,1/32,3"]
 # JSON config values whose type cannot be their field's
 JSON_TYPE_ERRORS = {
@@ -268,6 +285,13 @@ def _sidecar_manifest(base, key, value=None):
     lambda d: ["solve", "--grid", "1,1/16,5/2", "--noise", "gauss:0:2",
                "--lift", "phi43"],
     lambda d: ["verify", "--suite", "path", "--lift", _shape_manifest(d)],
+    # the probe region holds 0 nodes (2,1,3) or 1 node (1,1,3): no node pairs
+    lambda d: ["verify", "--suite", "path", "--grid", "2,1,3"],
+    lambda d: ["verify", "--suite", "products", "--grid", "2,1,3"],
+    lambda d: ["solve", "--grid", "2,1,3"],
+    lambda d: ["verify", "--suite", "products", "--grid", "1,1,3"],
+    lambda d: ["verify", "--suite", "path", "--grid", "1,1,3"],
+    lambda d: ["solve", "--grid", "1,1,3"],
 ], ids=["custom-missing", "counterterm-missing", "config-missing",
         "custom-malformed-name", "custom-vanishing-name", "custom-missing-field",
         "dim2-path", "dim2-products", "dim2-all", "dim2-solve", "dim2-scan",
@@ -294,7 +318,10 @@ def _sidecar_manifest(base, key, value=None):
         "tol-nan", "tol-negative", "tol-infinite", "config-tol-nan",
         "config-tol-negative", "config-cfg-tol-infinite", "config-cfg-tol-negative",
         "noise-default-eps-kernel-too-wide", "phi43-ensemble-kernel-too-wide",
-        "custom-field-wrong-shape"])
+        "custom-field-wrong-shape", "grid-empty-probe-path",
+        "grid-empty-probe-products", "grid-empty-probe-solve",
+        "grid-one-probe-node-products", "grid-one-probe-node-path",
+        "grid-one-probe-node-solve"])
 def test_bad_config_exit_code(tmp_path, capsys, argv):
     args = argv(tmp_path)
     for flag, value in zip(SMALL[::2], SMALL[1::2]):

@@ -255,6 +255,29 @@ def test_noise_determinism():
     assert not np.array_equal(a, c)
 
 
+def test_smoothings_at_one_scale_share_one_mask():
+    # the mask depends on the scale, the depth and the field's shape alone
+    mol = Mollifier(COARSE_GRID)
+    fields = [noise_field(COARSE_GRID, "trig", seed=1),
+              noise_field(COARSE_GRID, "bump"), COARSE_GRID.x_field,
+              COARSE_GRID.zeros()]
+    for L in (1 / 8, 1 / 4, 1 / 2):
+        masks = [mol.smooth(f, L)[1] for f in fields]
+        assert masks[0].any() and not masks[0].all()
+        for mask in masks[1:]:
+            assert np.array_equal(mask, masks[0])
+
+
+def test_gauss_noise_is_the_smoothed_white_noise():
+    # smooth already writes +0.0 outside its mask
+    grid, eps = COARSE_GRID, 1 / 4
+    white = np.random.default_rng(3).standard_normal((grid.nt, grid.nx))
+    white *= 1.0 / math.sqrt(grid.k_store * grid.h)
+    g, mask = Mollifier(grid).smooth(white, eps)
+    assert not np.signbit(g[~mask]).any() and not g[~mask].any()
+    assert np.array_equal(noise_field(grid, "gauss", seed=3, eps=eps), g)
+
+
 def test_field_io_roundtrip(tmp_path):
     f = noise_field(G, "trig", seed=2)
     save_field(tmp_path / "f", G, f, meta={"seed": 2})

@@ -4,11 +4,13 @@ diagonal derivative tables, remainder march and renormalization operator, the
 Fraction form of the renormalization identity and the unmemoised tree
 names, the
 case-by-case forms of the centering and planted-field lookups, the
+whole-field centering and forest lookups, the
 all-candidate scans for the cut maps, the one-solve-per-tree lift and
 phi43 rounds, and the scans smoothing per tree uid and per channel pair,
 kept as reference oracles.
 
-The package versions read precomputed tree supports, batches of nodes,
+The package versions read precomputed tree supports, batches of nodes
+(a whole-field lookup is the batch of every node),
 shared tables, one right-hand side and an index of the C- cuts, generate
 the cuts from the children's cuts, march all boundary traces as one array,
 solve stacks of fields and smooth each distinct field once per scale; they
@@ -20,6 +22,7 @@ import copy
 import functools
 import json
 import math
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -41,7 +44,7 @@ from phi4local.lift import (
     LocalProduct, _check_triangular, _substitute_first_x, build_local_product,
     phi43_counterterms, random_counterterm_map,
 )
-from phi4local.path import Path, fit_slope, order_scan, sample_nodes
+from phi4local.path import ALL, Path, fit_slope, order_scan, sample_nodes
 from phi4local.symtree import (
     EDGE_I, EDGE_IM, EDGE_IP, GEN, ONE, PLANTED, PROD, XI, I, Im, Ip, X, _leaf_counts,
     _raw_planted, _raw_prod, canon, check_delta_admissible, enumerate_universe,
@@ -100,7 +103,7 @@ def build_local_product_serial(grid, universe, xi, rmap, custom, cg):
                 val = grid.zeros()
                 for forest, c in cg.renorm_expand(ruid, canon(t)).items():
                     _check_triangular(t, forest)
-                    val += lp.forest_value(forest, coeff=float(c))
+                    val += forest_value(lp, forest, coeff=float(c))
             else:
                 ct = canon(t)
                 val = lp.planted_field(ct.children[0]).copy()
@@ -128,6 +131,30 @@ def phi43_constants_serial(grid, seeds, eps, kind):
         theta = u ** 2 - c_wick
         sunset.append(float(np.mean((theta * heat_solve(grid, theta))[probe])))
     return c_wick, float(np.array(sunset).mean())
+
+
+def cen_planted_field(path, p):
+    """Centering field of a planted tree: the cen_I entry of I(tau), 1 on
+    Ip(X_i) and -nu on Ip(tau) for a product tau."""
+    ch = p.child
+    if p.edge == EDGE_I:
+        return path.cen_I[ch.uid]
+    if p.edge == EDGE_IP:
+        if ch.kind == GEN:
+            return path.cen_I[ONE.uid]
+        return -path.nu[ch.uid]
+    raise KeyError("no centering value on %s" % tree_name(p))
+
+
+def cen_forest_field(path, forest):
+    out = path.cen_I[ONE.uid]
+    for p in forest:
+        out = out * cen_planted_field(path, p)
+    return out
+
+
+def forest_value(lp, forest, coeff=1.0):
+    return lp.forest_rows(forest, coeff, slice(0, lp.grid.nt))
 
 
 def cen_at_field(path, p, x):
@@ -179,7 +206,7 @@ def residual_scalar(lhs, rhs):
 def cen_at_scalar(path, p, x):
     if p.edge == EDGE_IP and p.child.kind != GEN:
         return -float(path.nu[p.child.uid][x])
-    return float(path.cen_planted_field(p)[x])
+    return float(cen_planted_field(path, p)[x])
 
 
 def cen_forest_at_scalar(path, forest, x):
@@ -435,6 +462,14 @@ def chen_spot_loop(path, seed):
                for s in path.u.T_r[:4] for n in range(0, 7, 3))
 
 
+def v2_terms_pairs(universe, level):
+    """The support of equation._v2_terms with one exact order sum per pair
+    of trees."""
+    u = universe
+    return tuple(((t1, I(t1)), (t2, I(t2))) for t1 in u.N for t2 in u.N
+                 if u.order(t1) + u.order(t2) < level - 4)
+
+
 def resonance_values_pairs(universe):
     """coeffs.resonance_values over every tree and pair of trees of N."""
     u = universe
@@ -455,7 +490,7 @@ def im_diag_loop(path, t):
     out = path.grid.zeros()
     if t.kind == PROD and not u.member("W", t):
         for (l, f), c in path.cg.delta(t).items():
-            out += float(c) * lp.grad(l) * path.cen_forest_field(f)
+            out += float(c) * lp.grad(l) * cen_forest_field(path, f)
     else:
         out += lp.grad(t)
     if u.member("N_tilde", t):
@@ -483,7 +518,7 @@ def smoothed_centered_at_base_uid(path, memo, s, L):
     mask = None
     for (l, f), c in path.cg.delta(s).items():
         g, msk = mollified(l)
-        acc = acc + float(c) * g * path.cen_forest_field(f)
+        acc = acc + float(c) * g * cen_forest_field(path, f)
         mask = msk if mask is None else (mask & msk)
     return acc, mask
 
@@ -496,8 +531,8 @@ def channel_pairs_loop(path, e, t, composite, cutoff):
     pairs = [(dg * e.theta(t), np.ones_like(dg))]
     for tb, f in equation._support(path, equation._cut_terms, t, cutoff):
         for (lf, gf), c in cg.delta_forest(f).items():
-            yf = dg * lp.forest_value(lf)
-            xf = -float(c) * e.theta(tb) * path.cen_forest_field(gf)
+            yf = dg * forest_value(lp, lf)
+            xf = -float(c) * e.theta(tb) * cen_forest_field(path, gf)
             pairs.append((yf, xf))
     return pairs
 
@@ -967,6 +1002,13 @@ def test_cen_at_matches_field_lookup(request, name):
     for s in p.u.T_cen:
         assert same_bits(p.cen_at(s, nodes),
                          [cen_at_field(p, s, x) for x in node_list(nodes)])
+        assert same_bits(p.cen_at(s, ALL), cen_planted_field(p, s))
+    # every right forest the path and the scans read, the empty one included
+    forests = dict.fromkeys(f for s in p.u.T_cen + p.u.T_r
+                            for (_l, f) in p.cg.delta(s))
+    assert () in forests
+    for f in forests:
+        assert same_bits(p.cen_forest_at(f, ALL), cen_forest_field(p, f))
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -1232,6 +1274,18 @@ def test_chen_spot_keeps_python_max_over_a_nan(monkeypatch, tmp_path,
 def test_resonance_values_over_orders_match_pairs(delta):
     u = enumerate_universe(Fraction(delta))
     assert resonance_values(u) == resonance_values_pairs(u)
+
+
+@pytest.mark.parametrize("universe", ["u920", "u25", "u310", "u1350"])
+def test_v2_terms_over_orders_match_pairs(request, universe):
+    # above the products suite's level, and at a level that one pair's
+    # orders reach exactly, where the strict comparison leaves the pair out
+    u = request.getfixturevalue(universe)
+    gamma = pick_gamma(u, Fraction(3, 2))
+    hit = u.order(u.N[1]) + u.order(u.N[-1]) + 4
+    path = types.SimpleNamespace(u=u)      # _v2_terms reads path.u alone
+    for level in (gamma + 2, hit):
+        assert equation._v2_terms(path, level) == v2_terms_pairs(u, level)
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,7 @@ import pytest
 
 from phi4local.field import COARSE_GRID, noise_field
 from phi4local.lift import build_local_product, random_counterterm_map
-from phi4local.path import Path, fit_slope, order_scan, sample_nodes
+from phi4local.path import ALL, Path, fit_slope, order_scan, sample_nodes
 from phi4local.symtree import (
     EDGE_I, ONE, PLANTED, XI, I, Im, Ip, X, enumerate_universe, prod3, tree_name,
 )
@@ -57,7 +57,8 @@ def test_shared_fields_are_read_only(coarse_path):
             f[0, 0] = 0.5
         with pytest.raises(ValueError, match="read-only"):
             f *= 2.0
-    assert p.cen_forest_field(()) is p.lp.planted_field(I(ONE))
+    # the empty forest's centering is the number 1.0
+    assert p.cen_forest_at((), ALL) == 1.0
 
 
 def test_rough_paths_basepoint_free(coarse_path, u920):
