@@ -31,7 +31,8 @@ from .symtree import (
 
 # Stored nodes (nt x nx), and nodes (substeps x nx) of a heat solve's forcing
 # block, a --grid may ask for.  A whole-grid field takes 8 B a node, and a
-# path's tables hold ~180 fields (114 MB on the default grid's 79,323 nodes).
+# path's tables hold at most ~180 fields (114 MB on the default grid's 79,323
+# nodes), as they are built on first read.
 # FINE_GRID has 1,639 x 385 = 631,015 stored nodes and a 16 x 385 block.
 MAX_GRID_NODES = 10 ** 6
 
@@ -344,6 +345,14 @@ def _build_lift(cfg: RunConfig, grid, u, cg):
             rmap = liftmod.CountertermMap(u, values)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        c = equation.renorm_constants(u, rmap)
+        for name, v in (("r1", c.r1), ("r_phi", c.r_phi), ("r_phi2", c.r_phi2),
+                        *(("r_dphi", v) for v in c.r_dphi)):
+            try:        # the products suite and the remainder read them as floats
+                float(v)
+            except OverflowError:
+                raise ConfigError("counterterm map: its renormalisation constant "
+                                  "%s does not fit a float" % name) from None
         return liftmod.build_local_product(grid, u, xi, rmap=rmap, coalg=cg), None
     if kind == "custom":
         custom = {}

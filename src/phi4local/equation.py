@@ -242,8 +242,13 @@ class BoundaryTrace:
         out *= self.magnitude / max(1e-9, float(np.max(np.abs(out))))
         return out
 
+    @property
+    def sided(self) -> bool:
+        """Whether the lateral data can be non-zero."""
+        return self.kind != "zero" and bool(self.side_scale)
+
     def side(self, t: float, which: int) -> float:
-        if self.kind == "zero" or not self.side_scale:
+        if not self.sided:
             return 0.0
         return (self.side_scale * self.magnitude
                 * math.cos(2.0 * t + 1.1 * which + 0.7 * self.seed))
@@ -310,18 +315,23 @@ def solve_remainder(path: Path, coeffs: RemainderCoeffs, traces,
     seg = np.zeros((len(thresholds), len(traces), xs.size))
     passed = 0                      # thresholds the march has passed
     abort = None
+    lap = np.zeros_like(v)          # its boundary columns stay 0
+    sided = any(tr.sided for tr in live)
     for b0 in range(0, nsteps, block):
         starts = np.array(times[b0: b0 + block])
         K0b = at_times(K0row, starts)
         Kb = {p: at_times(arr, starts) for p, arr in Krows.items()}
         for i, t in enumerate(times[b0 + 1: b0 + block + 1]):
             rhs = _lower_order(K0b[i], {p: rows[i] for p, rows in Kb.items()}, v)
-            lap = np.zeros_like(v)
             lap[:, 1:-1] = (v[:, 2:] - 2 * v[:, 1:-1] + v[:, :-2]) / (h * h)
             vh = v + k * (lap + rhs)
             v = vh / np.sqrt(1.0 + 2.0 * k * vh ** 2)
-            v[:, 0] = [tr.side(t, -1) for tr in live]
-            v[:, -1] = [tr.side(t, +1) for tr in live]
+            if sided:
+                v[:, 0] = [tr.side(t, -1) for tr in live]
+                v[:, -1] = [tr.side(t, +1) for tr in live]
+            else:
+                v[:, 0] = 0.0
+                v[:, -1] = 0.0
             av = np.abs(v)
             top = av.max()
             if top > config.cap or not math.isfinite(top):
@@ -334,6 +344,8 @@ def solve_remainder(path: Path, coeffs: RemainderCoeffs, traces,
                 if n == 0:
                     raise abort
                 live, v, av, seg = live[:n], v[:n], av[:n], seg[:, :n]
+                lap = lap[:n]
+                sided = any(tr.sided for tr in live)
             while passed < len(thresholds) and t > thresholds[passed]:
                 passed += 1
             if passed:

@@ -95,15 +95,20 @@ class LocalProduct:
                 return self._one
             raise KeyError("no field value on %s" % tree_name(pt))
         # EDGE_IM: never on X, since Im(X) is stored as Ip(X)
-        return self._grad[canon(ch).uid]
+        return self.grad(ch)
 
     def ell(self, t: Tree) -> np.ndarray:
         """Heat solve of the stored field of an unplanted tree."""
         return self._ell[canon(t).uid]
 
     def grad(self, t: Tree) -> np.ndarray:
-        """Spatial gradient of the heat solve of an unplanted tree."""
-        return self._grad[canon(t).uid]
+        """Spatial gradient of the heat solve of an unplanted tree, taken on
+        its first read unless the march wrote it."""
+        cu = canon(t).uid
+        out = self._grad.get(cu)
+        if out is None:
+            out = self._grad[cu] = grad_x(self.grid, self._ell[cu])
+        return out
 
     def forest_rows(self, forest, coeff=1.0,
                     rows: slice = slice(None)) -> np.ndarray:
@@ -147,7 +152,7 @@ def build_local_product(grid: Grid, universe, xi: np.ndarray,
     a block of stored levels at a time, once the solves they read are
     written.  A gradient that a forest reads (an Im edge) is written on
     those rows just before, by the level above its tree; every other
-    gradient is taken once the march is done.
+    gradient is taken on its first read (LocalProduct.grad).
     """
     if universe.d != 1:
         raise ValueError("the numerical layer supports d = 1 only, got a "
@@ -245,8 +250,6 @@ def build_local_product(grid: Grid, universe, xi: np.ndarray,
 
     heat_solve(grid, [([lp._ell[cu] for cu in level], forcing(level, below))
                       for level, below in zip(levels, [{}] + levels)])
-    lp._grad = {cu: lp._grad[cu] if cu in lp._grad else grad_x(grid, ell)
-                for cu, ell in lp._ell.items()}
     return lp
 
 

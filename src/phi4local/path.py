@@ -10,6 +10,7 @@ stored tables.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,22 +27,47 @@ from .symtree import (
 ALL = (slice(None), slice(None))
 
 
+class _Table(dict):
+    """A table of a Path, keyed by tree uid.  Reading an entry that is not
+    there builds the entries of its product tree first (Path._build); a uid
+    that has no entry in this table raises KeyError, as in a plain dict.
+
+    The table holds its Path through a weak reference: a strong one would
+    make a reference cycle, and so leave every table to the cyclic garbage
+    collector once the Path is dropped."""
+
+    def __init__(self, path: "Path"):
+        super().__init__()
+        self._path = weakref.ref(path)
+
+    def __missing__(self, uid):
+        self._path()._build(uid)
+        out = self.get(uid)
+        if out is None:
+            raise KeyError(uid)
+        return out
+
+
 class Path:
-    """Evaluators for the centered local product and the centering tables."""
+    """Evaluators for the centered local product and the centering tables.
+
+    A product tree's table entries are built on the first read of any of
+    them, after those of the smaller trees its centerings read."""
 
     def __init__(self, lp: LocalProduct):
         self.lp = lp
         self.u = lp.universe
         self.cg = lp.coalg
         self.grid = lp.grid
-        u, cg, grid = self.u, self.cg, self.grid
+        grid = self.grid
 
-        self.nu: dict = {}       # uid -> gradient of the centered solve at
-                                 # the diagonal; the Ip centering is -nu
-        self.cen_I: dict = {}    # uid -> centering field of I(tau) over N_ring,
-                                 # One and X (1 and -x, shared and read-only)
-        self.diag: dict = {}     # X_{z,z} tau for product trees
-        self.diag_im: dict = {}  # uid -> X_{z,z} Im(tau), tau in T_r
+        self.nu = _Table(self)       # uid -> gradient of the centered solve
+                                     # at the diagonal; the Ip centering is -nu
+        self.cen_I = _Table(self)    # uid -> centering field of I(tau) over
+                                     # N_ring, One and X (1 and -x, shared and
+                                     # read-only)
+        self.diag = _Table(self)     # X_{z,z} tau for product trees
+        self.diag_im = _Table(self)  # uid -> X_{z,z} Im(tau), tau in T_r
         self.A: dict = {}        # not stored: kept empty for the benchmark
         self.cen_Ip: dict = {}   # tracer (perfbench/tracing.py) reading them
 
@@ -49,38 +75,67 @@ class Path:
         neg_x = -grid.x_field
         neg_x.flags.writeable = False
         self.cen_I[X(1).uid] = neg_x     # build_local_product takes d = 1 only
-
-        # X_{z,z} Im(tau) is the lift gradient on W and Xi; off W it is nu,
-        # which the Ip centering -nu cancels on N_tilde.  Entries share the
-        # arrays of nu and the lift, so nothing may write to them.
-        zero = grid.zeros()
-        zero.flags.writeable = False
-        prods = sorted((t for t in u.T_r if t.kind == PROD),
-                       key=lambda t: (t.edges, t.uid))
-        for t in prods:
-            if u.member("W", t):
-                self.diag[t.uid] = lp.value(t)
-                self.diag_im[t.uid] = lp.grad(t)
-                continue
-            a = grid.zeros()     # heat solve of the centered tree, on the diagonal
-            nu = grid.zeros()
-            dg = grid.zeros()
-            for (l, f), c in cg.delta(t).items():
-                cf = float(c) * self.cen_forest_at(f, ALL)
-                a += lp.ell(l) * cf
-                dg += lp.value(l) * cf
-                nu += lp.grad(l) * cf
-            self.diag[t.uid] = dg
-            tilde = u.member("N_tilde", t)
-            self.nu[t.uid] = nu
-            self.diag_im[t.uid] = zero if tilde else nu
-            self.cen_I[t.uid] = -a + grid.x_field * nu if tilde else -a
         self.diag_im[XI.uid] = lp.grad(XI)
+        # the product trees whose entries are not built yet
+        self._unbuilt = {t.uid: t for t in self.u.T_r if t.kind == PROD}
+        self._zero = grid.zeros()
+        self._zero.flags.writeable = False
         self.mol = Mollifier(grid)
         self._moll_cache: dict = {}
         # tree supports of the truncated sums in the equation module, built
         # once per (builder, level) instead of at every point evaluation
         self.supports: dict = {}
+
+    def _build(self, uid) -> None:
+        """The entries of the product tree uid, unless built already.
+
+        X_{z,z} Im(tau) is the lift gradient on W; off W it is nu, which the
+        Ip centering -nu cancels on N_tilde.  Entries share the arrays of nu
+        and the lift, so nothing may write to them, and an entry already
+        present is kept.  The terms are summed in coproduct order through
+        two scratch fields, each with the operations of the whole-field
+        float(c) * cen_forest_at(f, ALL) times a lift field."""
+        t = self._unbuilt.pop(uid, None)
+        if t is None:
+            return
+        lp, grid = self.lp, self.grid
+        if self.u.member("W", t):
+            self.diag.setdefault(uid, lp.value(t))
+            self.diag_im.setdefault(uid, lp.grad(t))
+            return
+        # the centerings and gradients are read first, so the smaller trees
+        # they need are built before the fields of this one are allocated
+        terms = [(l, lp.grad(l), [self.cen_at(p, ALL) for p in f], float(c))
+                 for (l, f), c in self.cg.delta(t).items()]
+        # scratch fields below the tables, so that freeing them leaves a hole
+        # the next build reuses, not a heap top for the allocator to trim;
+        # every field is written before it is read, as 0.0 + the first term
+        shape = (grid.nt, grid.nx)
+        cf, term = np.empty(shape), np.empty(shape)
+        a, nu, dg = np.empty(shape), np.empty(shape), np.empty(shape)
+        for n, (l, grad, factors, c) in enumerate(terms):
+            w = c
+            if factors:          # the factors left to right, then c
+                chain = factors + [c]
+                np.multiply(chain[0], chain[1], out=cf)
+                for g in chain[2:]:
+                    cf *= g
+                w = cf
+            for acc, field in ((a, lp.ell(l)), (dg, lp.value(l)), (nu, grad)):
+                np.multiply(field, w, out=term)
+                if n:
+                    acc += term
+                else:
+                    np.add(0.0, term, out=acc)
+        tilde = self.u.member("N_tilde", t)
+        np.negative(a, out=a)            # the centering: -a, plus x nu on N_tilde
+        if tilde:
+            np.multiply(grid.x_field, nu, out=term)
+            a += term
+        self.diag.setdefault(uid, dg)
+        self.nu.setdefault(uid, nu)
+        self.diag_im.setdefault(uid, self._zero if tilde else nu)
+        self.cen_I.setdefault(uid, a)
 
     # point evaluators --------------------------------------------------------
     # The nodes z, x, ... are batches: (rows, cols) pairs of equal-length int
@@ -157,8 +212,10 @@ class Path:
         """Centering change of base point on a planted tree s = I(tau)."""
         if s.kind != PLANTED or s.edge != EDGE_I:
             raise ValueError("strong form applies to I-planted trees")
-        if s.child.uid not in self.cen_I:
-            raise ValueError("no centering for %s" % tree_name(s))
+        try:                 # builds the centering if s.child has one
+            self.cen_I[s.child.uid]
+        except KeyError:
+            raise ValueError("no centering for %s" % tree_name(s)) from None
         rhs = 0.0
         for (l, f), c in self.cg.delta(s).items():
             rhs += float(c) * self.cen_at(l, x) * self.forest_at(f, x, y)

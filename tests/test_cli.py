@@ -1,9 +1,11 @@
 import contextlib
 import functools
+import gc
 import io
 import json
 import math
 import tempfile
+import weakref
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -121,6 +123,35 @@ def test_runs_repeat_in_one_process(tmp_path):
     for report in reports:
         assert ((tmp_path / "a" / report).read_bytes()
                 == (tmp_path / "b" / report).read_bytes())
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "path"], ["verify", "--suite", "products"],
+    ["verify", "--suite", "all", "--lift", "phi43"], ["solve"],
+    ["scan", "--kind", "order"], ["scan", "--kind", "apriori"],
+    ["scan", "--kind", "reconstruction"]],
+    ids=["path", "products", "all-phi43", "solve", "order", "apriori",
+         "reconstruction"])
+def test_path_is_freed_when_a_command_returns(monkeypatch, tmp_path, argv):
+    # no reference cycle holds the Path or its lift: with the cyclic
+    # collector off, both are freed as the command returns, so their tables
+    # never wait for a collection
+    made = []
+    build = cli._build_path
+
+    def traced(cfg, cg):
+        p, rep = build(cfg, cg)
+        made.append((weakref.ref(p), weakref.ref(p.lp)))
+        return p, rep
+    monkeypatch.setattr(cli, "_build_path", traced)
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv + ["--delta", "9/20", "--grid", "1/16,1/32,3",
+                            "--out", str(tmp_path)]) == 0
+        assert made and all(r() is None for pair in made for r in pair)
+    finally:
+        gc.enable()
 
 
 SMALL = ["--delta", "9/20", "--grid", "1/16,1/32,3"]
@@ -292,6 +323,11 @@ def _sidecar_manifest(base, key, value=None):
     lambda d: ["verify", "--suite", "products", "--grid", "1,1,3"],
     lambda d: ["verify", "--suite", "path", "--grid", "1,1,3"],
     lambda d: ["solve", "--grid", "1,1,3"],
+    # r_phi = 3e308: the exact renormalisation constants do not fit a float
+    *[lambda d, a=a: [*a, "--grid", "1/8,1/16,3", "--lift",
+                      _counterterms(d, {"[I(One) I(Xi) I(Xi)]": 1e308})]
+      for a in (["verify", "--suite", "products"], ["solve"],
+                ["verify", "--suite", "path"])],
 ], ids=["custom-missing", "counterterm-missing", "config-missing",
         "custom-malformed-name", "custom-vanishing-name", "custom-missing-field",
         "dim2-path", "dim2-products", "dim2-all", "dim2-solve", "dim2-scan",
@@ -321,7 +357,9 @@ def _sidecar_manifest(base, key, value=None):
         "custom-field-wrong-shape", "grid-empty-probe-path",
         "grid-empty-probe-products", "grid-empty-probe-solve",
         "grid-one-probe-node-products", "grid-one-probe-node-path",
-        "grid-one-probe-node-solve"])
+        "grid-one-probe-node-solve", "counterterm-constant-overflow-products",
+        "counterterm-constant-overflow-solve",
+        "counterterm-constant-overflow-path"])
 def test_bad_config_exit_code(tmp_path, capsys, argv):
     args = argv(tmp_path)
     for flag, value in zip(SMALL[::2], SMALL[1::2]):

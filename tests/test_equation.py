@@ -21,7 +21,7 @@ from phi4local.equation import (
     seminorm_scale, solve_remainder, three_point_residual, u_tau_at,
 )
 from phi4local.symtree import (
-    ONE, XI, I, X, enumerate_universe, prod3, sign_of, tree_name,
+    ONE, PROD, XI, I, X, enumerate_universe, prod3, sign_of, tree_name,
 )
 
 D = Fraction(9, 20)
@@ -436,3 +436,20 @@ def telescoping_residual(path, f, L, depth, probe=None):
 def test_telescoping(default_path_trig):
     f = noise_field(default_path_trig.grid, "trig", seed=3)
     assert telescoping_residual(default_path_trig, f, 0.5, 3) < 1e-12
+
+
+def test_scans_build_only_the_trees_they_read(u920, cg920):
+    # the tables of a product tree are built on its first read: the a priori
+    # seminorms and the reconstruction check read fewer trees than exist
+    grid = COARSE_GRID
+    xi = noise_field(grid, "gauss", seed=1, eps=1 / 8)
+    prods = [t for t in u920.T_r if t.kind == PROD]
+    scales = [1 / 8, 1 / 4, 1 / 2]
+    p = Path(build_local_product(grid, u920, xi, coalg=cg920))
+    assert not p.diag
+    seminorm_scale(p, scales)
+    assert 0 < len(p.diag) < len(prods)
+    p = Path(build_local_product(grid, u920, xi, coalg=cg920))
+    v1 = 0.4 + 0.2 * np.sin(1.7 * grid.x_field) * np.cos(2.1 * grid.t_field)
+    reconstruction_check(p, TreeExpansion(p, v1), XI, XI, scales)
+    assert 0 < len(p.diag) < len(prods)

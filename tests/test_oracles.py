@@ -6,7 +6,7 @@ names, the
 case-by-case forms of the centering and planted-field lookups, the
 whole-field centering and forest lookups, the
 all-candidate scans for the cut maps, the one-solve-per-tree lift and
-phi43 rounds, and the scans smoothing per tree uid and per channel pair,
+phi43 rounds, the Path tables built all at once, and the scans smoothing per tree uid and per channel pair,
 kept as reference oracles.
 
 The package versions read precomputed tree supports, batches of nodes
@@ -151,6 +151,72 @@ def cen_forest_field(path, forest):
     for p in forest:
         out = out * cen_planted_field(path, p)
     return out
+
+
+class EagerTables:
+    """The tables of Path(lp), every product tree built at once in order of
+    size: the Path constructor before its tables were built on first read,
+    with its centering lookups."""
+
+    def __init__(self, lp):
+        u, cg, grid = lp.universe, lp.coalg, lp.grid
+        self.nu: dict = {}
+        self.cen_I: dict = {}
+        self.diag: dict = {}
+        self.diag_im: dict = {}
+
+        self.cen_I[ONE.uid] = lp.planted_field(I(ONE))
+        neg_x = -grid.x_field
+        neg_x.flags.writeable = False
+        self.cen_I[X(1).uid] = neg_x     # build_local_product takes d = 1 only
+
+        zero = grid.zeros()
+        zero.flags.writeable = False
+        prods = sorted((t for t in u.T_r if t.kind == PROD),
+                       key=lambda t: (t.edges, t.uid))
+        for t in prods:
+            if u.member("W", t):
+                self.diag[t.uid] = lp.value(t)
+                self.diag_im[t.uid] = lp.grad(t)
+                continue
+            a = grid.zeros()     # heat solve of the centered tree, on the diagonal
+            nu = grid.zeros()
+            dg = grid.zeros()
+            for (l, f), c in cg.delta(t).items():
+                cf = float(c) * self.cen_forest_at(f, ALL)
+                a += lp.ell(l) * cf
+                dg += lp.value(l) * cf
+                nu += lp.grad(l) * cf
+            self.diag[t.uid] = dg
+            tilde = u.member("N_tilde", t)
+            self.nu[t.uid] = nu
+            self.diag_im[t.uid] = zero if tilde else nu
+            self.cen_I[t.uid] = -a + grid.x_field * nu if tilde else -a
+        self.diag_im[XI.uid] = lp.grad(XI)
+
+    def cen_at(self, p, x):
+        ch = p.child
+        if p.edge == EDGE_I:
+            return self.cen_I[ch.uid][x]
+        if p.edge == EDGE_IP:
+            if ch.kind == GEN:
+                return self.cen_I[ONE.uid][x]
+            return -self.nu[ch.uid][x]
+        raise KeyError("no centering value on %s" % tree_name(p))
+
+    def cen_forest_at(self, forest, x):
+        out = 1.0
+        for p in forest:
+            out *= self.cen_at(p, x)
+        return out
+
+
+def build_all(path):
+    """Read every table entry of the path and every gradient of its lift, so
+    that none is built later."""
+    for t in [XI, *(t for t in path.u.T_r if t.kind == PROD)]:
+        path.diag_im[t.uid]
+        path.lp.grad(t)
 
 
 def forest_value(lp, forest, coeff=1.0):
@@ -981,10 +1047,15 @@ def test_lift_by_levels_matches_serial(request, monkeypatch, case):
     if lift == "imforest":
         assert cg.added > 0
     want = build_local_product_serial(grid, u, xi, rmap, custom, cg)
-    for got, ref in ((lp._X, want._X), (lp._ell, want._ell), (lp._grad, want._grad)):
+    for got, ref in ((lp._X, want._X), (lp._ell, want._ell)):
         assert got.keys() == ref.keys()
         for key, arr in ref.items():
             assert np.array_equal(got[key], arr)
+    # a gradient the march does not write is taken on its first read
+    trees = [XI, *(t for t in u.T_r if t.kind == PROD)]
+    assert {canon(t).uid for t in trees} == want._grad.keys()
+    for t in trees:
+        assert same_bits(lp.grad(t), want.grad(t))
 
 
 def test_phi43_stacked_rounds_match_serial(u920):
@@ -1202,7 +1273,10 @@ def coarse_counterterm_path(u920, cg920):
 
 def _with_nan(path, table, t, node):
     """A copy of the path whose lift holds NaN at one node of one stored
-    field of the tree t; the path and its lift are left as they are."""
+    field of the tree t; the path and its lift are left as they are.  The
+    copies share the tables of the path and its lift, so these are built
+    first, from the lift without the NaN."""
+    build_all(path)
     lp = copy.copy(path.lp)
     fields = dict(getattr(lp, table))
     poisoned = fields[canon(t).uid].copy()
@@ -1347,9 +1421,32 @@ def test_diag_im_matches_loop(request, name):
     p = request.getfixturevalue(name)
     u = p.u
     trees = [t for t in u.T_r if t.kind == PROD] + [XI]
-    assert sorted(p.diag_im) == sorted(t.uid for t in trees)
     for t in trees:
         assert np.array_equal(p.diag_im[t.uid], im_diag_loop(p, t))
+    # once each is read: entries are built on first read
+    assert sorted(p.diag_im) == sorted(t.uid for t in trees)
+
+
+@pytest.mark.parametrize("lift", ["multiplicative", "counterterm"])
+@pytest.mark.parametrize("universe", ["u920", "u25", "u310"])
+def test_tables_built_on_read_match_eager_loop(request, universe, lift):
+    u, grid = request.getfixturevalue(universe), COARSE_GRID
+    xi = noise_field(grid, "trig", seed=0, amp=2.0)
+    rmap = (random_counterterm_map(u, np.random.default_rng(3), exact=False)
+            if lift == "counterterm" else None)
+    want = EagerTables(build_local_product(grid, u, xi, rmap=rmap))
+    p = Path(build_local_product(grid, u, xi, rmap=rmap))
+    assert p.nu.keys() == set() and p.diag.keys() == set()
+    for name in ("diag_im", "nu", "cen_I", "diag"):
+        got, ref = getattr(p, name), getattr(want, name)
+        # largest trees first, so each read builds the trees it depends on
+        for uid in reversed(ref):
+            assert same_bits(got[uid], ref[uid])
+        assert sorted(got) == sorted(ref)
+    # a uid with no entry in a table reads as a missing key
+    for table in (p.nu, p.cen_I, p.diag):
+        with pytest.raises(KeyError):
+            table[XI.uid]
 
 
 def _batch_records(path, coeffs, traces, config):

@@ -7,7 +7,7 @@ from phi4local.field import COARSE_GRID, noise_field
 from phi4local.lift import build_local_product, random_counterterm_map
 from phi4local.path import ALL, Path, fit_slope, order_scan, sample_nodes
 from phi4local.symtree import (
-    EDGE_I, ONE, PLANTED, XI, I, Im, Ip, X, enumerate_universe, prod3, tree_name,
+    EDGE_I, ONE, PLANTED, PROD, XI, I, Im, Ip, X, enumerate_universe, prod3, tree_name,
 )
 
 D = Fraction(9, 20)
@@ -221,3 +221,16 @@ def test_smoothable_is_t_r_and_planted_w(delta):
     smoothable = {s.uid for s in u.T_cen + u.T_plus if p.smoothable(s)}
     assert smoothable == want
     assert any(s.kind == PLANTED and s.uid in smoothable for s in u.T_l)
+
+
+def test_a_build_keeps_the_entries_already_present(u920, cg920):
+    # a table entry set before its tree is built is not overwritten by the
+    # build that a read of another entry of the tree triggers
+    grid = COARSE_GRID
+    p = Path(build_local_product(grid, u920, noise_field(grid, "trig", seed=0),
+                                 coalg=cg920))
+    t = next(t for t in u920.N_tilde if t.kind == PROD)
+    mine = grid.ones()
+    p.diag[t.uid] = mine
+    assert p.nu[t.uid].shape == mine.shape
+    assert p.diag[t.uid] is mine and not p.diag_im[t.uid].any()
