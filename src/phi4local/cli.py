@@ -55,12 +55,11 @@ class RunConfig:
         cfg = cls()
         if ns.config:
             cfg = cls.from_file(ns.config)
-        for name in ("delta", "dim", "grid", "noise", "lift", "out", "seed"):
+        for name in ("delta", "dim", "grid", "noise", "lift", "out", "suite",
+                     "seed"):
             v = getattr(ns, name, None)
             if v is not None:
                 setattr(cfg, name, v)
-        if getattr(ns, "suite", None):
-            cfg.suite = ns.suite
         for item in (getattr(ns, "tol", None) or []):
             name, _, val = item.partition("=")
             cfg.tol[name] = _parse_as(float, val, "tolerance %r" % name)
@@ -581,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify")
     common(p)
-    p.add_argument("--suite", default="all",
+    p.add_argument("--suite", default=None,
                    choices=["algebra", "path", "products", "all"])
 
     p = sub.add_parser("solve")

@@ -371,20 +371,6 @@ def solve_remainder(path: Path, coeffs: RemainderCoeffs, traces,
 
 # -- modelled-distribution norms ---------------------------------------------------
 
-def _support(path: Path, build, *key) -> tuple:
-    """build(path, *key), computed once per path.
-
-    The truncated sums below run over a fixed tuple of trees for each level,
-    so their exact order comparisons and cut lookups are made once, not at
-    every point evaluation.  Each tuple keeps the order of the loop over N it
-    replaces, so the float sums over it are unchanged.
-    """
-    sup = path.supports.get((build, *key))
-    if sup is None:
-        sup = path.supports[(build, *key)] = build(path, *key)
-    return sup
-
-
 def _cut_terms(path: Path, t: Tree, cutoff: Fraction) -> tuple:
     """(tb, C+(t, tb)) for tb in N below the cutoff with a non-empty cut."""
     u, cg = path.u, path.cg
@@ -396,7 +382,7 @@ def u_tau_at(path: Path, e, t: Tree, cutoff: Fraction, y, x) -> np.ndarray:
     """Continuity error of the coefficient of t between the base points of
     the batches y and x, truncated to trees of order below the cutoff."""
     acc = e.theta(t)[y]
-    for tb, f in _support(path, _cut_terms, t, cutoff):
+    for tb, f in _cut_terms(path, t, cutoff):
         acc -= e.theta(tb)[x] * path.forest_at(f, y, x)
     return acc
 
@@ -433,7 +419,7 @@ def _level_sum(path: Path, e, terms, level: Fraction, y, x):
     the product of its thetas first, then of its path values, left to right
     (so a two-factor term reads ((theta1 theta2) v1) v2)."""
     acc = 0.0
-    for term in _support(path, terms, level):
+    for term in terms(path, level):
         acc += math.prod([*(e.theta(t)[x] for t, _p in term),
                           *(path.value_at(p, y, x) for _t, p in term)])
     return acc
@@ -514,12 +500,6 @@ def modelled_norms(path: Path, e, gamma: Fraction, n_pairs: int = 100,
     return ModelledNorms(gamma, rows, worst)
 
 
-def _three_point_terms(path: Path, cutoff: Fraction) -> tuple:
-    """The trees of N other than One below the cutoff."""
-    u = path.u
-    return tuple(t for t in u.N if t is not ONE and u.order(t) < cutoff)
-
-
 def three_point_residual(path: Path, e, gamma: Fraction, n_triples: int = 50,
                          seed: int = 12) -> dict:
     """The change-of-base-point identity for the truncated expansion."""
@@ -539,8 +519,9 @@ def three_point_residual(path: Path, e, gamma: Fraction, n_triples: int = 50,
            + _level_sum(path, e, _v_terms, gamma, ys, ys)
            - _level_sum(path, e, _v_terms, gamma, ys, xs))
     rhs = 0.0
-    for t in _support(path, _three_point_terms, cutoff):
-        rhs -= u_tau_at(path, e, t, cutoff, ys, xs) * path.value_at(I(t), zs, ys)
+    for t in u.N:
+        if t is not ONE and u.order(t) < cutoff:
+            rhs -= u_tau_at(path, e, t, cutoff, ys, xs) * path.value_at(I(t), zs, ys)
     residuals = np.append(0.0, residual(lhs, rhs)[1])
     return {"max_rel_residual": float(np.max(residuals)), "gamma": str(gamma)}
 
@@ -565,7 +546,7 @@ def _channel_pairs(path: Path, e, t: Tree, composite: Tree, cutoff: Fraction):
     fields = [dg * e.theta(t)]
     pairs = [(0, np.ones_like(dg))]
     index: dict = {}
-    for tb, f in _support(path, _cut_terms, t, cutoff):
+    for tb, f in _cut_terms(path, t, cutoff):
         for (lf, gf), c in cg.delta_forest(f).items():
             key = tuple(p.uid for p in lf)
             if key not in index:

@@ -162,8 +162,9 @@ def heat_solve(grid: Grid, f) -> np.ndarray | None:
     forcing is asked for LEVEL_LAG rows at a time, when the march is about
     to reach them; so forcing(rows) may read the rows of earlier levels'
     solves below rows.stop, which are written by then.  A field that has not
-    started, or has finished, marches exact zeros, so every field is equal
-    to its own solve bit for bit.
+    started marches exact zeros, and no node reads another field's column,
+    so every field is equal to its own solve bit for bit; a finished field
+    marches on unread.
 
     The forcing k * rhs of all substeps between two stored levels is formed
     as one block; each substep then updates the interior in place, with the
@@ -191,8 +192,6 @@ def _march(grid: Grid, levels) -> None:
     starts = np.cumsum([0] + widths[:-1])
     cols = [slice(a, a + w) for a, w in zip(starts, widths)]
     behind = [l * lag for l in range(len(levels))]
-    # the step that writes a level's last stored level
-    last = {nt - 2 + d: c for d, c in zip(behind, cols)}
     for out, _forcing in levels:
         for u_f in out:
             u_f[0] = 0.0
@@ -234,9 +233,6 @@ def _march(grid: Grid, levels) -> None:
                 add(inner, lap, out=lap)
                 add(lap, row, out=inner)
             done[i] = nodes
-            if J in last:
-                nodes[:, last[J]] = 0.0
-                rf[i + 1, :, last[J]] = 0.0
         for (out, _forcing), d, c in zip(levels, behind, cols):
             a, b = max(J0 + 1 - d, 1), min(J1 + 1 - d, nt)
             if a < b:
@@ -416,20 +412,12 @@ def noise_field(grid: Grid, kind: str, seed: int = 0, eps: float | None = None,
 
 # -- persistence ---------------------------------------------------------------
 
-def grid_descriptor(grid: Grid) -> dict:
-    return asdict(grid)
-
-
-def grid_from_descriptor(desc: dict) -> Grid:
-    return Grid(**desc)
-
-
 def save_field(path, grid: Grid, f: np.ndarray, meta: dict | None = None) -> None:
     path = FSPath(path)
     raw = np.ascontiguousarray(f, dtype="<f8").tobytes()
     path.with_suffix(".bin").write_bytes(raw)
     sidecar = {
-        "grid": grid_descriptor(grid),
+        "grid": asdict(grid),
         "shape": list(f.shape),
         "dtype": "<f8",
         "sha256": hashlib.sha256(raw).hexdigest(),
@@ -450,7 +438,7 @@ def load_field(path) -> tuple:
         if hashlib.sha256(raw).hexdigest() != sidecar["sha256"]:
             raise IOError("checksum mismatch for %s" % path)
         f = np.frombuffer(raw, dtype=sidecar["dtype"]).reshape(sidecar["shape"]).copy()
-        return grid_from_descriptor(sidecar["grid"]), f
+        return Grid(**sidecar["grid"]), f
     except (KeyError, TypeError, ValueError, StabilityError) as exc:
         raise IOError("malformed sidecar of %s: %s: %s"
                       % (path, type(exc).__name__, exc)) from exc

@@ -82,9 +82,6 @@ class Path:
         self._zero.flags.writeable = False
         self.mol = Mollifier(grid)
         self._moll_cache: dict = {}
-        # tree supports of the truncated sums in the equation module, built
-        # once per (builder, level) instead of at every point evaluation
-        self.supports: dict = {}
 
     def _build(self, uid) -> None:
         """The entries of the product tree uid, unless built already.

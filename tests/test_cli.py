@@ -73,6 +73,26 @@ def test_config_file_roundtrip(tmp_path):
         RunConfig.from_file(str(_write(tmp_path, "bad.cfg", "nope = 1\n")))
 
 
+@pytest.mark.parametrize("flat", [True, False], ids=["flat", "json"])
+def test_config_fields_reach_the_report_without_flags(tmp_path, flat):
+    # no flag given, so every field a config file sets is the one a report
+    # echoes; each value differs from RunConfig's default
+    values = {"delta": "2/5", "dim": 2, "grid": "1/16,1/32,3",
+              "noise": "gauss:3:0", "lift": "phi43", "suite": "algebra",
+              "seed": 7, "tol": {"chen": 0.5}, "max_m_xi": 2}
+    default = RunConfig().descriptor()
+    assert set(values) == set(default)
+    assert all(values[k] != default[k] for k in values)
+    if flat:
+        text = "".join("%s = %s\n" % (k, v) for k, v in values.items()
+                       if k != "tol") + "tol = chen:0.5\n"
+        cfgfile = _write(tmp_path, "run.cfg", text)
+    else:
+        cfgfile = _write(tmp_path, "run.json", json.dumps(values))
+    ns = build_parser().parse_args(["--config", str(cfgfile), "verify"])
+    assert RunConfig.from_args(ns).descriptor() == values
+
+
 def _write(base, name, text, encoding=None):
     p = base / name
     p.write_text(text, encoding=encoding)
@@ -109,8 +129,8 @@ def test_solve_smoke(tmp_path):
 
 
 def test_runs_repeat_in_one_process(tmp_path):
-    # the memos a process keeps (cut maps, supports, kernels, spectra,
-    # orders) leave a second run's reports byte for byte those of the first
+    # the memos a process keeps (cut maps, kernels, spectra, orders)
+    # leave a second run's reports byte for byte those of the first
     runs = [["verify", "--suite", "all", "--delta", "2/5"], ["solve"],
             ["scan", "--kind", "order"], ["scan", "--kind", "apriori"],
             ["scan", "--kind", "reconstruction"]]
@@ -152,6 +172,33 @@ def test_path_is_freed_when_a_command_returns(monkeypatch, tmp_path, argv):
         assert made and all(r() is None for pair in made for r in pair)
     finally:
         gc.enable()
+
+
+def test_custom_lift_passes_the_path_suite(monkeypatch, tmp_path):
+    # the stored field is the lift's value of its tree, bit for bit
+    grid = COARSE_GRID
+    f = np.sin(1.3 * grid.x_field) * np.cos(0.9 * grid.t_field)
+    save_field(tmp_path / "field", grid, f)
+    name = "[I(Xi) I(One) I(Xi)]"
+    made = []
+    build = cli._build_path
+
+    def traced(cfg, cg):
+        p, rep = build(cfg, cg)
+        made.append(p.lp)
+        return p, rep
+    monkeypatch.setattr(cli, "_build_path", traced)
+    assert main(["verify", "--suite", "path", "--grid", "1/16,1/32,3",
+                 "--lift", _custom_manifest(tmp_path, name),
+                 "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "verify-path.json").read_text())
+    assert report["failures"] == []
+    assert [(r["identity"], r["status"]) for r in report["reports"]["path"]] == [
+        ("chen", "pass"), ("strong-chen", "pass"), ("derivative-edge", "pass")]
+    lp, = made
+    t, = (t for t in lp.universe.Q if tree_name(t) == name)
+    got = lp.value(t)
+    assert np.array_equal(got, f) and np.array_equal(np.signbit(got), np.signbit(f))
 
 
 SMALL = ["--delta", "9/20", "--grid", "1/16,1/32,3"]

@@ -11,7 +11,8 @@ from phi4local.field import (
     COARSE_GRID, DEFAULT_GRID, Grid, Mollifier, grad_x, noise_field,
 )
 from phi4local.lift import (
-    CountertermMap, build_local_product, phi43_counterterms, standard_families,
+    CountertermMap, build_local_product, phi43_counterterms,
+    random_counterterm_map, standard_families,
 )
 from phi4local.path import Path
 from phi4local.equation import (
@@ -111,6 +112,26 @@ def test_renorm_constants_two_leaf_class(u310):
     c2 = renorm_constants(u310, rm2)
     assert c2.r_phi2 == n_orderings * sign_of(t2) * Fraction(5, 7)
     assert c2.r_phi == 0 and c2.r1 == 0
+
+
+def test_renorm_constants_derivative_class():
+    # Q holds trees with an X leaf only at small delta: at 4/17 the nine
+    # child orders of [I(Xi) I(Xi) I([I(X1) I(Xi) I(Xi)])], whose signed
+    # values make the derivative constant and nothing else.  The random
+    # draws follow Q's order, which follows the trees interned before in
+    # the process, so the X class takes a fixed value.
+    u = enumerate_universe(Fraction(4, 17))
+    with_x = [t for t in u.Q if t.m_x]
+    assert len(with_x) == 9 and all(t.m_x == 1 for t in with_x)
+    rm = random_counterterm_map(u, np.random.default_rng(0))
+    rest = {t: rm.value(t) for t in u.Q if not t.m_x}
+    c_rest = renorm_constants(u, CountertermMap(u, rest))
+    assert c_rest.r_dphi == (0,)
+    c = renorm_constants(u, CountertermMap(
+        u, {**rest, **{t: Fraction(-4, 7) for t in with_x}}))
+    assert c.r_dphi == (sum(sign_of(t) * Fraction(-4, 7) for t in with_x),)
+    assert c.r_dphi == (Fraction(-36, 7),)
+    assert (c.r1, c.r_phi, c.r_phi2) == (c_rest.r1, c_rest.r_phi, c_rest.r_phi2)
 
 
 def test_cube_formula_all_lifts(u920, cg920, smooth_v1):
@@ -393,7 +414,7 @@ def test_channels_without_field_values_have_zero_diagonal(monkeypatch, delta):
     reconstruction_check(p, e, XI, XI, [1 / 8, 1 / 4, 1 / 2])
     missing = 0
     for t, tt, cutoff in seen:
-        lefts = {q for _tb, f in equation._support(p, equation._cut_terms, t, cutoff)
+        lefts = {q for _tb, f in equation._cut_terms(p, t, cutoff)
                  for (lf, _gf) in p.cg.delta_forest(f) for q in lf}
         if all(_has_field_value(p.lp, q) for q in lefts):
             continue

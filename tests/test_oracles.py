@@ -9,7 +9,8 @@ all-candidate scans for the cut maps, the one-solve-per-tree lift and
 phi43 rounds, the Path tables built all at once, and the scans smoothing per tree uid and per channel pair,
 kept as reference oracles.
 
-The package versions read precomputed tree supports, batches of nodes
+The package versions build each truncated sum's tree support once per
+call, read batches of nodes
 (a whole-field lookup is the batch of every node),
 shared tables, one right-hand side and an index of the C- cuts, generate
 the cuts from the children's cuts, march all boundary traces as one array,
@@ -595,7 +596,7 @@ def channel_pairs_loop(path, e, t, composite, cutoff):
     cg, lp = path.cg, path.lp
     dg = path.diag[composite.uid]
     pairs = [(dg * e.theta(t), np.ones_like(dg))]
-    for tb, f in equation._support(path, equation._cut_terms, t, cutoff):
+    for tb, f in equation._cut_terms(path, t, cutoff):
         for (lf, gf), c in cg.delta_forest(f).items():
             yf = dg * forest_value(lp, lf)
             xf = -float(c) * e.theta(tb) * cen_forest_field(path, gf)
@@ -1111,8 +1112,8 @@ def test_truncated_sums_match_loops(request, name, smooth_v1):
         for terms, loop in loops:
             assert same_bits(equation._level_sum(p, e, terms, level, y, x),
                              [loop(p, e, level, *pair) for pair in pairs])
-    assert equation._support(p, equation._v2_terms, gamma + 1)
-    assert equation._support(p, equation._vi_terms, max(levels))
+    assert equation._v2_terms(p, gamma + 1)
+    assert equation._vi_terms(p, max(levels))
     cutoff = gamma - 2
     for t in u.N:
         assert same_bits(equation.u_tau_at(p, e, t, cutoff, y, x),
