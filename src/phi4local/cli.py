@@ -81,6 +81,14 @@ class RunConfig:
             raise ConfigError("the numerical layer supports --dim 1 only (got "
                               "%d); enumerate and verify --suite algebra take "
                               "any dim" % cfg.dim)
+        # the other commands read trees that a restricted universe leaves out
+        restrictable = ns.cmd == "enumerate" or (
+            ns.cmd == "verify" and cfg.suite == "path") or (
+            ns.cmd == "scan" and ns.kind == "order")
+        if cfg.max_m_xi and not restrictable:
+            raise ConfigError("max_m_xi applies to enumerate, verify --suite "
+                              "path and scan --kind order only (got %d)"
+                              % cfg.max_m_xi)
         return cfg
 
     @classmethod

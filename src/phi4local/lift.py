@@ -209,7 +209,7 @@ def build_local_product(grid: Grid, universe, xi: np.ndarray,
 
     add(XI, xi, None, ())
     unplanted = [t for t in universe.T_r if t.kind == PROD]
-    unplanted.sort(key=lambda t: (t.edges + t.m_x, t.edges, t.uid))
+    unplanted.sort(key=lambda t: (t.edges + t.m_x, t.edges))
     for t in unplanted:
         cu = canon(t).uid
         if cu in lp._X:

@@ -153,37 +153,21 @@ class Path:
         raise KeyError("no centering value on %s" % tree_name(p))
 
     def cen_forest_at(self, forest, x):
-        out = 1.0
-        for p in forest:
-            out *= self.cen_at(p, x)
-        return out
+        return math.prod((self.cen_at(p, x) for p in forest), start=1.0)
 
     def value_at(self, s: Tree, z, x) -> np.ndarray:
-        """X_{z,x} s for s in the path domain."""
-        u, lp = self.u, self.lp
-        if s.kind == PLANTED:
-            ch = s.child
-            if s.edge == EDGE_I:
-                if ch is ONE:
-                    return np.ones(np.shape(z[0]))
-                if ch.kind == GEN and ch.label == "X":
-                    return self.grid.xs[z[1]] - self.grid.xs[x[1]]
-                if u.member("W", ch):
-                    return lp.ell(ch)[z]
-            elif s.edge == EDGE_IP:
-                if ch.kind == GEN:
-                    return np.ones(np.shape(z[0]))
-                acc = self.cen_at(s, x)
-                for (l, f), c in self.cg.delta(ch).items():
-                    if not u.member("N_tilde", l):
-                        continue
+        """X_{z,x} s: the coproduct expansion, left fields at z times right
+        centerings at x, except on Ip(tau) for a product tau."""
+        if s.kind == PLANTED and s.edge == EDGE_IP and s.child.kind == PROD:
+            acc = self.cen_at(s, x)
+            for (l, f), c in self.cg.delta(s.child).items():
+                if self.u.member("N_tilde", l):
                     acc += float(c) * self.nu[l.uid][z] * self.forest_at(f, z, x)
-                return acc
-            look = lp.planted_field      # EDGE_I off W and EDGE_IM
+            return acc
+        if s.kind == PLANTED:
+            look = self.lp.planted_field
         elif s.kind == PROD or s is XI:
-            if u.member("W", s):
-                return lp.value(s)[z]
-            look = lp.value
+            look = self.lp.value
         else:
             raise ValueError("path undefined on generator %s" % tree_name(s))
         acc = 0.0
@@ -192,10 +176,7 @@ class Path:
         return acc
 
     def forest_at(self, forest, z, x):
-        out = 1.0
-        for p in forest:
-            out *= self.value_at(p, z, x)
-        return out
+        return math.prod((self.value_at(p, z, x) for p in forest), start=1.0)
 
     # identity residuals -------------------------------------------------------
 
@@ -265,8 +246,6 @@ class Path:
         of every smoothing at scale L."""
         if not self.smoothable(s):
             raise ValueError("smoothed branch covers T_r and I(W) only")
-        if s.kind == PLANTED or self.u.member("W", s):
-            return self._mollified(s, L)
         acc = 0.0
         for (l, f), c in self.cg.delta(s).items():
             g, mask = self._mollified(l, L)

@@ -274,7 +274,8 @@ class TreeUniverse:
 
     Sets follow the build contract's naming: poly, W, W_ring, N, N_ring,
     N_tilde, Q, dW, T_r, T_l, T, T_plus, T_cen.  Each is a tuple ordered by
-    (edge count, interning id).  The centering set N_tilde is taken as the
+    edge count, then by first touch in this enumeration (the interning order
+    of a fresh process).  The centering set N_tilde is taken as the
     product trees of order in (-1, 0]: the unique order-0 tree needs the
     same first-order centering as the rest of the set, so it is included.
     """
@@ -286,11 +287,16 @@ class TreeUniverse:
             raise ValueError("dimension must be >= 1")
         self.delta = delta
         self.d = d
+        rank = {XI.uid: 0, ONE.uid: 1}
+
+        def touch(t):
+            rank.setdefault(t.uid, len(rank))
+            return t
 
         by_tuple: dict = {
             (1, 0, 0): [XI],
             (0, 1, 0): [ONE],
-            (0, 0, 1): [X(i) for i in range(1, d + 1)],
+            (0, 0, 1): [touch(X(i)) for i in range(1, d + 1)],
         }
         lattice = list(_leaf_counts(delta))
         neg = {tup for tup, o in lattice if o < 0}
@@ -305,9 +311,10 @@ class TreeUniverse:
                 for ta in pools[0]:
                     for tb in pools[1]:
                         for tc in pools[2]:
-                            t = prod3(I(ta), I(tb), I(tc), delta)
+                            t = prod3(touch(I(ta)), touch(I(tb)),
+                                      touch(I(tc)), delta)
                             if t is not None:
-                                trees.append(t)
+                                trees.append(touch(t))
             total += len(trees)
             if total > cap:
                 raise EnumerationCapExceeded(
@@ -318,7 +325,7 @@ class TreeUniverse:
         products = [t for tup, ts in by_tuple.items() if sum(tup) >= 3 for t in ts]
 
         def key(t):
-            return (t.edges, t.uid)
+            return (t.edges, rank[t.uid])
 
         self.poly = tuple([X(i) for i in range(1, d + 1)] + [ONE])
         self.W_ring = tuple(sorted((t for t in products if self.order(t) < -2), key=key))
@@ -333,15 +340,15 @@ class TreeUniverse:
             (t for t in self.N_ring
              if all(self.order(k.child) < -2 for k in t.children)), key=key))
         self.T_r = tuple(sorted(self.W + self.N_ring, key=key))
-        self.T_l = tuple(sorted([I(t) for t in self.T_r] +
-                                [I(p) for p in self.poly], key=key))
+        self.T_l = tuple(sorted([touch(I(t)) for t in self.T_r] +
+                                [touch(I(p)) for p in self.poly], key=key))
         self.T = tuple(sorted(self.T_r + self.T_l, key=key))
-        ip_trees = [Ip(i, X(i), delta) for i in range(1, d + 1)]
+        ip_trees = [touch(Ip(i, X(i), delta)) for i in range(1, d + 1)]
         for t in self.N_tilde:
             for i in range(1, d + 1):
                 p = Ip(i, t, delta)
                 if p is not None:
-                    ip_trees.append(p)
+                    ip_trees.append(touch(p))
         self.T_plus = tuple(sorted(self.T + tuple(ip_trees), key=key))
         self.T_cen = tuple(sorted([I(t) for t in self.N] + ip_trees, key=key))
 

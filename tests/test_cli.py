@@ -89,8 +89,34 @@ def test_config_fields_reach_the_report_without_flags(tmp_path, flat):
         cfgfile = _write(tmp_path, "run.cfg", text)
     else:
         cfgfile = _write(tmp_path, "run.json", json.dumps(values))
-    ns = build_parser().parse_args(["--config", str(cfgfile), "verify"])
+    ns = build_parser().parse_args(["--config", str(cfgfile), "enumerate"])
     assert RunConfig.from_args(ns).descriptor() == values
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["enumerate"], 0),
+    (["verify", "--suite", "path"], 0),
+    (["scan", "--kind", "order"], 0),
+    (["verify", "--suite", "algebra"], 2),
+    (["verify", "--suite", "products"], 2),
+    (["verify", "--suite", "all"], 2),
+    (["solve"], 2),
+    (["scan", "--kind", "apriori"], 2),
+    (["scan", "--kind", "reconstruction"], 2),
+], ids=["enumerate", "path", "order", "algebra", "products", "all", "solve",
+        "apriori", "reconstruction"])
+def test_max_m_xi_only_for_commands_that_take_it(tmp_path, capsys, argv, code):
+    # the other commands read trees that a restricted universe leaves out,
+    # and failed identities or raised KeyError on one
+    cfgfile = _write(tmp_path, "m.json", '{"max_m_xi": 3}')
+    assert main(["--config", str(cfgfile), *argv, *SMALL,
+                 "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("error: ") and "max_m_xi" in err
+        assert "Traceback" not in err
+    else:
+        assert not err
 
 
 def _write(base, name, text, encoding=None):

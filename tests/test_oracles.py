@@ -1162,17 +1162,27 @@ def test_point_path_matches_scalar(lift_path):
     trees = {s.uid: s for s in (*u.T, *u.T_plus, *u.T_cen,
                                 *(Im(1, t) for t in u.T_r))}
     branches = set()
-    for s in trees.values():
-        try:
-            want = [value_at_scalar(p, s, a, b) for a, b in zip(zs, xs)]
-        except (KeyError, ValueError) as exc:
-            with pytest.raises(type(exc)):
-                p.value_at(s, z, x)
-            continue
-        assert same_bits(p.value_at(s, z, x), want), tree_name(s)
-        if s.kind == PLANTED:
-            branches.add(s.edge)
+    for base in (x, z):          # off and on the diagonal
+        bs = node_list(base)
+        for s in trees.values():
+            try:
+                want = [value_at_scalar(p, s, a, b) for a, b in zip(zs, bs)]
+            except (KeyError, ValueError) as exc:
+                with pytest.raises(type(exc)):
+                    p.value_at(s, z, base)
+                continue
+            assert same_bits(p.value_at(s, z, base), want), tree_name(s)
+            if s.kind == PLANTED:
+                branches.add(s.edge)
     assert branches == {EDGE_I, EDGE_IP, EDGE_IM}
+    # on the diagonal I(X1) reads +0.0, I(One) and Ip(X1) read 1 and the
+    # trees of W and I(W) their stored fields
+    assert same_bits(p.value_at(I(X(1)), z, z), np.zeros(len(zs)))
+    for s in (I(ONE), Ip(1, X(1), u.delta)):
+        assert same_bits(p.value_at(s, z, z), np.ones(len(zs)))
+    for w in u.W:
+        assert same_bits(p.value_at(w, z, z), p.lp.value(w)[z])
+        assert same_bits(p.value_at(I(w), z, z), p.lp.ell(w)[z])
     for s in u.T_cen:
         assert same_bits(p.cen_at(s, x), [cen_at_scalar(p, s, b) for b in xs])
     for s in u.T:

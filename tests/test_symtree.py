@@ -1,8 +1,13 @@
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import phi4local
 from phi4local.symtree import (
     ONE, XI, EnumerationCapExceeded, I, InadmissibleDelta, Im, Ip, X, canon,
     PLANTED, PROD, check_delta_admissible, enumerate_universe, leq, order,
@@ -205,6 +210,39 @@ def test_universe_json(u310):
     row = next(r for r in data["trees"] if r["tree"] == "Xi")
     assert row["order"] == "-27/10"
     assert "W" in row["sets"]
+
+
+# enumerates the universes named in argv[1:] first, then prints the 3/10
+# universe and the seed-0 counterterm draws in the order of its Q
+ORDER_CODE = """
+import json, sys
+from fractions import Fraction
+import numpy as np
+from phi4local.lift import random_counterterm_map
+from phi4local.symtree import enumerate_universe, tree_name
+for d in sys.argv[1:]:
+    enumerate_universe(Fraction(d))
+u = enumerate_universe(Fraction(3, 10))
+rm = random_counterterm_map(u, np.random.default_rng(0))
+print(json.dumps([u.to_json(), [[tree_name(t), str(rm.value(t))] for t in u.Q]]))
+"""
+
+
+def _universe_in_process(*before):
+    src = os.path.dirname(os.path.dirname(phi4local.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", ORDER_CODE, *before], env=env,
+                         check=True, capture_output=True, text=True, timeout=120)
+    return json.loads(out.stdout)
+
+
+def test_universe_order_ignores_earlier_universes():
+    # every set follows the universe's own enumeration, not the interning
+    # order of the process: the trees listed and the random counterterm map
+    # drawn in Q order are those of a fresh process
+    fresh = _universe_in_process()
+    after = _universe_in_process("2/5", "9/20")
+    assert after == fresh
 
 
 def test_restrict_closure(u920):
