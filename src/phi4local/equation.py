@@ -37,25 +37,36 @@ class ResonantLevel(ValueError):
 class TreeExpansion:
     """Coefficient table z -> theta_z over N (constants over W), produced
     through the closed-form coefficient map from v1 and its generalized
-    derivative vX = dx_map(path, v1)."""
+    derivative vX = dx_map(path, v1).
+
+    theta_z(t) depends on t only through its monomial upsilon_monomial(t),
+    so one read-only field is kept per monomial and shared by every tree of
+    that monomial; a uid table points at it, so a repeated read is one
+    lookup."""
 
     def __init__(self, path: Path, v1: np.ndarray):
         self.path = path
         self.u = path.u
         self.v1 = v1
         self.vX = dx_map(path, v1)
-        self._cache: dict = {}
+        self._by_monomial: dict = {}
+        self._by_uid: dict = {}
 
     def theta(self, t: Tree) -> np.ndarray:
-        arr = self._cache.get(t.uid)
+        arr = self._by_uid.get(t.uid)
         if arr is None:
-            c, p, mxb = upsilon_monomial(t)
-            arr = float(c) * np.ones_like(self.v1)
-            if p:
-                arr = arr * self.v1 ** p
-            for _i, e in mxb:
-                arr = arr * self.vX ** e
-            self._cache[t.uid] = arr
+            mono = upsilon_monomial(t)
+            arr = self._by_monomial.get(mono)
+            if arr is None:
+                c, p, mxb = mono
+                arr = float(c) * np.ones_like(self.v1)
+                if p:
+                    arr = arr * self.v1 ** p
+                for _i, e in mxb:
+                    arr = arr * self.vX ** e
+                arr.flags.writeable = False
+                self._by_monomial[mono] = arr
+            self._by_uid[t.uid] = arr
         return arr
 
     def pointwise(self) -> np.ndarray:

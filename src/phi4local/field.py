@@ -344,10 +344,10 @@ class Mollifier:
         elsewhere.  The field may have any (levels, nodes) shape on the
         grid's spacing; the mask depends on L, n and that shape alone, so
         every smoothing of an (nt, nx) field at one scale, as the scans make,
-        has one mask.  The
-        kernel's spectrum is computed once per (L, n, field shape), so a
-        smoothing is one forward and one inverse transform; the result is
-        that of _fftconvolve(f, kernel) to the bit.
+        returns one read-only mask.  The mask and the kernel's spectrum are
+        computed once per (L, n, field shape), so a smoothing is one forward
+        and one inverse transform; the result is that of
+        _fftconvolve(f, kernel) to the bit.
         """
         from scipy.fft import irfftn, rfftn
         grid = self.grid
@@ -358,18 +358,18 @@ class Mollifier:
         ker = self.kernel(L, n)
         na = ker.shape[0] - 1
         nb = (ker.shape[1] - 1) // 2
+        nt, nx = f.shape
         key = (round(L, 12), n, f.shape)
         if key not in self._spectra:
             _full, fshape = _fft_shapes(f.shape, ker.shape)
-            self._spectra[key] = fshape, rfftn(ker, fshape, axes=(0, 1))
-        fshape, spec = self._spectra[key]
+            mask = np.zeros(f.shape, dtype=bool)
+            if nt > na and nx > 2 * nb:
+                mask[na:, nb: nx - nb] = True
+            mask.flags.writeable = False     # shared by every caller
+            self._spectra[key] = fshape, rfftn(ker, fshape, axes=(0, 1)), mask
+        fshape, spec, mask = self._spectra[key]
         full = irfftn(rfftn(f, fshape, axes=(0, 1)) * spec, fshape, axes=(0, 1))
-        nt, nx = f.shape
-        g = full[:nt, nb: nb + nx]
-        mask = np.zeros(f.shape, dtype=bool)
-        if nt > na and nx > 2 * nb:
-            mask[na:, nb: nx - nb] = True
-        g = np.where(mask, g, 0.0)
+        g = np.where(mask, full[:nt, nb: nb + nx], 0.0)
         return g, mask
 
 

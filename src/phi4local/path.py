@@ -26,22 +26,27 @@ from .symtree import (
 # The batch of every node: cen_at and cen_forest_at read whole fields there.
 ALL = (slice(None), slice(None))
 
+# The two parts of a product tree's tables, each built on its first read.
+DIAG, CEN = "diag", "cen"
+
 
 class _Table(dict):
     """A table of a Path, keyed by tree uid.  Reading an entry that is not
-    there builds the entries of its product tree first (Path._build); a uid
-    that has no entry in this table raises KeyError, as in a plain dict.
+    there builds the entries of its part of the product tree's tables first
+    (Path._build); a uid that has no entry in this table raises KeyError, as
+    in a plain dict.
 
     The table holds its Path through a weak reference: a strong one would
     make a reference cycle, and so leave every table to the cyclic garbage
     collector once the Path is dropped."""
 
-    def __init__(self, path: "Path"):
+    def __init__(self, path: "Path", part: str):
         super().__init__()
         self._path = weakref.ref(path)
+        self._part = part
 
     def __missing__(self, uid):
-        self._path()._build(uid)
+        self._path()._build(uid, self._part)
         out = self.get(uid)
         if out is None:
             raise KeyError(uid)
@@ -51,8 +56,9 @@ class _Table(dict):
 class Path:
     """Evaluators for the centered local product and the centering tables.
 
-    A product tree's table entries are built on the first read of any of
-    them, after those of the smaller trees its centerings read."""
+    A product tree's tables come in two parts, each built on the first read
+    of one of its entries, after the centerings of the smaller trees it
+    reads: the diagonal (diag) and the centerings (nu, cen_I, diag_im)."""
 
     def __init__(self, lp: LocalProduct):
         self.lp = lp
@@ -61,13 +67,14 @@ class Path:
         self.grid = lp.grid
         grid = self.grid
 
-        self.nu = _Table(self)       # uid -> gradient of the centered solve
-                                     # at the diagonal; the Ip centering is -nu
-        self.cen_I = _Table(self)    # uid -> centering field of I(tau) over
-                                     # N_ring, One and X (1 and -x, shared and
-                                     # read-only)
-        self.diag = _Table(self)     # X_{z,z} tau for product trees
-        self.diag_im = _Table(self)  # uid -> X_{z,z} Im(tau), tau in T_r
+        self.nu = _Table(self, CEN)       # uid -> gradient of the centered
+                                          # solve at the diagonal; the Ip
+                                          # centering is -nu
+        self.cen_I = _Table(self, CEN)    # uid -> centering field of I(tau)
+                                          # over N_ring, One and X (1 and -x,
+                                          # shared and read-only)
+        self.diag = _Table(self, DIAG)    # X_{z,z} tau for product trees
+        self.diag_im = _Table(self, CEN)  # uid -> X_{z,z} Im(tau), tau in T_r
         self.A: dict = {}        # not stored: kept empty for the benchmark
         self.cen_Ip: dict = {}   # tracer (perfbench/tracing.py) reading them
 
@@ -76,41 +83,50 @@ class Path:
         neg_x.flags.writeable = False
         self.cen_I[X(1).uid] = neg_x     # build_local_product takes d = 1 only
         self.diag_im[XI.uid] = lp.grad(XI)
-        # the product trees whose entries are not built yet
-        self._unbuilt = {t.uid: t for t in self.u.T_r if t.kind == PROD}
+        # per part, the product trees whose entries are not built yet
+        prods = {t.uid: t for t in self.u.T_r if t.kind == PROD}
+        self._unbuilt = {DIAG: prods, CEN: dict(prods)}
         self._zero = grid.zeros()
         self._zero.flags.writeable = False
         self.mol = Mollifier(grid)
         self._moll_cache: dict = {}
 
-    def _build(self, uid) -> None:
-        """The entries of the product tree uid, unless built already.
+    def _build(self, uid, part: str) -> None:
+        """The entries of one part of the product tree uid, unless built
+        already.
 
         X_{z,z} Im(tau) is the lift gradient on W; off W it is nu, which the
-        Ip centering -nu cancels on N_tilde.  Entries share the arrays of nu
-        and the lift, so nothing may write to them, and an entry already
-        present is kept.  The terms are summed in coproduct order through
-        two scratch fields, each with the operations of the whole-field
-        float(c) * cen_forest_at(f, ALL) times a lift field."""
-        t = self._unbuilt.pop(uid, None)
+        Ip centering -nu cancels on N_tilde.  On W both parts are the lift's
+        arrays and are set at once.  Entries share the arrays of nu and the
+        lift, so nothing may write to them, and an entry already present is
+        kept.  The terms are summed in coproduct order through two scratch
+        fields, each with the operations of the whole-field
+        float(c) * cen_forest_at(f, ALL) times a lift field; a tree read in
+        both parts forms these weights once per part."""
+        t = self._unbuilt[part].pop(uid, None)
         if t is None:
             return
         lp, grid = self.lp, self.grid
         if self.u.member("W", t):
+            for todo in self._unbuilt.values():
+                todo.pop(uid, None)
             self.diag.setdefault(uid, lp.value(t))
             self.diag_im.setdefault(uid, lp.grad(t))
             return
-        # the centerings and gradients are read first, so the smaller trees
-        # they need are built before the fields of this one are allocated
-        terms = [(l, lp.grad(l), [self.cen_at(p, ALL) for p in f], float(c))
-                 for (l, f), c in self.cg.delta(t).items()]
+        # the lift fields a term weighs: the value for the diagonal, the heat
+        # solve and its gradient for the centerings.  They and the centerings
+        # are read first, so the smaller trees they need are built before
+        # the fields of this one are allocated
+        look = (lp.value,) if part == DIAG else (lp.ell, lp.grad)
+        terms = [([get(l) for get in look], [self.cen_at(p, ALL) for p in f],
+                  float(c)) for (l, f), c in self.cg.delta(t).items()]
         # scratch fields below the tables, so that freeing them leaves a hole
         # the next build reuses, not a heap top for the allocator to trim;
         # every field is written before it is read, as 0.0 + the first term
         shape = (grid.nt, grid.nx)
         cf, term = np.empty(shape), np.empty(shape)
-        a, nu, dg = np.empty(shape), np.empty(shape), np.empty(shape)
-        for n, (l, grad, factors, c) in enumerate(terms):
+        accs = [np.empty(shape) for _ in look]
+        for n, (fields, factors, c) in enumerate(terms):
             w = c
             if factors:          # the factors left to right, then c
                 chain = factors + [c]
@@ -118,18 +134,21 @@ class Path:
                 for g in chain[2:]:
                     cf *= g
                 w = cf
-            for acc, field in ((a, lp.ell(l)), (dg, lp.value(l)), (nu, grad)):
+            for acc, field in zip(accs, fields):
                 np.multiply(field, w, out=term)
                 if n:
                     acc += term
                 else:
                     np.add(0.0, term, out=acc)
+        if part == DIAG:
+            self.diag.setdefault(uid, accs[0])
+            return
+        a, nu = accs
         tilde = self.u.member("N_tilde", t)
         np.negative(a, out=a)            # the centering: -a, plus x nu on N_tilde
         if tilde:
             np.multiply(grid.x_field, nu, out=term)
             a += term
-        self.diag.setdefault(uid, dg)
         self.nu.setdefault(uid, nu)
         self.diag_im.setdefault(uid, self._zero if tilde else nu)
         self.cen_I.setdefault(uid, a)
@@ -230,8 +249,7 @@ class Path:
         if out is None:
             f = self.lp.ell(t.child) if t.kind == PLANTED else self.lp.value(t)
             out = self._moll_cache[key] = self.mol.smooth(f, L)
-            for arr in out:          # shared by every caller
-                arr.flags.writeable = False
+            out[0].flags.writeable = False   # shared, as the mask is
         return out
 
     def smoothable(self, s: Tree) -> bool:

@@ -200,6 +200,38 @@ def test_path_is_freed_when_a_command_returns(monkeypatch, tmp_path, argv):
         gc.enable()
 
 
+def _suite_path(monkeypatch, tmp_path, suite):
+    """The Path that `verify --suite <suite>` at delta 9/20 read from."""
+    made = []
+    build = cli._build_path
+
+    def traced(cfg, cg):
+        p, rep = build(cfg, cg)
+        made.append(p)
+        return p, rep
+    monkeypatch.setattr(cli, "_build_path", traced)
+    assert main(["verify", "--suite", suite, "--delta", "9/20",
+                 "--grid", "1/16,1/32,3", "--out", str(tmp_path)]) == 0
+    p, = made
+    return p, [t.uid for t in p.u.T_r if t.kind == symtree.PROD]
+
+
+def test_path_suite_builds_no_diagonal(monkeypatch, tmp_path):
+    # the path identities read centerings and lift values, never X_{z,z}:
+    # every product tree's centerings are built and none of its diagonals
+    p, prods = _suite_path(monkeypatch, tmp_path, "path")
+    assert not p.diag
+    assert sorted(p.nu) == sorted(prods)
+
+
+def test_products_suite_builds_every_diagonal(monkeypatch, tmp_path):
+    # the cube formula reads the diagonal of every product tree; the
+    # continuity errors read the centerings of fewer trees than exist
+    p, prods = _suite_path(monkeypatch, tmp_path, "products")
+    assert sorted(p.diag) == sorted(prods)
+    assert 0 < len(p.nu) < len(prods)
+
+
 def test_custom_lift_passes_the_path_suite(monkeypatch, tmp_path):
     # the stored field is the lift's value of its tree, bit for bit
     grid = COARSE_GRID

@@ -459,16 +459,19 @@ def test_telescoping(default_path_trig):
 
 
 def test_scans_build_only_the_trees_they_read(u920, cg920):
-    # the tables of a product tree are built on its first read: the a priori
-    # seminorms and the reconstruction check read fewer trees than exist
+    # each part of a product tree's tables, its diagonal or its centerings,
+    # is built on the first read of that part: the a priori seminorms read
+    # the centerings of some trees and no diagonal, and the reconstruction
+    # check reads the diagonals of fewer trees than exist
     grid = COARSE_GRID
     xi = noise_field(grid, "gauss", seed=1, eps=1 / 8)
     prods = [t for t in u920.T_r if t.kind == PROD]
     scales = [1 / 8, 1 / 4, 1 / 2]
     p = Path(build_local_product(grid, u920, xi, coalg=cg920))
-    assert not p.diag
+    assert not p.diag and not p.nu
     seminorm_scale(p, scales)
-    assert 0 < len(p.diag) < len(prods)
+    assert not p.diag
+    assert 0 < len(p.nu) < len(prods)
     p = Path(build_local_product(grid, u920, xi, coalg=cg920))
     v1 = 0.4 + 0.2 * np.sin(1.7 * grid.x_field) * np.cos(2.1 * grid.t_field)
     reconstruction_check(p, TreeExpansion(p, v1), XI, XI, scales)

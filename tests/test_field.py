@@ -345,6 +345,22 @@ def test_smooth_reads_a_spectrum_per_field_shape():
         assert np.array_equal(got, want)
 
 
+
+def test_smooth_returns_one_read_only_mask_per_scale_and_shape():
+    # the mask depends on the scale, the depth and the field's shape alone:
+    # every smoothing of them returns the one mask, and no caller may write it
+    mol = Mollifier(G)
+    f = noise_field(G, "trig", seed=1)
+    _g, mask = mol.smooth(f, 0.25)
+    assert mol.smooth(2.0 * f, 0.25)[1] is mask
+    with pytest.raises(ValueError, match="read-only"):
+        mask[0, 0] = True
+    with pytest.raises(ValueError, match="read-only"):
+        mask &= False
+    assert mol.smooth(f, 0.5)[1] is not mask
+    assert mol.smooth(f, 0.25, n=1)[1] is not mask
+    assert mol.smooth(f[40:, 30:].copy(), 0.25)[1] is not mask
+
 SCIPY_FREE = """
 import json, sys
 import numpy as np

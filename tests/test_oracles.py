@@ -33,7 +33,9 @@ from phi4local import cli, equation
 from phi4local import path as pathmod
 from phi4local import lift as liftmod
 from phi4local.coalgebra import UNIT, Coalgebra, _add, _row, forest_key, report_failures
-from phi4local.coeffs import check_coherence, classify_utau, pick_gamma, resonance_values
+from phi4local.coeffs import (
+    check_coherence, classify_utau, pick_gamma, resonance_values, upsilon_monomial,
+)
 from phi4local.equation import (
     BoundaryTrace, NumericalAbort, SolveConfig, TreeExpansion,
     reconstruction_check, seminorm_scale,
@@ -361,6 +363,17 @@ def renorm_path_residual_scalar(path, rmap_uid, t, z, x):
 
 def theta_at_scalar(e, t, node):
     return float(e.theta(t)[node])
+
+
+def theta_per_tree(e, t):
+    """theta_z(t) built from the monomial of t alone, one field per tree."""
+    c, p, mxb = upsilon_monomial(t)
+    arr = float(c) * np.ones_like(e.v1)
+    if p:
+        arr = arr * e.v1 ** p
+    for _i, ex in mxb:
+        arr = arr * e.vX ** ex
+    return arr
 
 
 def u_tau_loop(path, e, t, cutoff, y, x):
@@ -1438,26 +1451,75 @@ def test_diag_im_matches_loop(request, name):
     assert sorted(p.diag_im) == sorted(t.uid for t in trees)
 
 
-@pytest.mark.parametrize("lift", ["multiplicative", "counterterm"])
+@pytest.mark.parametrize("lift", ["multiplicative", "counterterm", "custom"])
 @pytest.mark.parametrize("universe", ["u920", "u25", "u310"])
 def test_tables_built_on_read_match_eager_loop(request, universe, lift):
+    # the diagonal and the centerings of a tree are built apart, each on
+    # its first read; with the centerings read first on one path and the
+    # diagonals on another, each part is built first on some tree, and
+    # every entry keeps the bits of the eager loop.  The custom field is
+    # -0.0 off its bump, so a sum that does not start from +0.0 shows
     u, grid = request.getfixturevalue(universe), COARSE_GRID
     xi = noise_field(grid, "trig", seed=0, amp=2.0)
     rmap = (random_counterterm_map(u, np.random.default_rng(3), exact=False)
             if lift == "counterterm" else None)
-    want = EagerTables(build_local_product(grid, u, xi, rmap=rmap))
-    p = Path(build_local_product(grid, u, xi, rmap=rmap))
-    assert p.nu.keys() == set() and p.diag.keys() == set()
-    for name in ("diag_im", "nu", "cen_I", "diag"):
-        got, ref = getattr(p, name), getattr(want, name)
-        # largest trees first, so each read builds the trees it depends on
-        for uid in reversed(ref):
-            assert same_bits(got[uid], ref[uid])
-        assert sorted(got) == sorted(ref)
+    bump = noise_field(grid, "bump")
+    custom = ({u.Q[0]: np.where(bump > 0.5, bump, -0.0)} if lift == "custom"
+              else None)
+    want = EagerTables(build_local_product(grid, u, xi, rmap=rmap, custom=custom))
+    for order in (("diag_im", "nu", "cen_I", "diag"),
+                  ("diag", "diag_im", "nu", "cen_I")):
+        p = Path(build_local_product(grid, u, xi, rmap=rmap, custom=custom))
+        assert p.nu.keys() == set() and p.diag.keys() == set()
+        for name in order:
+            got, ref = getattr(p, name), getattr(want, name)
+            # largest trees first, so each read builds the trees it depends on
+            for uid in reversed(ref):
+                assert same_bits(got[uid], ref[uid])
+            assert sorted(got) == sorted(ref)
     # a uid with no entry in a table reads as a missing key
     for table in (p.nu, p.cen_I, p.diag):
         with pytest.raises(KeyError):
             table[XI.uid]
+
+
+@pytest.fixture(scope="module")
+def coarse_path_trig_310(u310):
+    xi = noise_field(COARSE_GRID, "trig", seed=0, amp=2.0)
+    return Path(build_local_product(COARSE_GRID, u310, xi))
+
+
+@pytest.fixture(scope="module")
+def coarse_path_gauss_310(u310):
+    xi = noise_field(COARSE_GRID, "gauss", seed=21, eps=1 / 8, amp=0.1)
+    return Path(build_local_product(COARSE_GRID, u310, xi))
+
+
+THETA_PATHS = {
+    ("9/20", "trig"): "default_path_trig", ("9/20", "gauss"): "default_path_gauss",
+    ("2/5", "trig"): "default_path_trig_25", ("2/5", "gauss"): "default_path_gauss_25",
+    ("3/10", "trig"): "coarse_path_trig_310", ("3/10", "gauss"): "coarse_path_gauss_310",
+}
+
+
+@pytest.mark.parametrize("delta, noise", list(THETA_PATHS),
+                         ids=["-".join(k) for k in THETA_PATHS])
+def test_theta_by_monomial_matches_per_tree(request, delta, noise):
+    # trees of one monomial read one shared read-only field, which holds
+    # the floats of a field built for each tree from its own monomial
+    p = request.getfixturevalue(THETA_PATHS[delta, noise])
+    grid = p.grid
+    v1 = 0.4 + 0.2 * np.sin(1.7 * grid.x_field) * np.cos(2.1 * grid.t_field)
+    e = TreeExpansion(p, v1)
+    trees = list(dict.fromkeys([*p.u.T, *p.u.N, *p.u.W]))
+    read = {}
+    for t in trees:
+        got = e.theta(t)
+        assert same_bits(got, theta_per_tree(e, t))
+        assert e.theta(t) is got and not got.flags.writeable
+        read.setdefault(upsilon_monomial(t), set()).add(id(got))
+    assert all(len(ids) == 1 for ids in read.values())
+    assert len({i for ids in read.values() for i in ids}) == len(read) < len(trees)
 
 
 def _batch_records(path, coeffs, traces, config):

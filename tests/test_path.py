@@ -230,7 +230,9 @@ def test_a_build_keeps_the_entries_already_present(u920, cg920):
     p = Path(build_local_product(grid, u920, noise_field(grid, "trig", seed=0),
                                  coalg=cg920))
     t = next(t for t in u920.N_tilde if t.kind == PROD)
-    mine = grid.ones()
+    mine, yours = grid.ones(), grid.ones()
     p.diag[t.uid] = mine
+    p.cen_I[t.uid] = yours
     assert p.nu[t.uid].shape == mine.shape
-    assert p.diag[t.uid] is mine and not p.diag_im[t.uid].any()
+    assert p.cen_I[t.uid] is yours and not p.diag_im[t.uid].any()
+    assert p.diag[t.uid] is mine
