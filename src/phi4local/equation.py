@@ -88,7 +88,7 @@ def dx_map(path: Path, v1: np.ndarray) -> np.ndarray:
             c, p, _mx = upsilon_monomial(t)
             if p not in (0, 1):
                 raise AssertionError("unexpected coefficient power")
-            term = float(c) * path.diag_im[t.uid]
+            term = float(c) * path.nu[t.uid]
             acc = acc + (term * v1 ** p if p else term)
     return acc
 

@@ -33,8 +33,8 @@ DIAG, CEN = "diag", "cen"
 class _Table(dict):
     """A table of a Path, keyed by tree uid.  Reading an entry that is not
     there builds the entries of its part of the product tree's tables first
-    (Path._build); a uid that has no entry in this table raises KeyError, as
-    in a plain dict.
+    (Path._build); a uid that has no entry in this table, such as a tree of
+    W in the centerings, raises KeyError, as in a plain dict.
 
     The table holds its Path through a weak reference: a strong one would
     make a reference cycle, and so leave every table to the cyclic garbage
@@ -58,7 +58,8 @@ class Path:
 
     A product tree's tables come in two parts, each built on the first read
     of one of its entries, after the centerings of the smaller trees it
-    reads: the diagonal (diag) and the centerings (nu, cen_I, diag_im)."""
+    reads: the diagonal (diag) and, off W, the centerings (nu, cen_I).
+    Both are the coproduct sum of value_at over the whole field (_expand)."""
 
     def __init__(self, lp: LocalProduct):
         self.lp = lp
@@ -74,20 +75,19 @@ class Path:
                                           # over N_ring, One and X (1 and -x,
                                           # shared and read-only)
         self.diag = _Table(self, DIAG)    # X_{z,z} tau for product trees
-        self.diag_im = _Table(self, CEN)  # uid -> X_{z,z} Im(tau), tau in T_r
         self.A: dict = {}        # not stored: kept empty for the benchmark
         self.cen_Ip: dict = {}   # tracer (perfbench/tracing.py) reading them
+        self.diag_im: dict = {}
 
         self.cen_I[ONE.uid] = lp.planted_field(I(ONE))
         neg_x = -grid.x_field
         neg_x.flags.writeable = False
         self.cen_I[X(1).uid] = neg_x     # build_local_product takes d = 1 only
-        self.diag_im[XI.uid] = lp.grad(XI)
-        # per part, the product trees whose entries are not built yet
+        # per part, the product trees whose entries are not built yet; the
+        # trees of W have no centerings
         prods = {t.uid: t for t in self.u.T_r if t.kind == PROD}
-        self._unbuilt = {DIAG: prods, CEN: dict(prods)}
-        self._zero = grid.zeros()
-        self._zero.flags.writeable = False
+        self._unbuilt = {DIAG: prods, CEN: {uid: t for uid, t in prods.items()
+                                            if not self.u.member("W", t)}}
         self.mol = Mollifier(grid)
         self._moll_cache: dict = {}
 
@@ -95,62 +95,25 @@ class Path:
         """The entries of one part of the product tree uid, unless built
         already.
 
-        X_{z,z} Im(tau) is the lift gradient on W; off W it is nu, which the
-        Ip centering -nu cancels on N_tilde.  On W both parts are the lift's
-        arrays and are set at once.  Entries share the arrays of nu and the
-        lift, so nothing may write to them, and an entry already present is
-        kept.  The terms are summed in coproduct order through two scratch
-        fields, each with the operations of the whole-field
-        float(c) * cen_forest_at(f, ALL) times a lift field; a tree read in
-        both parts forms these weights once per part."""
+        Each entry is a coproduct sum over the whole field (_expand): the
+        diagonal of the lift values, nu of their gradients, and cen_I of
+        minus their heat solves, plus x nu on N_tilde.  On W the diagonal
+        is the lift's value, and there are no centerings.  Entries may share
+        the arrays of the lift, so nothing may write to them, and an entry
+        already present is kept."""
         t = self._unbuilt[part].pop(uid, None)
         if t is None:
             return
-        lp, grid = self.lp, self.grid
-        if self.u.member("W", t):
-            for todo in self._unbuilt.values():
-                todo.pop(uid, None)
-            self.diag.setdefault(uid, lp.value(t))
-            self.diag_im.setdefault(uid, lp.grad(t))
-            return
-        # the lift fields a term weighs: the value for the diagonal, the heat
-        # solve and its gradient for the centerings.  They and the centerings
-        # are read first, so the smaller trees they need are built before
-        # the fields of this one are allocated
-        look = (lp.value,) if part == DIAG else (lp.ell, lp.grad)
-        terms = [([get(l) for get in look], [self.cen_at(p, ALL) for p in f],
-                  float(c)) for (l, f), c in self.cg.delta(t).items()]
-        # scratch fields below the tables, so that freeing them leaves a hole
-        # the next build reuses, not a heap top for the allocator to trim;
-        # every field is written before it is read, as 0.0 + the first term
-        shape = (grid.nt, grid.nx)
-        cf, term = np.empty(shape), np.empty(shape)
-        accs = [np.empty(shape) for _ in look]
-        for n, (fields, factors, c) in enumerate(terms):
-            w = c
-            if factors:          # the factors left to right, then c
-                chain = factors + [c]
-                np.multiply(chain[0], chain[1], out=cf)
-                for g in chain[2:]:
-                    cf *= g
-                w = cf
-            for acc, field in zip(accs, fields):
-                np.multiply(field, w, out=term)
-                if n:
-                    acc += term
-                else:
-                    np.add(0.0, term, out=acc)
+        lp = self.lp
         if part == DIAG:
-            self.diag.setdefault(uid, accs[0])
+            self.diag.setdefault(uid, lp.value(t) if self.u.member("W", t)
+                                 else self._expand(t, lp.value, ALL, ALL))
             return
-        a, nu = accs
-        tilde = self.u.member("N_tilde", t)
-        np.negative(a, out=a)            # the centering: -a, plus x nu on N_tilde
-        if tilde:
-            np.multiply(grid.x_field, nu, out=term)
-            a += term
+        nu = self._expand(t, lp.grad, ALL, ALL)
+        a = -self._expand(t, lp.ell, ALL, ALL)
+        if self.u.member("N_tilde", t):
+            a += self.grid.x_field * nu
         self.nu.setdefault(uid, nu)
-        self.diag_im.setdefault(uid, self._zero if tilde else nu)
         self.cen_I.setdefault(uid, a)
 
     # point evaluators --------------------------------------------------------
@@ -172,7 +135,11 @@ class Path:
         raise KeyError("no centering value on %s" % tree_name(p))
 
     def cen_forest_at(self, forest, x):
-        return math.prod((self.cen_at(p, x) for p in forest), start=1.0)
+        """1.0 times the forest's centerings at x, left to right, in place."""
+        out = 1.0
+        for p in forest:
+            out *= self.cen_at(p, x)
+        return out
 
     def value_at(self, s: Tree, z, x) -> np.ndarray:
         """X_{z,x} s: the coproduct expansion, left fields at z times right
@@ -189,9 +156,17 @@ class Path:
             look = self.lp.value
         else:
             raise ValueError("path undefined on generator %s" % tree_name(s))
+        return self._expand(s, look, z, x)
+
+    def _expand(self, s: Tree, look, z, x):
+        """Sum over the coproduct of s of c times the field look(l) at the
+        nodes z times the centerings of the forest f at the nodes x, each
+        term formed in place, starting from +0.0."""
         acc = 0.0
         for (l, f), c in self.cg.delta(s).items():
-            acc += float(c) * look(l)[z] * self.cen_forest_at(f, x)
+            term = float(c) * look(l)[z]
+            term *= self.cen_forest_at(f, x)
+            acc += term
         return acc
 
     def forest_at(self, forest, z, x):

@@ -50,7 +50,7 @@ def test_dx_map_correction_fields(coarse_path, u920):
     for t in u920.N_ring:
         if u920.order(t) < -1:
             c, pw, _ = upsilon_monomial(t)
-            direct = direct + float(c) * 0.5 ** pw * p.diag_im[t.uid]
+            direct = direct + float(c) * 0.5 ** pw * p.nu[t.uid]
     assert np.max(np.abs(vX - direct)) < 1e-12
 
 

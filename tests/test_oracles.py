@@ -166,21 +166,17 @@ class EagerTables:
         self.nu: dict = {}
         self.cen_I: dict = {}
         self.diag: dict = {}
-        self.diag_im: dict = {}
 
         self.cen_I[ONE.uid] = lp.planted_field(I(ONE))
         neg_x = -grid.x_field
         neg_x.flags.writeable = False
         self.cen_I[X(1).uid] = neg_x     # build_local_product takes d = 1 only
 
-        zero = grid.zeros()
-        zero.flags.writeable = False
         prods = sorted((t for t in u.T_r if t.kind == PROD),
                        key=lambda t: (t.edges, t.uid))
         for t in prods:
             if u.member("W", t):
                 self.diag[t.uid] = lp.value(t)
-                self.diag_im[t.uid] = lp.grad(t)
                 continue
             a = grid.zeros()     # heat solve of the centered tree, on the diagonal
             nu = grid.zeros()
@@ -193,9 +189,7 @@ class EagerTables:
             self.diag[t.uid] = dg
             tilde = u.member("N_tilde", t)
             self.nu[t.uid] = nu
-            self.diag_im[t.uid] = zero if tilde else nu
             self.cen_I[t.uid] = -a + grid.x_field * nu if tilde else -a
-        self.diag_im[XI.uid] = lp.grad(XI)
 
     def cen_at(self, p, x):
         ch = p.child
@@ -217,8 +211,12 @@ class EagerTables:
 def build_all(path):
     """Read every table entry of the path and every gradient of its lift, so
     that none is built later."""
-    for t in [XI, *(t for t in path.u.T_r if t.kind == PROD)]:
-        path.diag_im[t.uid]
+    prods = [t for t in path.u.T_r if t.kind == PROD]
+    for t in prods:
+        path.diag[t.uid]
+        if not path.u.member("W", t):
+            path.nu[t.uid]
+    for t in [XI, *prods]:
         path.lp.grad(t)
 
 
@@ -1442,13 +1440,18 @@ def test_reconstruction_sums_pairs_in_order(u310):
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_diag_im_matches_loop(request, name):
+    # X_{z,z} Im(t) is nu on the trees dx_map reads, and 0 on N_tilde,
+    # where the Ip centering cancels it
     p = request.getfixturevalue(name)
     u = p.u
-    trees = [t for t in u.T_r if t.kind == PROD] + [XI]
-    for t in trees:
-        assert np.array_equal(p.diag_im[t.uid], im_diag_loop(p, t))
-    # once each is read: entries are built on first read
-    assert sorted(p.diag_im) == sorted(t.uid for t in trees)
+    read = [t for t in u.N_ring if u.order(t) < -1]
+    assert read
+    for t in read:
+        assert np.array_equal(p.nu[t.uid], im_diag_loop(p, t))
+    tilde = [t for t in u.N_tilde if t.kind == PROD]
+    assert tilde
+    for t in tilde:
+        assert np.array_equal(im_diag_loop(p, t), p.grid.zeros())
 
 
 @pytest.mark.parametrize("lift", ["multiplicative", "counterterm", "custom"])
@@ -1458,7 +1461,9 @@ def test_tables_built_on_read_match_eager_loop(request, universe, lift):
     # its first read; with the centerings read first on one path and the
     # diagonals on another, each part is built first on some tree, and
     # every entry keeps the bits of the eager loop.  The custom field is
-    # -0.0 off its bump, so a sum that does not start from +0.0 shows
+    # -0.0 off its bump, so a sum that does not start from +0.0 shows.
+    # The eager loop weighs field * (c * forest) and the path forms
+    # (c * field) * forest: the two agree only while every coefficient is 1
     u, grid = request.getfixturevalue(universe), COARSE_GRID
     xi = noise_field(grid, "trig", seed=0, amp=2.0)
     rmap = (random_counterterm_map(u, np.random.default_rng(3), exact=False)
@@ -1466,9 +1471,12 @@ def test_tables_built_on_read_match_eager_loop(request, universe, lift):
     bump = noise_field(grid, "bump")
     custom = ({u.Q[0]: np.where(bump > 0.5, bump, -0.0)} if lift == "custom"
               else None)
-    want = EagerTables(build_local_product(grid, u, xi, rmap=rmap, custom=custom))
-    for order in (("diag_im", "nu", "cen_I", "diag"),
-                  ("diag", "diag_im", "nu", "cen_I")):
+    lp = build_local_product(grid, u, xi, rmap=rmap, custom=custom)
+    coeffs = {c for t in u.T_r if t.kind == PROD
+              for c in lp.coalg.delta(t).values()}
+    assert coeffs == {1}, "a coefficient other than 1 weighs the two loops apart"
+    want = EagerTables(lp)
+    for order in (("nu", "cen_I", "diag"), ("diag", "nu", "cen_I")):
         p = Path(build_local_product(grid, u, xi, rmap=rmap, custom=custom))
         assert p.nu.keys() == set() and p.diag.keys() == set()
         for name in order:
@@ -1477,10 +1485,16 @@ def test_tables_built_on_read_match_eager_loop(request, universe, lift):
             for uid in reversed(ref):
                 assert same_bits(got[uid], ref[uid])
             assert sorted(got) == sorted(ref)
-    # a uid with no entry in a table reads as a missing key
+    # a uid with no entry in a table reads as a missing key; a product
+    # tree of W has a diagonal and no centerings
     for table in (p.nu, p.cen_I, p.diag):
         with pytest.raises(KeyError):
             table[XI.uid]
+    for t in u.W:
+        if t.kind == PROD:
+            for table in (p.nu, p.cen_I):
+                with pytest.raises(KeyError):
+                    table[t.uid]
 
 
 @pytest.fixture(scope="module")
@@ -1495,19 +1509,19 @@ def coarse_path_gauss_310(u310):
     return Path(build_local_product(COARSE_GRID, u310, xi))
 
 
-THETA_PATHS = {
+PATHS_BY_DELTA = {
     ("9/20", "trig"): "default_path_trig", ("9/20", "gauss"): "default_path_gauss",
     ("2/5", "trig"): "default_path_trig_25", ("2/5", "gauss"): "default_path_gauss_25",
     ("3/10", "trig"): "coarse_path_trig_310", ("3/10", "gauss"): "coarse_path_gauss_310",
 }
 
 
-@pytest.mark.parametrize("delta, noise", list(THETA_PATHS),
-                         ids=["-".join(k) for k in THETA_PATHS])
+@pytest.mark.parametrize("delta, noise", list(PATHS_BY_DELTA),
+                         ids=["-".join(k) for k in PATHS_BY_DELTA])
 def test_theta_by_monomial_matches_per_tree(request, delta, noise):
     # trees of one monomial read one shared read-only field, which holds
     # the floats of a field built for each tree from its own monomial
-    p = request.getfixturevalue(THETA_PATHS[delta, noise])
+    p = request.getfixturevalue(PATHS_BY_DELTA[delta, noise])
     grid = p.grid
     v1 = 0.4 + 0.2 * np.sin(1.7 * grid.x_field) * np.cos(2.1 * grid.t_field)
     e = TreeExpansion(p, v1)
@@ -1520,6 +1534,33 @@ def test_theta_by_monomial_matches_per_tree(request, delta, noise):
         read.setdefault(upsilon_monomial(t), set()).add(id(got))
     assert all(len(ids) == 1 for ids in read.values())
     assert len({i for ids in read.values() for i in ids}) == len(read) < len(trees)
+
+
+@pytest.mark.parametrize("delta, noise", list(PATHS_BY_DELTA),
+                         ids=["-".join(k) for k in PATHS_BY_DELTA])
+def test_point_path_on_the_diagonal_is_the_diag_table(request, delta, noise):
+    # value_at and the diagonal table sum one coproduct expansion, at a
+    # batch of nodes and over the whole field, so they agree bit for bit
+    p = request.getfixturevalue(PATHS_BY_DELTA[delta, noise])
+    grid = p.grid
+    rng = np.random.default_rng(7)
+    batches = [sample_nodes(grid, grid.probe_mask(), rng, 64),
+               sample_nodes(grid, np.ones((grid.nt, grid.nx), bool), rng, 64)]
+    prods = [t for t in p.u.T_r if t.kind == PROD]
+    assert prods
+    for z in batches:
+        for t in prods:
+            assert same_bits(p.value_at(t, z, z), p.diag[t.uid][z])
+
+
+@pytest.mark.parametrize("universe", ["u920", "u310"])
+def test_tracer_only_tables_stay_empty(request, universe):
+    # A, cen_Ip and diag_im are kept, empty, only for the benchmark tracer
+    u, grid = request.getfixturevalue(universe), COARSE_GRID
+    p = Path(build_local_product(grid, u, noise_field(grid, "trig", seed=0)))
+    build_all(p)
+    assert p.diag and p.nu and p.cen_I
+    assert p.A == {} and p.cen_Ip == {} and p.diag_im == {}
 
 
 def _batch_records(path, coeffs, traces, config):

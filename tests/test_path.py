@@ -81,12 +81,6 @@ def test_diagonal_vanishing(coarse_path, u920):
         assert np.all(np.abs(p.value_at(Im(1, t), x, x)) < 1e-10)
 
 
-def test_diagonal_im_table_vanishes_on_positive_orders(coarse_path, u920):
-    p = coarse_path
-    for t in u920.N_tilde:
-        assert np.max(np.abs(p.diag_im[t.uid])) < 1e-10
-
-
 def test_pathcopro_identity(coarse_path, u920):
     # the defining formula for the centered planted tree (solve increment
     # minus diagonal and first-order terms) agrees with the coproduct route
@@ -234,5 +228,5 @@ def test_a_build_keeps_the_entries_already_present(u920, cg920):
     p.diag[t.uid] = mine
     p.cen_I[t.uid] = yours
     assert p.nu[t.uid].shape == mine.shape
-    assert p.cen_I[t.uid] is yours and not p.diag_im[t.uid].any()
+    assert p.cen_I[t.uid] is yours
     assert p.diag[t.uid] is mine
