@@ -31,8 +31,8 @@ from .symtree import (
 
 # Stored nodes (nt x nx), and nodes (substeps x nx) of a heat solve's forcing
 # block, a --grid may ask for.  A whole-grid field takes 8 B a node, and a
-# path's tables hold at most ~180 fields (114 MB on the default grid's 79,323
-# nodes), as they are built on first read.
+# path's tables hold at most 26 fields at delta 9/20 and 89 at 13/50 (16.5
+# and 56.5 MB on the default grid's 79,323 nodes), one per canonical tree.
 # FINE_GRID has 1,639 x 385 = 631,015 stored nodes and a 16 x 385 block.
 MAX_GRID_NODES = 10 ** 6
 

@@ -31,10 +31,10 @@ DIAG, CEN = "diag", "cen"
 
 
 class _Table(dict):
-    """A table of a Path, keyed by tree uid.  Reading an entry that is not
-    there builds the entries of its part of the product tree's tables first
-    (Path._build); a uid that has no entry in this table, such as a tree of
-    W in the centerings, raises KeyError, as in a plain dict.
+    """A table of a Path, keyed by tree uid; a permuted product tree's
+    entry is its canonical tree's array.  Reading an entry that is not there
+    builds its part of the tree's tables first (Path._build); a uid with no
+    entry, such as a tree of W in the centerings, raises KeyError.
 
     The table holds its Path through a weak reference: a strong one would
     make a reference cycle, and so leave every table to the cyclic garbage
@@ -58,8 +58,9 @@ class Path:
 
     A product tree's tables come in two parts, each built on the first read
     of one of its entries, after the centerings of the smaller trees it
-    reads: the diagonal (diag) and, off W, the centerings (nu, cen_I).
-    Both are the coproduct sum of value_at over the whole field (_expand)."""
+    reads: the diagonal (diag) and, off W, the centerings (nu, cen_I), the
+    coproduct sums of value_at over the whole field (_expand).  Every child
+    order of a product shares the arrays of its canonical tree."""
 
     def __init__(self, lp: LocalProduct):
         self.lp = lp
@@ -93,16 +94,20 @@ class Path:
 
     def _build(self, uid, part: str) -> None:
         """The entries of one part of the product tree uid, unless built
-        already.
+        already: a permuted tree takes its canonical tree's, built first.
 
         Each entry is a coproduct sum over the whole field (_expand): the
         diagonal of the lift values, nu of their gradients, and cen_I of
         minus their heat solves, plus x nu on N_tilde.  On W the diagonal
-        is the lift's value, and there are no centerings.  Entries may share
-        the arrays of the lift, so nothing may write to them, and an entry
-        already present is kept."""
+        is the lift's value, and there are no centerings.  Entries share
+        arrays, with the lift and among permutations, so nothing may write
+        to them, and an entry already present is kept."""
         t = self._unbuilt[part].pop(uid, None)
         if t is None:
+            return
+        if canon(t) is not t:
+            for table in (self.diag,) if part == DIAG else (self.nu, self.cen_I):
+                table.setdefault(uid, table[canon(t).uid])
             return
         lp = self.lp
         if part == DIAG:
@@ -239,11 +244,8 @@ class Path:
         of every smoothing at scale L."""
         if not self.smoothable(s):
             raise ValueError("smoothed branch covers T_r and I(W) only")
-        acc = 0.0
-        for (l, f), c in self.cg.delta(s).items():
-            g, mask = self._mollified(l, L)
-            acc = acc + float(c) * g * self.cen_forest_at(f, ALL)
-        return acc, mask
+        return (self._expand(s, lambda l: self._mollified(l, L)[0], ALL, ALL),
+                self._mollified(s, L)[1])
 
 
 def residual(lhs, rhs) -> tuple:

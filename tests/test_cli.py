@@ -4,6 +4,9 @@ import gc
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import weakref
 from dataclasses import replace
@@ -689,3 +692,36 @@ def test_grid_noise_and_radii_raise_only_config_errors(grid, noise, radii):
         assert cfg.make_noise(g).shape == (g.nt, g.nx)
     with contextlib.suppress(cli.ConfigError):
         assert all(0 < R < 1 for R in cli._parse_radii(radii))
+
+
+# runs the CLI with argv[2:] in a fresh process, after interning I(Xi),
+# I(X1) and I(One) in that order if argv[1] is "1", and then writes the
+# name of the canonical tree of [I(One) I(Xi) I(Xi)] to stderr
+INTERN_CODE = """
+import sys
+from phi4local.symtree import ONE, XI, I, X, _raw_prod, canon, tree_name
+if sys.argv[1] == "1":
+    I(XI), I(X(1)), I(ONE)
+from phi4local import cli
+rc = cli.main(sys.argv[2:])
+print(tree_name(canon(_raw_prod(I(ONE), I(XI), I(XI)))), file=sys.stderr)
+sys.exit(rc)
+"""
+
+
+def test_reports_ignore_interning_order():
+    # canon orders a product's children by uid, that is by the interning
+    # order of the process, and a permuted product tree reads the Path
+    # tables of its canonical tree; interning I(Xi) before I(One) changes
+    # the canonical tree of a class, and no report byte
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["verify", "--suite", "all", "--delta", "3/10",
+            "--grid", "1/16,1/32,3"]
+    runs = [subprocess.run([sys.executable, "-c", INTERN_CODE, first, *argv],
+                           env=env, capture_output=True, timeout=300)
+            for first in ("0", "1")]
+    assert [r.returncode for r in runs] == [0, 0]
+    assert [r.stderr.decode().splitlines()[-1] for r in runs] == [
+        "[I(One) I(Xi) I(Xi)]", "[I(Xi) I(Xi) I(One)]"]
+    assert runs[0].stdout == runs[1].stdout

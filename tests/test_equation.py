@@ -22,7 +22,7 @@ from phi4local.equation import (
     seminorm_scale, solve_remainder, three_point_residual, u_tau_at,
 )
 from phi4local.symtree import (
-    ONE, PROD, XI, I, X, enumerate_universe, prod3, sign_of, tree_name,
+    ONE, PROD, XI, I, X, canon, enumerate_universe, prod3, sign_of, tree_name,
 )
 
 D = Fraction(9, 20)
@@ -105,7 +105,6 @@ def test_renorm_constants_two_leaf_class(u310):
     # (exists at the smaller regularity): the signed value lands in the
     # quadratic constant once per ordering, as in the 3x / 9x factors of the
     # standard families
-    from phi4local.symtree import canon
     t2 = next(t for t in u310.Q if t.m_one == 2)
     rm2 = CountertermMap(u310, {t2: Fraction(5, 7)})
     n_orderings = sum(1 for t in u310.Q if canon(t) is canon(t2))
@@ -458,11 +457,13 @@ def test_telescoping(default_path_trig):
     assert telescoping_residual(default_path_trig, f, 0.5, 3) < 1e-12
 
 
-def test_scans_build_only_the_trees_they_read(u920, cg920):
+def test_scans_build_only_the_trees_they_read(u920, cg920, u310):
     # each part of a product tree's tables, its diagonal or its centerings,
     # is built on the first read of that part: the a priori seminorms read
     # the centerings of some trees and no diagonal, and the reconstruction
-    # check reads the diagonals of fewer trees than exist
+    # check reads the diagonals of fewer trees than exist.  A permuted
+    # product tree builds nothing: every child order of a product holds
+    # the arrays of its canonical tree
     grid = COARSE_GRID
     xi = noise_field(grid, "gauss", seed=1, eps=1 / 8)
     prods = [t for t in u920.T_r if t.kind == PROD]
@@ -476,3 +477,14 @@ def test_scans_build_only_the_trees_they_read(u920, cg920):
     v1 = 0.4 + 0.2 * np.sin(1.7 * grid.x_field) * np.cos(2.1 * grid.t_field)
     reconstruction_check(p, TreeExpansion(p, v1), XI, XI, scales)
     assert 0 < len(p.diag) < len(prods)
+    p = Path(build_local_product(grid, u310, xi))
+    prods = [t for t in u310.T_r if t.kind == PROD]
+    off_w = [t for t in prods if not u310.member("W", t)]
+    for t in prods:
+        p.diag[t.uid]
+    for t in off_w:
+        p.nu[t.uid]
+    classes = {canon(t) for t in prods}
+    assert len(classes) == 22
+    assert len({id(a) for a in p.diag.values()}) == len(classes)
+    assert len({id(a) for a in p.nu.values()}) == len({canon(t) for t in off_w})

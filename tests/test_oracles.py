@@ -1455,7 +1455,7 @@ def test_diag_im_matches_loop(request, name):
 
 
 @pytest.mark.parametrize("lift", ["multiplicative", "counterterm", "custom"])
-@pytest.mark.parametrize("universe", ["u920", "u25", "u310"])
+@pytest.mark.parametrize("universe", ["u920", "u25", "u310", "u1350"])
 def test_tables_built_on_read_match_eager_loop(request, universe, lift):
     # the diagonal and the centerings of a tree are built apart, each on
     # its first read; with the centerings read first on one path and the
@@ -1463,7 +1463,11 @@ def test_tables_built_on_read_match_eager_loop(request, universe, lift):
     # every entry keeps the bits of the eager loop.  The custom field is
     # -0.0 off its bump, so a sum that does not start from +0.0 shows.
     # The eager loop weighs field * (c * forest) and the path forms
-    # (c * field) * forest: the two agree only while every coefficient is 1
+    # (c * field) * forest: the two agree only while every coefficient is 1.
+    # A permuted product tree holds its canonical tree's arrays, while the
+    # eager loop builds each child order on its own; some permutations sum
+    # their terms, or multiply their forest, in another order, so this is
+    # the check that the order does not move a bit.
     u, grid = request.getfixturevalue(universe), COARSE_GRID
     xi = noise_field(grid, "trig", seed=0, amp=2.0)
     rmap = (random_counterterm_map(u, np.random.default_rng(3), exact=False)
@@ -1476,6 +1480,8 @@ def test_tables_built_on_read_match_eager_loop(request, universe, lift):
               for c in lp.coalg.delta(t).values()}
     assert coeffs == {1}, "a coefficient other than 1 weighs the two loops apart"
     want = EagerTables(lp)
+    permuted = [t for t in u.T_r if t.kind == PROD and canon(t) is not t]
+    assert permuted
     for order in (("nu", "cen_I", "diag"), ("diag", "nu", "cen_I")):
         p = Path(build_local_product(grid, u, xi, rmap=rmap, custom=custom))
         assert p.nu.keys() == set() and p.diag.keys() == set()
@@ -1485,6 +1491,9 @@ def test_tables_built_on_read_match_eager_loop(request, universe, lift):
             for uid in reversed(ref):
                 assert same_bits(got[uid], ref[uid])
             assert sorted(got) == sorted(ref)
+            for t in permuted:
+                if t.uid in ref:
+                    assert got[t.uid] is got[canon(t).uid]
     # a uid with no entry in a table reads as a missing key; a product
     # tree of W has a diagonal and no centerings
     for table in (p.nu, p.cen_I, p.diag):
