@@ -384,10 +384,10 @@ def _build_lift(cfg: RunConfig, grid, u, cg):
     raise ConfigError("unknown lift kind %r" % cfg.lift)
 
 
-def _build_path(cfg: RunConfig, cg):
-    """The Path of a numeric command over cg's universe, and the lift's
-    ensemble report (None unless the lift is phi43)."""
-    lp, lift_rep = _build_lift(cfg, cfg.make_grid(), cg.u, cg)
+def _build_path(cfg: RunConfig, grid, cg):
+    """The Path of a numeric command on grid over cg's universe, and the
+    lift's ensemble report (None unless the lift is phi43)."""
+    lp, lift_rep = _build_lift(cfg, grid, cg.u, cg)
     return pathmod.Path(lp), lift_rep
 
 
@@ -445,7 +445,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     @functools.cache
     def path():
-        return _build_path(cfg, cg)[0]
+        return _build_path(cfg, cfg.make_grid(), cg)[0]
 
     def run_path():
         p = path()
@@ -510,7 +510,8 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    p, lift_rep = _build_path(cfg, coalgebra.Coalgebra(_universe(cfg)))
+    cg = coalgebra.Coalgebra(_universe(cfg))
+    p, lift_rep = _build_path(cfg, cfg.make_grid(), cg)
     u, grid = p.u, p.grid
     co = equation.remainder_coeffs(p)
     trace = equation.BoundaryTrace("smooth", 1.0, seed=cfg.seed)
@@ -533,15 +534,14 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_scan(cfg: RunConfig, kind: str, radii) -> int:
-    h = cfg.make_grid().h
-    scales = [L for L in (1 / 16, 1 / 8, 1 / 4, 1 / 2) if L >= 2 * h]
+    grid = cfg.make_grid()
+    scales = [L for L in (1 / 16, 1 / 8, 1 / 4, 1 / 2) if L >= 2 * grid.h]
     if len(scales) < 3:     # each scan fits a slope or a decay over the scales
         raise ConfigError("a scan needs 3 scales L >= 2h among 1/16, 1/8, 1/4 "
-                          "and 1/2; grid h = %g leaves %d" % (h, len(scales)))
-    p, _ = _build_path(cfg, coalgebra.Coalgebra(_universe(cfg)))
-    u, grid = p.u, p.grid
+                          "and 1/2; grid h = %g leaves %d" % (grid.h, len(scales)))
+    p, _ = _build_path(cfg, grid, coalgebra.Coalgebra(_universe(cfg)))
     if kind == "order":
-        sigmas = [s for s in (u.T_cen + u.T_r) if s.m_xi <= 3]
+        sigmas = [s for s in (p.u.T_cen + p.u.T_r) if s.m_xi <= 3]
         rows = pathmod.order_scan(p, sigmas, scales, seed=cfg.seed)
         _emit(cfg, "scan-order", {
             "config": cfg.descriptor(),

@@ -539,23 +539,23 @@ def three_point_residual(path: Path, e, gamma: Fraction, n_triples: int = 50,
 
 # -- reconstruction ---------------------------------------------------------------
 
-def _channel_pairs(path: Path, e, t: Tree, composite: Tree, cutoff: Fraction):
-    """Factorize y -> diag(y) * U^t(y, x) into (running field, base field)
-    pairs so its smoothing against the scaled kernel becomes a finite sum of
-    smoothed global fields times base-point coefficients.
+def _channel_values(path: Path, e, t: Tree, composite: Tree, cutoff: Fraction,
+                    scales, masks) -> list:
+    """Sup over each scale's mask of the channel y -> diag(y) * U^t(y, x)
+    smoothed at that scale; its fields live for this call only.
 
-    Returns (fields, pairs): the distinct running fields, one per left
-    forest, and the pairs (n, base field) of the sum in its order, each
-    reading fields[n].  A channel whose composite diagonal is identically
-    zero has no pairs, since each of its terms is exactly +-0; its running
-    forests may hold trees with no field value.
+    The channel factorizes into (running field, base field) pairs, so its
+    smoothing is a sum, in pair order, of smoothed running fields (one per
+    left forest) times base-point coefficients.  A channel whose composite
+    diagonal is identically zero reads 0, as each of its terms is exactly
+    +-0; its running forests may hold trees with no field value.
     """
     cg, lp = path.cg, path.lp
     dg = path.diag[composite.uid]
     if not dg.any():
-        return [], []
+        return [0.0] * len(scales)
     fields = [dg * e.theta(t)]
-    pairs = [(0, np.ones_like(dg))]
+    pairs = [(0, 1.0)]
     index: dict = {}
     for tb, f in _cut_terms(path, t, cutoff):
         for (lf, gf), c in cg.delta_forest(f).items():
@@ -565,7 +565,16 @@ def _channel_pairs(path: Path, e, t: Tree, composite: Tree, cutoff: Fraction):
                 fields.append(dg * lp.forest_rows(lf))
             xf = -float(c) * e.theta(tb) * path.cen_forest_at(gf, ALL)
             pairs.append((index[key], xf))
-    return fields, pairs
+    values = []
+    for L, mask in zip(scales, masks):
+        smoothed: dict = {}     # frees the last scale's first
+        ch = path.grid.zeros()
+        for n, xf in pairs:
+            if n not in smoothed:
+                smoothed[n] = path.mol.smooth(fields[n], L)[0]
+            ch = ch + smoothed[n] * xf
+        values.append(sup_on(ch, mask))
+    return values
 
 
 def reconstruction_check(path: Path, e, w1: Tree, w2: Tree, scales) -> dict:
@@ -595,33 +604,23 @@ def reconstruction_check(path: Path, e, w1: Tree, w2: Tree, scales) -> dict:
     f_diag = grid.zeros()
     for t, tt in kept:
         f_diag += e.theta(t) * path.diag[tt.uid]
-    channels = {tree_name(tt): _channel_pairs(path, e, t, tt, cutoff)
-                for t, tt in kept}
-    values = []
-    channel_values = {name: [] for name in channels}
+    values, masks = [], []
     for L in scales:
-        # every field smoothed here is (nt, nx), so all smoothings at scale
-        # L share the mask of the f_diag smoothing
+        # every (nt, nx) smoothing at scale L, channels too, has f_diag's mask
         acc = grid.zeros()
         for t, tt in kept:
             acc = acc + e.theta(t) * path.smoothed_centered_at_base(tt, L)[0]
         g0, mask = path.mol.smooth(f_diag, L)
-        mask = mask & probe
-        values.append(sup_on(acc - g0, mask))
-        for name, (fields, pairs) in channels.items():
-            smoothed = [path.mol.smooth(yf, L)[0] for yf in fields]
-            ch = grid.zeros()
-            for n, xf in pairs:
-                ch = ch + smoothed[n] * xf
-            channel_values[name].append(sup_on(ch, mask))
-    measured = fit_slope(scales, values)
+        masks.append(mask & probe)
+        values.append(sup_on(acc - g0, masks[-1]))
     terms = []
-    for name, vals in channel_values.items():
-        terms.append({"tree": name, "values": vals,
+    for t, tt in kept:
+        vals = _channel_values(path, e, t, tt, cutoff, scales, masks)
+        terms.append({"tree": tree_name(tt), "values": vals,
                       "gamma": fit_slope(scales, vals)})
-    prediction = min(p["gamma"] for p in terms)
     return {"scales": list(scales), "values": values,
-            "measured_exponent": measured, "predicted_exponent": prediction,
+            "measured_exponent": fit_slope(scales, values),
+            "predicted_exponent": min(p["gamma"] for p in terms),
             "terms": terms}
 
 

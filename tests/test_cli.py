@@ -188,8 +188,8 @@ def test_path_is_freed_when_a_command_returns(monkeypatch, tmp_path, argv):
     made = []
     build = cli._build_path
 
-    def traced(cfg, cg):
-        p, rep = build(cfg, cg)
+    def traced(cfg, grid, cg):
+        p, rep = build(cfg, grid, cg)
         made.append((weakref.ref(p), weakref.ref(p.lp)))
         return p, rep
     monkeypatch.setattr(cli, "_build_path", traced)
@@ -203,13 +203,32 @@ def test_path_is_freed_when_a_command_returns(monkeypatch, tmp_path, argv):
         gc.enable()
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "products"], ["solve"],
+    ["scan", "--kind", "reconstruction"]],
+    ids=["products", "solve", "reconstruction"])
+def test_numeric_command_builds_its_grid_once(monkeypatch, tmp_path, argv):
+    # the scales of a scan are read off the grid its Path is built on, so a
+    # --grid is parsed, checked and built once per command
+    made = []
+    make_grid = RunConfig.make_grid
+
+    def counted(self):
+        made.append(make_grid(self))
+        return made[-1]
+    monkeypatch.setattr(RunConfig, "make_grid", counted)
+    assert main(argv + ["--delta", "9/20", "--grid", "1/16,1/32,3",
+                        "--out", str(tmp_path)]) == 0
+    assert len(made) == 1
+
+
 def _suite_path(monkeypatch, tmp_path, suite):
     """The Path that `verify --suite <suite>` at delta 9/20 read from."""
     made = []
     build = cli._build_path
 
-    def traced(cfg, cg):
-        p, rep = build(cfg, cg)
+    def traced(cfg, grid, cg):
+        p, rep = build(cfg, grid, cg)
         made.append(p)
         return p, rep
     monkeypatch.setattr(cli, "_build_path", traced)
@@ -244,8 +263,8 @@ def test_custom_lift_passes_the_path_suite(monkeypatch, tmp_path):
     made = []
     build = cli._build_path
 
-    def traced(cfg, cg):
-        p, rep = build(cfg, cg)
+    def traced(cfg, grid, cg):
+        p, rep = build(cfg, grid, cg)
         made.append(p.lp)
         return p, rep
     monkeypatch.setattr(cli, "_build_path", traced)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -395,34 +396,71 @@ def _has_field_value(lp, planted) -> bool:
 def test_channels_without_field_values_have_zero_diagonal(monkeypatch, delta):
     # below 2/5 a running forest of the reconstruction channels may reach
     # Ip(tau) for a product tau, which has no field value; every such
-    # channel has an identically zero diagonal and is skipped, and with a
-    # nonzero diagonal it raises instead of reading 0
+    # channel has an identically zero diagonal and reads 0 at every scale,
+    # and with a nonzero diagonal it raises instead of reading 0
     u = enumerate_universe(Fraction(delta))
     grid = COARSE_GRID
     p = Path(build_local_product(grid, u, noise_field(grid, "trig", seed=0)))
     e = TreeExpansion(p, grid.ones())
-    channel_pairs = equation._channel_pairs
+    channel_values = equation._channel_values
     seen = []
 
-    def record(path, e, t, composite, cutoff):
-        seen.append((t, composite, cutoff))
-        return channel_pairs(path, e, t, composite, cutoff)
+    def record(*args):
+        seen.append(args)
+        return channel_values(*args)
 
-    monkeypatch.setattr(equation, "_channel_pairs", record)
+    monkeypatch.setattr(equation, "_channel_values", record)
     reconstruction_check(p, e, XI, XI, [1 / 8, 1 / 4, 1 / 2])
     missing = 0
-    for t, tt, cutoff in seen:
+    for args in seen:
+        _p, _e, t, tt, cutoff, scales, _masks = args
         lefts = {q for _tb, f in equation._cut_terms(p, t, cutoff)
                  for (lf, _gf) in p.cg.delta_forest(f) for q in lf}
         if all(_has_field_value(p.lp, q) for q in lefts):
             continue
         missing += 1
         assert not p.diag[tt.uid].any()
-        assert channel_pairs(p, e, t, tt, cutoff) == ([], [])
+        assert channel_values(*args) == [0.0] * len(scales)
         monkeypatch.setitem(p.diag, tt.uid, grid.ones())
         with pytest.raises(KeyError, match="no field value"):
-            channel_pairs(p, e, t, tt, cutoff)
+            channel_values(*args)
     assert bool(missing) == (delta in ("3/10", "13/50"))
+
+
+def test_reconstruction_holds_one_channel_at_a_time(monkeypatch, u310):
+    # each channel builds, smooths and drops its own fields: as a channel
+    # starts, and once the check returns, no field that an earlier channel
+    # smoothed, nor any of its smoothings, is alive.  Arrays are counted
+    # through weak references, not read off the RSS
+    grid = COARSE_GRID
+    p = Path(build_local_product(grid, u310,
+                                 noise_field(grid, "trig", seed=0, amp=2.0)))
+    v1 = 0.4 + 0.2 * np.sin(1.7 * grid.x_field) * np.cos(2.1 * grid.t_field)
+    refs, inside, checked = [], [], []
+    smooth = Mollifier.smooth
+    channel_values = equation._channel_values
+
+    def tracked(self, f, L, n=None):
+        g, mask = smooth(self, f, L, n)
+        if inside:
+            refs.extend((weakref.ref(f), weakref.ref(g)))
+        return g, mask
+
+    def one_channel(*args):
+        assert all(r() is None for r in refs)
+        checked.append(len(refs))
+        inside.append(True)
+        try:
+            return channel_values(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Mollifier, "smooth", tracked)
+    monkeypatch.setattr(equation, "_channel_values", one_channel)
+    reconstruction_check(p, TreeExpansion(p, v1), XI, XI, [1 / 8, 1 / 4, 1 / 2])
+    assert refs and all(r() is None for r in refs)
+    # some channel starts after another one has smoothed its fields
+    assert any(checked)
 
 
 def telescoping_residual(path, f, L, depth, probe=None):

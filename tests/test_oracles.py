@@ -1263,7 +1263,7 @@ def test_cli_point_rows_match_loops(request, monkeypatch, tmp_path, name):
     # the path, products and solve reports read the batched evaluators; each
     # of their point rows is the row of the node-by-node loops
     p = request.getfixturevalue(name)
-    monkeypatch.setattr(cli, "_build_path", lambda cfg, cg: (p, None))
+    monkeypatch.setattr(cli, "_build_path", lambda cfg, grid, cg: (p, None))
     seed = 4
     common = ["--delta", "9/20", "--seed", str(seed), "--out", str(tmp_path)]
     cli.main(["verify", "--suite", "path", *common])
@@ -1323,7 +1323,7 @@ def _run_with_nan(monkeypatch, tmp_path, path, table, t, node, argv):
     """(exit code, report, path) of a CLI call on a copy of path with NaN at
     one node of the stored field of t."""
     poisoned = _with_nan(path, table, t, node)
-    monkeypatch.setattr(cli, "_build_path", lambda cfg, cg: (poisoned, None))
+    monkeypatch.setattr(cli, "_build_path", lambda cfg, grid, cg: (poisoned, None))
     out = tmp_path / "out"
     code = cli.main([*argv, "--delta", "9/20", "--seed", "0", "--out", str(out)])
     name = "solve" if argv[0] == "solve" else "verify-" + argv[2]
@@ -1416,13 +1416,14 @@ def test_scans_smooth_as_per_pair_loops(request, monkeypatch, name):
                    reconstruction_check_pairs(p, e, XI, XI, scales))
 
 
-def test_reconstruction_sums_pairs_in_order(u310):
-    # at delta 3/10 channels sum more than two pairs, so the order of the sum
-    # shows in the floats; the per-pair form cannot build the zero-diagonal
-    # channels there (an Ip(tau) running factor has no field value), so it
-    # skips them too
+@pytest.mark.parametrize("universe", ["u310", "u1350"], ids=["3/10", "13/50"])
+def test_reconstruction_sums_pairs_in_order(request, universe):
+    # at delta 3/10 and 13/50 channels sum more than two pairs, so the order
+    # of the sum shows in the floats (at 13/50 one channel sums 358 pairs);
+    # the per-pair form cannot build the zero-diagonal channels there (an
+    # Ip(tau) running factor has no field value), so it skips them too
     grid = COARSE_GRID
-    p = Path(build_local_product(grid, u310,
+    p = Path(build_local_product(grid, request.getfixturevalue(universe),
                                  noise_field(grid, "trig", seed=0, amp=2.0)))
     v1 = 0.4 + 0.2 * np.sin(1.7 * grid.x_field) * np.cos(2.1 * grid.t_field)
     e = TreeExpansion(p, v1)
