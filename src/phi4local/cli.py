@@ -139,7 +139,11 @@ class RunConfig:
             raise ConfigError("grid S must exceed %g, or the cutoff vanishes "
                               "on the unit cylinder, got %r"
                               % (fieldmod.Grid.MIN_S, self.grid))
-        nx = 2 * S / h + 1
+        cells = 2 * S / h
+        if abs(cells - round(cells)) > 1e-9 * cells:
+            raise ConfigError("grid %r: 2S/h = %.6g is not a whole number, so "
+                              "its nodes would not be h apart" % (self.grid, cells))
+        nx = cells + 1
         nodes = nx * ((fieldmod.Grid.t1 - fieldmod.Grid.t0) / k + 1)
         if nodes > MAX_GRID_NODES:
             raise ConfigError("grid %r has ~%.3g stored nodes, above the bound "
@@ -149,6 +153,9 @@ class RunConfig:
             raise ConfigError("grid %r marches %d substeps of ~%d nodes, above "
                               "the bound of %d" % (self.grid, sub, nx, MAX_GRID_NODES))
         grid = fieldmod.Grid(S=S, h=h, k_store=k, substeps=sub)
+        if grid.ts[-1] < 1.0:
+            raise ConfigError("grid %r stores levels up to t = %g only; they "
+                              "must reach t = 1" % (self.grid, grid.ts[-1]))
         probe = int(grid.probe_mask().sum())
         if probe < 2:
             raise ConfigError("grid %r has %d node(s) in the probe region (the "

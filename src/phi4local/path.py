@@ -26,41 +26,42 @@ from .symtree import (
 # The batch of every node: cen_at and cen_forest_at read whole fields there.
 ALL = (slice(None), slice(None))
 
-# The two parts of a product tree's tables, each built on its first read.
-DIAG, CEN = "diag", "cen"
-
 
 class _Table(dict):
-    """A table of a Path, keyed by tree uid; a permuted product tree's
-    entry is its canonical tree's array.  Reading an entry that is not there
-    builds its part of the tree's tables first (Path._build); a uid with no
-    entry, such as a tree of W in the centerings, raises KeyError.
+    """A table of a Path, keyed by tree uid, whose entries are built on
+    their first read: a canonical tree's entry is entry(path, t), and a
+    permuted product tree's entry is its canonical tree's array, built first
+    if missing.  A uid that is not among the table's trees, such as a tree
+    of W in the centerings, raises KeyError.
 
     The table holds its Path through a weak reference: a strong one would
     make a reference cycle, and so leave every table to the cyclic garbage
     collector once the Path is dropped."""
 
-    def __init__(self, path: "Path", part: str):
+    def __init__(self, path: "Path", trees: dict, entry):
         super().__init__()
         self._path = weakref.ref(path)
-        self._part = part
+        self._trees = trees
+        self._entry = entry
 
     def __missing__(self, uid):
-        self._path()._build(uid, self._part)
-        out = self.get(uid)
-        if out is None:
+        t = self._trees.get(uid)
+        if t is None:
             raise KeyError(uid)
+        c = canon(t)
+        out = self[uid] = (self[c.uid] if c is not t
+                           else self._entry(self._path(), t))
         return out
 
 
 class Path:
     """Evaluators for the centered local product and the centering tables.
 
-    A product tree's tables come in two parts, each built on the first read
-    of one of its entries, after the centerings of the smaller trees it
-    reads: the diagonal (diag) and, off W, the centerings (nu, cen_I), the
-    coproduct sums of value_at over the whole field (_expand).  Every child
-    order of a product shares the arrays of its canonical tree."""
+    Each table builds a product tree's entry on its first read, after the
+    centerings of the smaller trees that entry reads, by its own rule: a
+    coproduct sum of a lift table over the whole field (_expand).  Every
+    child order of a product shares the arrays of its canonical tree, and
+    entries share arrays with the lift, so nothing may write to them."""
 
     def __init__(self, lp: LocalProduct):
         self.lp = lp
@@ -69,13 +70,15 @@ class Path:
         self.grid = lp.grid
         grid = self.grid
 
-        self.nu = _Table(self, CEN)       # uid -> gradient of the centered
-                                          # solve at the diagonal; the Ip
-                                          # centering is -nu
-        self.cen_I = _Table(self, CEN)    # uid -> centering field of I(tau)
-                                          # over N_ring, One and X (1 and -x,
-                                          # shared and read-only)
-        self.diag = _Table(self, DIAG)    # X_{z,z} tau for product trees
+        prods = {t.uid: t for t in self.u.T_r if t.kind == PROD}
+        # the trees of W have no centerings
+        cen = {uid: t for uid, t in prods.items() if not self.u.member("W", t)}
+        # uid -> the gradient of the centered solve at the diagonal (the Ip
+        # centering is -nu); the centering field of I(tau) over N_ring, One
+        # and X (1 and -x, shared and read-only); X_{z,z} tau
+        self.nu = _Table(self, cen, Path._nu_entry)
+        self.cen_I = _Table(self, cen, Path._cen_I_entry)
+        self.diag = _Table(self, prods, Path._diag_entry)
         self.A: dict = {}        # not stored: kept empty for the benchmark
         self.cen_Ip: dict = {}   # tracer (perfbench/tracing.py) reading them
         self.diag_im: dict = {}
@@ -84,42 +87,27 @@ class Path:
         neg_x = -grid.x_field
         neg_x.flags.writeable = False
         self.cen_I[X(1).uid] = neg_x     # build_local_product takes d = 1 only
-        # per part, the product trees whose entries are not built yet; the
-        # trees of W have no centerings
-        prods = {t.uid: t for t in self.u.T_r if t.kind == PROD}
-        self._unbuilt = {DIAG: prods, CEN: {uid: t for uid, t in prods.items()
-                                            if not self.u.member("W", t)}}
         self.mol = Mollifier(grid)
         self._moll_cache: dict = {}
 
-    def _build(self, uid, part: str) -> None:
-        """The entries of one part of the product tree uid, unless built
-        already: a permuted tree takes its canonical tree's, built first.
+    # entry rules of the tables, one canonical product tree each ------------
 
-        Each entry is a coproduct sum over the whole field (_expand): the
-        diagonal of the lift values, nu of their gradients, and cen_I of
-        minus their heat solves, plus x nu on N_tilde.  On W the diagonal
-        is the lift's value, and there are no centerings.  Entries share
-        arrays, with the lift and among permutations, so nothing may write
-        to them, and an entry already present is kept."""
-        t = self._unbuilt[part].pop(uid, None)
-        if t is None:
-            return
-        if canon(t) is not t:
-            for table in (self.diag,) if part == DIAG else (self.nu, self.cen_I):
-                table.setdefault(uid, table[canon(t).uid])
-            return
-        lp = self.lp
-        if part == DIAG:
-            self.diag.setdefault(uid, lp.value(t) if self.u.member("W", t)
-                                 else self._expand(t, lp.value, ALL, ALL))
-            return
-        nu = self._expand(t, lp.grad, ALL, ALL)
-        a = -self._expand(t, lp.ell, ALL, ALL)
+    def _diag_entry(self, t: Tree) -> np.ndarray:
+        """X_{z,z} t: the lift's value on W, else the sum of the values."""
+        if self.u.member("W", t):
+            return self.lp.value(t)
+        return self._expand(t, self.lp.value, ALL, ALL)
+
+    def _nu_entry(self, t: Tree) -> np.ndarray:
+        """The sum of the gradients of the heat solves."""
+        return self._expand(t, self.lp.grad, ALL, ALL)
+
+    def _cen_I_entry(self, t: Tree) -> np.ndarray:
+        """Minus the sum of the heat solves, plus x nu on N_tilde."""
+        a = -self._expand(t, self.lp.ell, ALL, ALL)
         if self.u.member("N_tilde", t):
-            a += self.grid.x_field * nu
-        self.nu.setdefault(uid, nu)
-        self.cen_I.setdefault(uid, a)
+            a += self.grid.x_field * self.nu[t.uid]
+        return a
 
     # point evaluators --------------------------------------------------------
     # The nodes z, x, ... are batches: (rows, cols) pairs of equal-length int

@@ -240,10 +240,12 @@ def _suite_path(monkeypatch, tmp_path, suite):
 
 def test_path_suite_builds_no_diagonal(monkeypatch, tmp_path):
     # the path identities read centerings and lift values, never X_{z,z}:
-    # every product tree's centerings are built and none of its diagonals
+    # every product tree's cen_I entry is built, none of its diagonals, and
+    # the nu entries of fewer trees, as each table builds only its own
     p, prods = _suite_path(monkeypatch, tmp_path, "path")
     assert not p.diag
-    assert sorted(p.nu) == sorted(prods)
+    assert sorted(set(p.cen_I) & set(prods)) == sorted(prods)
+    assert 0 < len(p.nu) < len(prods) and set(p.nu) < set(prods)
 
 
 def test_products_suite_builds_every_diagonal(monkeypatch, tmp_path):
@@ -455,6 +457,12 @@ def _sidecar_manifest(base, key, value=None):
                       _counterterms(d, {"[I(One) I(Xi) I(Xi)]": 1e308})]
       for a in (["verify", "--suite", "products"], ["solve"],
                 ["verify", "--suite", "path"])],
+    # nodes not h apart (2S/h = 33.6 and 48.8), and stored levels that stop
+    # at t = 0.9: each exited 1 (path) or 0 (solve) while admitted
+    lambda d: ["verify", "--suite", "path", "--grid", "1/8,1/32,2.1"],
+    lambda d: ["solve", "--grid", "1/8,1/32,3.05"],
+    lambda d: ["verify", "--suite", "path", "--grid", "1/8,0.7,3"],
+    lambda d: ["solve", "--grid", "1/8,0.7,3"],
 ], ids=["custom-missing", "counterterm-missing", "config-missing",
         "custom-malformed-name", "custom-vanishing-name", "custom-missing-field",
         "dim2-path", "dim2-products", "dim2-all", "dim2-solve", "dim2-scan",
@@ -486,7 +494,8 @@ def _sidecar_manifest(base, key, value=None):
         "grid-one-probe-node-products", "grid-one-probe-node-path",
         "grid-one-probe-node-solve", "counterterm-constant-overflow-products",
         "counterterm-constant-overflow-solve",
-        "counterterm-constant-overflow-path"])
+        "counterterm-constant-overflow-path", "grid-spacing-path",
+        "grid-spacing-solve", "grid-short-time-path", "grid-short-time-solve"])
 def test_bad_config_exit_code(tmp_path, capsys, argv):
     args = argv(tmp_path)
     for flag, value in zip(SMALL[::2], SMALL[1::2]):
@@ -554,8 +563,16 @@ def test_noise_and_grid_errors_name_their_field(monkeypatch):
             RunConfig(noise=noise).make_noise(grid)
     with pytest.raises(cli.ConfigError, match="stored nodes"):
         RunConfig(grid="1/32,1/256,1e9").make_grid()
-    # the fine grid of the order-bound acceptance scan stays admitted
+    with pytest.raises(cli.ConfigError, match="not be h apart"):
+        RunConfig(grid="1/8,1/32,2.1").make_grid()
+    with pytest.raises(cli.ConfigError, match="must reach t = 1"):
+        RunConfig(grid="1/8,0.7,3").make_grid()
+    # the fine grid of the order-bound acceptance scan stays admitted, and
+    # so does a decimal h whose 2S/h is whole only up to rounding
     assert RunConfig(grid="1/64,1/1024,3").make_grid() == cli.fieldmod.FINE_GRID
+    assert 2 * 3.05 / 0.1 != 61
+    g = RunConfig(grid="0.1,1/256,3.05").make_grid()
+    assert g.nx == 62 and np.allclose(np.diff(g.xs), g.h)
 
 
 def test_numerical_abort_sidecar(tmp_path, monkeypatch, capsys):
@@ -708,6 +725,8 @@ def test_grid_noise_and_radii_raise_only_config_errors(grid, noise, radii):
     with contextlib.suppress(cli.ConfigError):
         cfg = RunConfig.from_args(build_parser().parse_args(argv))
         g = cfg.make_grid()
+        # an admitted grid's nodes are h apart and its levels reach t = 1
+        assert np.allclose(np.diff(g.xs), g.h) and g.ts[-1] >= 1.0
         assert cfg.make_noise(g).shape == (g.nt, g.nx)
     with contextlib.suppress(cli.ConfigError):
         assert all(0 < R < 1 for R in cli._parse_radii(radii))

@@ -496,9 +496,9 @@ def test_telescoping(default_path_trig):
 
 
 def test_scans_build_only_the_trees_they_read(u920, cg920, u310):
-    # each part of a product tree's tables, its diagonal or its centerings,
-    # is built on the first read of that part: the a priori seminorms read
-    # the centerings of some trees and no diagonal, and the reconstruction
+    # each table builds a product tree's entry on the first read of that
+    # entry: the a priori seminorms read the cen_I entries of some trees,
+    # no nu entry, no lift gradient and no diagonal, and the reconstruction
     # check reads the diagonals of fewer trees than exist.  A permuted
     # product tree builds nothing: every child order of a product holds
     # the arrays of its canonical tree
@@ -509,8 +509,8 @@ def test_scans_build_only_the_trees_they_read(u920, cg920, u310):
     p = Path(build_local_product(grid, u920, xi, coalg=cg920))
     assert not p.diag and not p.nu
     seminorm_scale(p, scales)
-    assert not p.diag
-    assert 0 < len(p.nu) < len(prods)
+    assert not p.diag and not p.nu and not p.lp._grad
+    assert 0 < len({t.uid for t in prods} & set(p.cen_I)) < len(prods)
     p = Path(build_local_product(grid, u920, xi, coalg=cg920))
     v1 = 0.4 + 0.2 * np.sin(1.7 * grid.x_field) * np.cos(2.1 * grid.t_field)
     reconstruction_check(p, TreeExpansion(p, v1), XI, XI, scales)

@@ -216,6 +216,7 @@ def build_all(path):
         path.diag[t.uid]
         if not path.u.member("W", t):
             path.nu[t.uid]
+            path.cen_I[t.uid]
     for t in [XI, *prods]:
         path.lp.grad(t)
 
@@ -1458,11 +1459,11 @@ def test_diag_im_matches_loop(request, name):
 @pytest.mark.parametrize("lift", ["multiplicative", "counterterm", "custom"])
 @pytest.mark.parametrize("universe", ["u920", "u25", "u310", "u1350"])
 def test_tables_built_on_read_match_eager_loop(request, universe, lift):
-    # the diagonal and the centerings of a tree are built apart, each on
-    # its first read; with the centerings read first on one path and the
-    # diagonals on another, each part is built first on some tree, and
-    # every entry keeps the bits of the eager loop.  The custom field is
-    # -0.0 off its bump, so a sum that does not start from +0.0 shows.
+    # each table builds a tree's entry on its first read, by its own rule;
+    # with each table read first on one path, each builds some entries
+    # before the others, and every entry keeps the bits of the eager loop.
+    # The custom field is -0.0 off its bump, so a sum that does not start
+    # from +0.0 shows.
     # The eager loop weighs field * (c * forest) and the path forms
     # (c * field) * forest: the two agree only while every coefficient is 1.
     # A permuted product tree holds its canonical tree's arrays, while the
@@ -1483,9 +1484,11 @@ def test_tables_built_on_read_match_eager_loop(request, universe, lift):
     want = EagerTables(lp)
     permuted = [t for t in u.T_r if t.kind == PROD and canon(t) is not t]
     assert permuted
-    for order in (("nu", "cen_I", "diag"), ("diag", "nu", "cen_I")):
+    for order in (("nu", "cen_I", "diag"), ("diag", "nu", "cen_I"),
+                  ("cen_I", "diag", "nu")):
         p = Path(build_local_product(grid, u, xi, rmap=rmap, custom=custom))
         assert p.nu.keys() == set() and p.diag.keys() == set()
+        assert p.cen_I.keys() == {ONE.uid, X(1).uid}
         for name in order:
             got, ref = getattr(p, name), getattr(want, name)
             # largest trees first, so each read builds the trees it depends on
