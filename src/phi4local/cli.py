@@ -139,19 +139,23 @@ class RunConfig:
             raise ConfigError("grid S must exceed %g, or the cutoff vanishes "
                               "on the unit cylinder, got %r"
                               % (fieldmod.Grid.MIN_S, self.grid))
+        # both node bounds read the float counts, which may be inf, before
+        # any round or ceil
         cells = 2 * S / h
-        if abs(cells - round(cells)) > 1e-9 * cells:
-            raise ConfigError("grid %r: 2S/h = %.6g is not a whole number, so "
-                              "its nodes would not be h apart" % (self.grid, cells))
         nx = cells + 1
         nodes = nx * ((fieldmod.Grid.t1 - fieldmod.Grid.t0) / k + 1)
         if nodes > MAX_GRID_NODES:
             raise ConfigError("grid %r has ~%.3g stored nodes, above the bound "
                               "of %d" % (self.grid, nodes, MAX_GRID_NODES))
-        sub = max(1, int(math.ceil(k / (h * h / 4))))
+        sub = k / (h * h / 4)
+        if sub * nx <= MAX_GRID_NODES:
+            sub = max(1, math.ceil(sub))
         if sub * nx > MAX_GRID_NODES:
-            raise ConfigError("grid %r marches %d substeps of ~%d nodes, above "
+            raise ConfigError("grid %r marches %g substeps of ~%d nodes, above "
                               "the bound of %d" % (self.grid, sub, nx, MAX_GRID_NODES))
+        if abs(cells - round(cells)) > 1e-9 * cells:
+            raise ConfigError("grid %r: 2S/h = %.6g is not a whole number, so "
+                              "its nodes would not be h apart" % (self.grid, cells))
         grid = fieldmod.Grid(S=S, h=h, k_store=k, substeps=sub)
         if grid.ts[-1] < 1.0:
             raise ConfigError("grid %r stores levels up to t = %g only; they "
@@ -346,8 +350,11 @@ def _build_lift(cfg: RunConfig, grid, u, cg):
                               "does not fit the grid, so its constants would "
                               "be 0" % eps)
         noise_kind = cfg.noise.split(":")[0]
-        rmap, rep = liftmod.phi43_counterterms(
-            grid, u, seeds, eps, kind=noise_kind if noise_kind != "zero" else "gauss")
+        try:    # trig noise reads its seeds as floats
+            rmap, rep = liftmod.phi43_counterterms(
+                grid, u, seeds, eps, kind=noise_kind if noise_kind != "zero" else "gauss")
+        except ValueError as exc:
+            raise ConfigError("lift phi43: %s" % exc) from exc
         return liftmod.build_local_product(grid, u, xi, rmap=rmap, coalg=cg), rep
     if kind == "counterterm":
         values = {}

@@ -291,10 +291,11 @@ def solve_remainder(path: Path, coeffs: RemainderCoeffs, traces,
     the march.  A maximum is exact in any order, so the norms equal those of
     a per-step, per-radius sup.
 
-    A trace whose row exceeds the cap or stops being finite leaves the batch,
-    and so does every later trace.  The abort raised is that of the first
-    such trace in trace order, at its own first bad step: the abort a march
-    of one trace after another would raise.
+    The march stops at the first step where some row exceeds the cap or
+    stops being finite.  The traces before the first such trace are marched
+    again on their own, so an earlier trace that aborts later raises its own
+    abort; else the first bad trace's abort is raised.  Either way it is the
+    abort a march of one trace after another would raise.
     """
     config = config or SolveConfig()
     traces = list(traces)
@@ -318,16 +319,14 @@ def solve_remainder(path: Path, coeffs: RemainderCoeffs, traces,
     nsteps = int(round(1.0 / k))
     times = list(itertools.accumulate(itertools.repeat(k, nsteps), initial=0.0))
     block = max(1, int(round(grid.k_store / k)))
-    live = traces                   # the traces of v's rows, in trace order
     v = np.array([tr.initial(xs) for tr in traces])
     # seg[i] is the running maximum of |v| over the steps that end after
     # thresholds[i] and not after the next threshold
     thresholds = sorted({R * R for R in config.radii})
     seg = np.zeros((len(thresholds), len(traces), xs.size))
     passed = 0                      # thresholds the march has passed
-    abort = None
     lap = np.zeros_like(v)          # its boundary columns stay 0
-    sided = any(tr.sided for tr in live)
+    sided = any(tr.sided for tr in traces)
     for b0 in range(0, nsteps, block):
         starts = np.array(times[b0: b0 + block])
         K0b = at_times(K0row, starts)
@@ -338,8 +337,8 @@ def solve_remainder(path: Path, coeffs: RemainderCoeffs, traces,
             vh = v + k * (lap + rhs)
             v = vh / np.sqrt(1.0 + 2.0 * k * vh ** 2)
             if sided:
-                v[:, 0] = [tr.side(t, -1) for tr in live]
-                v[:, -1] = [tr.side(t, +1) for tr in live]
+                v[:, 0] = [tr.side(t, -1) for tr in traces]
+                v[:, -1] = [tr.side(t, +1) for tr in traces]
             else:
                 v[:, 0] = 0.0
                 v[:, -1] = 0.0
@@ -349,20 +348,15 @@ def solve_remainder(path: Path, coeffs: RemainderCoeffs, traces,
                 amax = np.max(av, axis=1)
                 bad = ~np.isfinite(amax) | (amax > config.cap)
                 n = int(np.argmax(bad))
-                abort = NumericalAbort(
+                if n:       # an earlier trace that aborts later raises first
+                    solve_remainder(path, coeffs, traces[:n], config)
+                raise NumericalAbort(
                     "remainder solve exceeded cap %g at t=%.4f" % (config.cap, t),
-                    {"t": t, "max": float(amax[n]), "trace": live[n].__dict__})
-                if n == 0:
-                    raise abort
-                live, v, av, seg = live[:n], v[:n], av[:n], seg[:, :n]
-                lap = lap[:n]
-                sided = any(tr.sided for tr in live)
+                    {"t": t, "max": float(amax[n]), "trace": traces[n].__dict__})
             while passed < len(thresholds) and t > thresholds[passed]:
                 passed += 1
             if passed:
                 np.maximum(seg[passed - 1], av, out=seg[passed - 1])
-    if abort is not None:
-        raise abort
     sup = np.zeros((len(config.radii), len(traces)))
     for j, R in enumerate(config.radii):
         msk = np.abs(xs) < 1.0 - R

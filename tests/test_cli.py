@@ -463,6 +463,12 @@ def _sidecar_manifest(base, key, value=None):
     lambda d: ["solve", "--grid", "1/8,1/32,3.05"],
     lambda d: ["verify", "--suite", "path", "--grid", "1/8,0.7,3"],
     lambda d: ["solve", "--grid", "1/8,0.7,3"],
+    # node counts and seeds that overflow a float: each exited 4
+    lambda d: ["verify", "--suite", "path", "--grid", "1/16,1/32,1e308"],
+    lambda d: ["scan", "--kind", "apriori", "--grid", "1e-300,1/32,1e10"],
+    lambda d: ["solve", "--grid", "1/16,1e308,3"],
+    lambda d: ["verify", "--suite", "path", "--noise", "trig:%d" % 10 ** 400],
+    lambda d: ["solve", "--lift", "phi43", "--seed", str(10 ** 400)],
 ], ids=["custom-missing", "counterterm-missing", "config-missing",
         "custom-malformed-name", "custom-vanishing-name", "custom-missing-field",
         "dim2-path", "dim2-products", "dim2-all", "dim2-solve", "dim2-scan",
@@ -495,7 +501,10 @@ def _sidecar_manifest(base, key, value=None):
         "grid-one-probe-node-solve", "counterterm-constant-overflow-products",
         "counterterm-constant-overflow-solve",
         "counterterm-constant-overflow-path", "grid-spacing-path",
-        "grid-spacing-solve", "grid-short-time-path", "grid-short-time-solve"])
+        "grid-spacing-solve", "grid-short-time-path", "grid-short-time-solve",
+        "grid-cells-overflow-path", "grid-cells-overflow-apriori",
+        "grid-substeps-overflow-solve", "noise-trig-seed-overflow",
+        "phi43-seed-overflow"])
 def test_bad_config_exit_code(tmp_path, capsys, argv):
     args = argv(tmp_path)
     for flag, value in zip(SMALL[::2], SMALL[1::2]):
@@ -703,12 +712,15 @@ def test_enumerate_inputs_exit_0_or_2(delta, dim, seed, tols, config):
 
 
 _NUMBERS = st.sampled_from(["1/4", "1/8", "1/16", "0.1", "1", "5/2", "3", "0",
-                            "-1/8", "nan", "inf", "1/0", "abc", ""])
+                            "-1/8", "nan", "inf", "1/0", "abc", "", "1e308",
+                            "1e-300"])
 _GRIDS = st.one_of(st.none(), st.lists(_NUMBERS, min_size=2, max_size=4).map(",".join),
-                   st.sampled_from(["1/16,1/32,3", "1/8,1/64,3", "1,1/16,5/2"]))
+                   st.sampled_from(["1/16,1/32,3", "1/8,1/64,3", "1,1/16,5/2",
+                                    "1e-300,1/32,3", "1/16,1e308,3"]))
 _NOISES = st.tuples(
     st.sampled_from(["trig", "gauss", "bump", "zero", "foo", ""]),
-    st.one_of(st.integers(-3, 10 ** 6).map(str), st.sampled_from(["", "x", "1.5"])),
+    st.one_of(st.integers(-3, 10 ** 6).map(str),
+              st.sampled_from(["", "x", "1.5", str(10 ** 400)])),
     st.sampled_from(["", "0", "1/4", "1", "1/1000", "-1", "nan", "inf", "1/0", "x"]),
 ).map(":".join)
 _RADII = st.one_of(st.sampled_from(["0.1,0.2,0.4", "1/4", "0,0.2", "1.5"]),

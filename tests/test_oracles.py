@@ -1648,6 +1648,15 @@ def test_batch_abort_of_a_later_trace(coarse_path):
                            _loop_abort(coarse_path, co, bad, config))
 
 
+def test_batch_abort_before_a_sided_trace(coarse_path):
+    # the only sided trace comes after the first bad one: the unsided zero
+    # trace before it is marched again on its own, with walls at 0
+    co = equation.remainder_coeffs(coarse_path)
+    config = SolveConfig(cap=10.0)
+    _assert_same_abort(coarse_path, co, [BoundaryTrace("zero", 0.0), EARLY, LATE],
+                       config, _loop_abort(coarse_path, co, EARLY, config))
+
+
 def test_renorm_expand_matches_loop(u310):
     # one Coalgebra for all four maps: the cut index is built for the first
     # map and must serve the others unchanged.  This is the check of R
