@@ -36,6 +36,10 @@ from .symtree import (
 # FINE_GRID has 1,639 x 385 = 631,015 stored nodes and a 16 x 385 block.
 MAX_GRID_NODES = 10 ** 6
 
+# The characters of an input that an error message quotes: a seed of 400
+# digits is refused in one short line.
+_SHOWN_CHARS = 24
+
 
 @dataclass
 class RunConfig:
@@ -62,19 +66,19 @@ class RunConfig:
                 setattr(cfg, name, v)
         for item in (getattr(ns, "tol", None) or []):
             name, _, val = item.partition("=")
-            cfg.tol[name] = _parse_as(float, val, "tolerance %r" % name)
+            cfg.tol[name] = _parse_as(float, val, "tolerance %s" % _shown(name))
         unknown = sorted(set(cfg.tol) - {"chen", "cube", "utau"})
         if unknown:
             raise ConfigError("unknown tolerance %s (the suites read chen, "
-                              "cube and utau)" % ", ".join(map(repr, unknown)))
+                              "cube and utau)" % ", ".join(map(_shown, unknown)))
         for name, val in sorted(cfg.tol.items()):
             if not 0 <= val < math.inf:     # NaN fails both comparisons
-                raise ConfigError("tolerance %r must be finite and >= 0, got %r"
-                                  % (name, val))
+                raise ConfigError("tolerance %s must be finite and >= 0, got %r"
+                                  % (_shown(name), val))
         for name, low in (("dim", 1), ("seed", 0), ("max_m_xi", 0)):
             if getattr(cfg, name) < low:
-                raise ConfigError("%s must be >= %d, got %d"
-                                  % (name, low, getattr(cfg, name)))
+                raise ConfigError("%s must be >= %d, got %s"
+                                  % (name, low, _shown(getattr(cfg, name))))
         numeric = ns.cmd in ("solve", "scan") or (
             ns.cmd == "verify" and cfg.suite != "algebra")
         if numeric and cfg.dim != 1:
@@ -108,64 +112,66 @@ class RunConfig:
                     sub = {}
                     for part in val.split(","):
                         n, _, v = part.partition(":")
-                        sub[n.strip()] = _parse_as(float, v, "tolerance %r" % n.strip())
+                        sub[n.strip()] = _parse_as(float, v, "tolerance %s"
+                                                   % _shown(n.strip()))
                     data[key] = sub
                 else:
                     data[key] = val
         cfg = cls()
         for key, val in data.items():
             if not hasattr(cfg, key):
-                raise ConfigError("unknown config key %r" % key)
+                raise ConfigError("unknown config key %s" % _shown(key))
             cur = getattr(cfg, key)
             if as_json and not _json_type_fits(cur, val):
                 raise ConfigError("config key %r cannot take the JSON value %s"
                                   % (key, json.dumps(val)))
             if isinstance(cur, int) and key != "tol":
-                val = _parse_as(int, val, "config key %r" % key)
+                val = _parse_as(int, val, "config key %s" % _shown(key))
             setattr(cfg, key, val)
         return cfg
 
     def make_grid(self) -> fieldmod.Grid:
         if not self.grid:
             return fieldmod.DEFAULT_GRID
+        shown = _shown(self.grid)
         parts = self.grid.split(",")
         if len(parts) != 3:
-            raise ConfigError("grid takes h,k,S, got %r" % self.grid)
+            raise ConfigError("grid takes h,k,S, got %s" % shown)
         h, k, S = (_parse_number(x) for x in parts)
         if not all(math.isfinite(v) and v > 0 for v in (h, k, S)):
             raise ConfigError("grid h, k and S must be positive and finite, "
-                              "got %r" % self.grid)
+                              "got %s" % shown)
         if S <= fieldmod.Grid.MIN_S:
             raise ConfigError("grid S must exceed %g, or the cutoff vanishes "
-                              "on the unit cylinder, got %r"
-                              % (fieldmod.Grid.MIN_S, self.grid))
+                              "on the unit cylinder, got %s"
+                              % (fieldmod.Grid.MIN_S, shown))
         # both node bounds read the float counts, which may be inf, before
         # any round or ceil
         cells = 2 * S / h
         nx = cells + 1
         nodes = nx * ((fieldmod.Grid.t1 - fieldmod.Grid.t0) / k + 1)
         if nodes > MAX_GRID_NODES:
-            raise ConfigError("grid %r has ~%.3g stored nodes, above the bound "
-                              "of %d" % (self.grid, nodes, MAX_GRID_NODES))
+            raise ConfigError("grid %s has ~%.3g stored nodes, above the bound "
+                              "of %d" % (shown, nodes, MAX_GRID_NODES))
         sub = k / (h * h / 4)
         if sub * nx <= MAX_GRID_NODES:
             sub = max(1, math.ceil(sub))
         if sub * nx > MAX_GRID_NODES:
-            raise ConfigError("grid %r marches %g substeps of ~%d nodes, above "
-                              "the bound of %d" % (self.grid, sub, nx, MAX_GRID_NODES))
+            raise ConfigError("grid %s marches %g substeps of ~%d nodes, above "
+                              "the bound of %d" % (shown, sub, nx, MAX_GRID_NODES))
         if abs(cells - round(cells)) > 1e-9 * cells:
-            raise ConfigError("grid %r: 2S/h = %.6g is not a whole number, so "
-                              "its nodes would not be h apart" % (self.grid, cells))
+            raise ConfigError("grid %s: 2S/h = %.6g is not a whole number, so "
+                              "its nodes would not be h apart" % (shown, cells))
         grid = fieldmod.Grid(S=S, h=h, k_store=k, substeps=sub)
         if grid.ts[-1] < 1.0:
-            raise ConfigError("grid %r stores levels up to t = %g only; they "
-                              "must reach t = 1" % (self.grid, grid.ts[-1]))
+            raise ConfigError("grid %s stores levels up to t = %g only; they "
+                              "must reach t = 1" % (shown, grid.ts[-1]))
         probe = int(grid.probe_mask().sum())
         if probe < 2:
-            raise ConfigError("grid %r has %d node(s) in the probe region (the "
+            raise ConfigError("grid %s has %d node(s) in the probe region (the "
                               "unit cylinder shrunk by 0.1), where the checks "
                               "sample pairs of nodes; it needs 2"
-                              % (self.grid, probe))
+                              % (shown, probe))
         return grid
 
     def make_noise(self, grid) -> np.ndarray:
@@ -174,12 +180,12 @@ class RunConfig:
         try:
             seed = int(seed_s or 0)
         except ValueError:
-            raise ConfigError("noise seed must be an integer, got %r"
-                              % seed_s) from None
+            raise ConfigError("noise seed must be an integer, got %s"
+                              % _shown(seed_s)) from None
         eps = _parse_number(eps_s) if eps_s else 0.0
         if not (math.isfinite(eps) and eps >= 0):
             raise ConfigError("noise eps must be finite and >= 0 (0 for the "
-                              "default), got %r" % eps_s)
+                              "default), got %s" % _shown(eps_s))
         if kind == "gauss":
             eps = eps or fieldmod.DEFAULT_NOISE_EPS_CELLS * grid.h
             if not fieldmod.kernel_fits(grid, eps):
@@ -188,7 +194,7 @@ class RunConfig:
         try:
             return fieldmod.noise_field(grid, kind, seed=seed, eps=eps or None)
         except ValueError as exc:
-            raise ConfigError("noise %r: %s" % (self.noise, exc)) from exc
+            raise ConfigError("noise %s: %s" % (_shown(self.noise), exc)) from exc
 
     def descriptor(self) -> dict:
         """The config a report echoes: every field but the output path."""
@@ -229,26 +235,38 @@ def _json_type_fits(cur, val) -> bool:
         for x in val.values())
 
 
+def _shown(value) -> str:
+    """An input as an error message quotes it: the repr of a string, the
+    digits of a number, cut after _SHOWN_CHARS characters of the input with
+    "…" and its full length."""
+    text = str(value)
+    cut = text[:_SHOWN_CHARS]
+    shown = repr(cut) if isinstance(value, str) else cut
+    if cut == text:
+        return shown
+    return "%s… (%d characters)" % (shown, len(text))
+
+
 def _parse_number(s: str) -> float:
     s = s.strip()
     try:
         return float(Fraction(s)) if "/" in s else float(s)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError("not a number: %r" % s) from exc
+        raise ConfigError("not a number: %s" % _shown(s)) from exc
 
 
 def _parse_as(kind, text, what: str):
     try:
         return kind(text)
     except ValueError:
-        raise ConfigError("%s takes a number (%s), got %r"
-                          % (what, kind.__name__, text)) from None
+        raise ConfigError("%s takes a number (%s), got %s"
+                          % (what, kind.__name__, _shown(text))) from None
 
 
 def _parse_radii(text: str) -> tuple:
     radii = tuple(_parse_number(x) for x in text.split(","))
     if not all(0 < R < 1 for R in radii):
-        raise ConfigError("radii must lie in (0, 1), got %r" % text)
+        raise ConfigError("radii must lie in (0, 1), got %s" % _shown(text))
     return radii
 
 
@@ -303,12 +321,14 @@ def _universe(cfg: RunConfig):
     try:
         delta = parse_delta(cfg.delta)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError("delta must be p/q in (0, 1), got %r" % cfg.delta) from exc
+        raise ConfigError("delta must be p/q in (0, 1), got %s"
+                          % _shown(cfg.delta)) from exc
     # Each odd leaf count below 3/delta has a pure-noise product: a small delta
     # is over the cap before check_delta_admissible walks ~24/delta points.
     if (3 / delta - 3) / 2 > ENUMERATION_CAP or cfg.dim > ENUMERATION_CAP:
-        raise ConfigError("delta %s with dim %d is over the enumeration cap of "
-                          "%d trees" % (cfg.delta, cfg.dim, ENUMERATION_CAP))
+        raise ConfigError("delta %s with dim %s is over the enumeration cap of "
+                          "%d trees" % (_shown(cfg.delta), _shown(cfg.dim),
+                                        ENUMERATION_CAP))
     try:
         u = enumerate_universe(delta, cfg.dim)
     except (InadmissibleDelta, EnumerationCapExceeded) as exc:
@@ -395,7 +415,7 @@ def _build_lift(cfg: RunConfig, grid, u, cg):
                 raise ConfigError("custom field %r has non-finite values" % name)
             custom[t] = f
         return liftmod.build_local_product(grid, u, xi, custom=custom, coalg=cg), None
-    raise ConfigError("unknown lift kind %r" % cfg.lift)
+    raise ConfigError("unknown lift kind %s" % _shown(cfg.lift))
 
 
 def _build_path(cfg: RunConfig, grid, cg):
@@ -514,7 +534,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     elif cfg.suite in suites:
         suites[cfg.suite]()
     else:
-        raise ConfigError("unknown suite %r" % cfg.suite)
+        raise ConfigError("unknown suite %s" % _shown(cfg.suite))
     _emit(cfg, "verify-%s" % cfg.suite, {
         "config": cfg.descriptor(),
         "reports": reports,
@@ -578,7 +598,7 @@ def cmd_scan(cfg: RunConfig, kind: str, radii) -> int:
         rep = equation.reconstruction_check(p, e, XI, XI, scales)
         _emit(cfg, "scan-reconstruction", {"config": cfg.descriptor(), **rep})
         return 0
-    raise ConfigError("unknown scan kind %r" % kind)
+    raise ConfigError("unknown scan kind %s" % _shown(kind))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -540,16 +540,20 @@ def _channel_values(path: Path, e, t: Tree, composite: Tree, cutoff: Fraction,
 
     The channel factorizes into (running field, base field) pairs, so its
     smoothing is a sum, in pair order, of smoothed running fields (one per
-    left forest) times base-point coefficients.  A channel whose composite
-    diagonal is identically zero reads 0, as each of its terms is exactly
-    +-0; its running forests may hold trees with no field value.
+    left forest) times base-point coefficients.  The running fields are
+    kept, one smoothing of each for the scale being summed; a base field is
+    formed where the sum reads it, so one lives at a time.  A channel whose
+    composite diagonal is identically zero reads 0, as each of its terms is
+    exactly +-0; its running forests may hold trees with no field value.
     """
     cg, lp = path.cg, path.lp
     dg = path.diag[composite.uid]
     if not dg.any():
         return [0.0] * len(scales)
     fields = [dg * e.theta(t)]
-    pairs = [(0, 1.0)]
+    # (running field, c, tb, gf) per pair: its base field is -c * theta(tb)
+    # times the centerings of gf, and 1.0 for the first pair
+    pairs = [(0, None, None, None)]
     index: dict = {}
     for tb, f in _cut_terms(path, t, cutoff):
         for (lf, gf), c in cg.delta_forest(f).items():
@@ -557,16 +561,19 @@ def _channel_values(path: Path, e, t: Tree, composite: Tree, cutoff: Fraction,
             if key not in index:
                 index[key] = len(fields)
                 fields.append(dg * lp.forest_rows(lf))
-            xf = -float(c) * e.theta(tb) * path.cen_forest_at(gf, ALL)
-            pairs.append((index[key], xf))
+            pairs.append((index[key], c, tb, gf))
     values = []
     for L, mask in zip(scales, masks):
         smoothed: dict = {}     # frees the last scale's first
         ch = path.grid.zeros()
-        for n, xf in pairs:
+        for n, c, tb, gf in pairs:
             if n not in smoothed:
                 smoothed[n] = path.mol.smooth(fields[n], L)[0]
-            ch = ch + smoothed[n] * xf
+            if tb is None:
+                ch = ch + smoothed[n] * 1.0
+            else:       # the base field, formed here and dropped at once
+                ch = ch + smoothed[n] * (-float(c) * e.theta(tb)
+                                         * path.cen_forest_at(gf, ALL))
         values.append(sup_on(ch, mask))
     return values
 
@@ -607,6 +614,7 @@ def reconstruction_check(path: Path, e, w1: Tree, w2: Tree, scales) -> dict:
         g0, mask = path.mol.smooth(f_diag, L)
         masks.append(mask & probe)
         values.append(sup_on(acc - g0, masks[-1]))
+    path.drop_smoothings()      # the channels smooth their own fields
     terms = []
     for t, tt in kept:
         vals = _channel_values(path, e, t, tt, cutoff, scales, masks)

@@ -396,8 +396,8 @@ def noise_field(grid: Grid, kind: str, seed: int = 0, eps: float | None = None,
         try:
             p = 0.37 * seed
         except OverflowError:
-            raise ValueError("trig noise reads its seed as a float, and a seed "
-                             "of %d digits overflows one" % len(str(seed))) from None
+            raise ValueError("a trig seed of %d digits overflows a float"
+                             % len(str(seed))) from None
         return amp * (np.sin(2.1 * xx + 0.7 + p) * np.cos(3.0 * tt + 0.2)
                       + 0.45 * np.sin(4.3 * xx - 1.1 - p) * np.sin(5.0 * tt)
                       + 0.3 * np.cos(1.3 * xx + 0.5 * p) * np.cos(1.7 * tt + 1.0))

@@ -88,7 +88,7 @@ class Path:
         neg_x.flags.writeable = False
         self.cen_I[X(1).uid] = neg_x     # build_local_product takes d = 1 only
         self.mol = Mollifier(grid)
-        self._moll_cache: dict = {}
+        self.drop_smoothings()
 
     # entry rules of the tables, one canonical product tree each ------------
 
@@ -210,15 +210,25 @@ class Path:
     def _mollified(self, t: Tree, L: float):
         """(g, mask) of the stored field of t smoothed at scale L: the value
         of an unplanted t, the heat solve of its child for t = I(w).  One
-        smoothing per canonical tree and scale, as permuted trees read one
-        stored array."""
-        key = (canon(t).uid, round(L, 12))
-        out = self._moll_cache.get(key)
+        smoothing per canonical tree, as permuted trees read one stored
+        array, kept for one scale: each smoothing is read at its own scale
+        only, so the first read at another scale drops those of the last."""
+        scale = round(L, 12)
+        if scale != self._moll_scale:
+            self.drop_smoothings()
+            self._moll_scale = scale
+        uid = canon(t).uid
+        out = self._moll_cache.get(uid)
         if out is None:
             f = self.lp.ell(t.child) if t.kind == PLANTED else self.lp.value(t)
-            out = self._moll_cache[key] = self.mol.smooth(f, L)
+            out = self._moll_cache[uid] = self.mol.smooth(f, L)
             out[0].flags.writeable = False   # shared, as the mask is
         return out
+
+    def drop_smoothings(self) -> None:
+        """Forget the smoothed tables of _mollified."""
+        self._moll_scale = None
+        self._moll_cache = {}
 
     def smoothable(self, s: Tree) -> bool:
         """Whether s carries a global field, smoothed at the base point: s
@@ -290,19 +300,20 @@ def order_scan(path: Path, sigmas, scales, n_pairs: int = 400,
     u = path.u
     probe = grid.probe_mask()
     rng = np.random.default_rng(seed)
-    rows = []
-    for s in sigmas:
-        vals = []
-        for L in scales:
-            if path.smoothable(s):
-                g, mask = path.smoothed_centered_at_base(s, L)
-                vals.append(sup_on(g, mask & probe))
-            else:
-                vals.append(_pair_sup(path, s, L, probe, rng, n_pairs))
-        target = float(u.order(s))
-        rows.append(OrderRow(tree_name(s), target, list(scales), vals,
-                             fit_slope(scales, vals)))
-    return rows
+    vals = [[] for _ in sigmas]
+    smoothed = [n for n, s in enumerate(sigmas) if path.smoothable(s)]
+    # the smoothed values draw no samples, so they go scale by scale, and
+    # the Path keeps one scale's smoothings at a time; the sampled pairs
+    # keep the sigma-outer order of their draws
+    for L in scales:
+        for n in smoothed:
+            g, mask = path.smoothed_centered_at_base(sigmas[n], L)
+            vals[n].append(sup_on(g, mask & probe))
+    for n, s in enumerate(sigmas):
+        if not path.smoothable(s):
+            vals[n] = [_pair_sup(path, s, L, probe, rng, n_pairs) for L in scales]
+    return [OrderRow(tree_name(s), float(u.order(s)), list(scales), v,
+                     fit_slope(scales, v)) for s, v in zip(sigmas, vals)]
 
 
 def _pair_sup(path: Path, s: Tree, L: float, probe, rng, n_pairs: int) -> float:

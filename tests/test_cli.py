@@ -284,6 +284,11 @@ def test_custom_lift_passes_the_path_suite(monkeypatch, tmp_path):
 
 
 SMALL = ["--delta", "9/20", "--grid", "1/16,1/32,3"]
+# the rows of test_bad_config_exit_code whose input is hundreds of
+# characters long: its error line quotes the input clipped
+LONG_INPUTS = ["long-noise-trig-seed", "long-noise-seed-not-integer",
+               "long-config-seed-not-integer", "long-grid", "long-delta",
+               "long-tol-name", "long-radii", "long-negative-seed", "long-dim"]
 # JSON config values whose type cannot be their field's
 JSON_TYPE_ERRORS = {
     "tol-number": {"tol": 5}, "tol-string-value": {"tol": {"chen": "small"}},
@@ -469,6 +474,18 @@ def _sidecar_manifest(base, key, value=None):
     lambda d: ["solve", "--grid", "1/16,1e308,3"],
     lambda d: ["verify", "--suite", "path", "--noise", "trig:%d" % 10 ** 400],
     lambda d: ["solve", "--lift", "phi43", "--seed", str(10 ** 400)],
+    # inputs of hundreds of characters, which an error line quotes clipped
+    lambda d: ["verify", "--suite", "path", "--grid", "1/8,1/16,3",
+               "--noise", "trig:%d" % 10 ** 400],
+    lambda d: ["verify", "--suite", "path", "--noise", "trig:1." + "5" * 300],
+    lambda d: ["--config", str(_write(d, "long.cfg", "seed = 1." + "5" * 300)),
+               "verify", "--suite", "algebra"],
+    lambda d: ["verify", "--suite", "path", "--grid", "1/8," * 100 + "3"],
+    lambda d: ["verify", "--suite", "path", "--delta", "9/" + "2" * 300],
+    lambda d: ["verify", "--suite", "path", "--tol", "c" * 300 + "=1"],
+    lambda d: ["scan", "--kind", "apriori", "--radii", "1." + "5" * 300],
+    lambda d: ["verify", "--suite", "algebra", "--seed", str(-10 ** 300)],
+    lambda d: ["enumerate", "--dim", str(10 ** 300)],
 ], ids=["custom-missing", "counterterm-missing", "config-missing",
         "custom-malformed-name", "custom-vanishing-name", "custom-missing-field",
         "dim2-path", "dim2-products", "dim2-all", "dim2-solve", "dim2-scan",
@@ -504,8 +521,8 @@ def _sidecar_manifest(base, key, value=None):
         "grid-spacing-solve", "grid-short-time-path", "grid-short-time-solve",
         "grid-cells-overflow-path", "grid-cells-overflow-apriori",
         "grid-substeps-overflow-solve", "noise-trig-seed-overflow",
-        "phi43-seed-overflow"])
-def test_bad_config_exit_code(tmp_path, capsys, argv):
+        "phi43-seed-overflow", *LONG_INPUTS])
+def test_bad_config_exit_code(request, tmp_path, capsys, argv):
     args = argv(tmp_path)
     for flag, value in zip(SMALL[::2], SMALL[1::2]):
         if flag not in args:
@@ -515,6 +532,8 @@ def test_bad_config_exit_code(tmp_path, capsys, argv):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    if request.node.callspec.id in LONG_INPUTS:
+        assert len(err.splitlines()[0]) <= 120
 
 
 @pytest.mark.parametrize("argv, module, name", [

@@ -355,10 +355,10 @@ def test_reconstruction_requires_scales(default_path_trig):
 def test_scans_smooth_each_field_once_per_scale(monkeypatch, default_path_trig,
                                                 default_path_gauss):
     # the CLI's scales on the default grid at delta 9/20, on fresh Paths (a
-    # Path keeps its smoothed tables): 8 canonical trees per scale in the
-    # seminorm scan; per scale in the reconstruction scan, the 4 canonical
-    # trees the composites expand into, f_diag and the 7 distinct running
-    # fields of the nonzero channels
+    # Path keeps the smoothed tables of the scale it last read): 8 canonical
+    # trees per scale in the seminorm scan; per scale in the reconstruction
+    # scan, the 4 canonical trees the composites expand into, f_diag and the
+    # 7 distinct running fields of the nonzero channels
     scales = [1 / 16, 1 / 8, 1 / 4, 1 / 2]
     calls = []
     smooth = Mollifier.smooth
@@ -461,6 +461,100 @@ def test_reconstruction_holds_one_channel_at_a_time(monkeypatch, u310):
     assert refs and all(r() is None for r in refs)
     # some channel starts after another one has smoothed its fields
     assert any(checked)
+
+
+def test_seminorm_scan_holds_one_scale_of_smoothings(monkeypatch,
+                                                     default_path_trig):
+    # each smoothing is read at its own scale only: once the scan smooths
+    # at a scale, no smoothing made at another scale is alive
+    made = []               # (scale, weak reference to the smoothing)
+    smooth = Mollifier.smooth
+
+    def tracked(self, f, L, n=None):
+        assert all(r() is None for at, r in made if at != L)
+        g, mask = smooth(self, f, L, n)
+        made.append((L, weakref.ref(g)))
+        return g, mask
+
+    monkeypatch.setattr(Mollifier, "smooth", tracked)
+    scales = [1 / 16, 1 / 8, 1 / 4, 1 / 2]
+    seminorm_scale(Path(default_path_trig.lp), scales)
+    assert {at for at, _r in made} == set(scales)
+
+
+def _reconstruction_path(u):
+    grid = COARSE_GRID
+    p = Path(build_local_product(grid, u,
+                                 noise_field(grid, "trig", seed=0, amp=2.0)))
+    v1 = 0.4 + 0.2 * np.sin(1.7 * grid.x_field) * np.cos(2.1 * grid.t_field)
+    return p, TreeExpansion(p, v1)
+
+
+def test_reconstruction_channels_hold_no_path_smoothing(monkeypatch, u310):
+    # the channels smooth their own fields: the Path's smoothings of the
+    # total are dropped before the first channel starts
+    p, e = _reconstruction_path(u310)
+    refs, calls = [], []
+    mollified = Path._mollified
+    channel_values = equation._channel_values
+
+    def tracked(self, t, L):
+        out = mollified(self, t, L)
+        refs.append(weakref.ref(out[0]))
+        return out
+
+    def one_channel(*args):
+        assert all(r() is None for r in refs)
+        calls.append(args)
+        return channel_values(*args)
+
+    monkeypatch.setattr(Path, "_mollified", tracked)
+    monkeypatch.setattr(equation, "_channel_values", one_channel)
+    reconstruction_check(p, e, XI, XI, [1 / 8, 1 / 4, 1 / 2])
+    assert refs and calls
+
+
+class _BaseFactor(np.ndarray):
+    """A centering field that records, by weak reference, each array formed
+    from it: the base fields of a reconstruction channel."""
+
+    made: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        out = getattr(ufunc, method)(
+            *(np.asarray(a) if isinstance(a, _BaseFactor) else a
+              for a in inputs), **kwargs)
+        assert all(r() is None for r in _BaseFactor.made)
+        _BaseFactor.made.append(weakref.ref(out))
+        return out
+
+
+def test_reconstruction_channel_holds_one_base_field_at_a_time(monkeypatch, u310):
+    # a channel keeps its running fields, but forms each base field where
+    # its scale's sum reads it: no two base fields are alive together
+    p, e = _reconstruction_path(u310)
+    cen_forest_at = Path.cen_forest_at
+    channel_values = equation._channel_values
+    inside = []
+
+    def marked(self, forest, x):
+        out = cen_forest_at(self, forest, x)
+        if inside and isinstance(out, np.ndarray):
+            out = out.view(_BaseFactor)
+        return out
+
+    def one_channel(*args):
+        inside.append(True)
+        try:
+            return channel_values(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(_BaseFactor, "made", [])
+    monkeypatch.setattr(Path, "cen_forest_at", marked)
+    monkeypatch.setattr(equation, "_channel_values", one_channel)
+    reconstruction_check(p, e, XI, XI, [1 / 8, 1 / 4, 1 / 2])
+    assert len(_BaseFactor.made) > 3
 
 
 def telescoping_residual(path, f, L, depth, probe=None):

@@ -6,8 +6,9 @@ names, the
 case-by-case forms of the centering and planted-field lookups, the
 whole-field centering and forest lookups, the
 all-candidate scans for the cut maps, the one-solve-per-tree lift and
-phi43 rounds, the Path tables built all at once, and the scans smoothing per tree uid and per channel pair,
-kept as reference oracles.
+phi43 rounds, the Path tables built all at once, the order scan tree by
+tree, and the scans smoothing per tree uid and per channel pair, kept as
+reference oracles.
 
 The package versions build each truncated sum's tree support once per
 call, read batches of nodes
@@ -504,6 +505,25 @@ def pair_sup_loop(path, s, L, probe, rng, n_pairs):
                 continue
             best = max(best, abs(value_at_scalar(path, s, z, x)))
     return best
+
+
+def order_scan_loop(path, sigmas, scales, n_pairs=400, seed=5):
+    """path.order_scan tree by tree, each over every scale: the smoothed
+    values and the pair samples in one loop, in the order of its draws."""
+    probe = path.grid.probe_mask()
+    rng = np.random.default_rng(seed)
+    rows = []
+    for s in sigmas:
+        vals = []
+        for L in scales:
+            if path.smoothable(s):
+                g, mask = path.smoothed_centered_at_base(s, L)
+                vals.append(pathmod.sup_on(g, mask & probe))
+            else:
+                vals.append(pathmod._pair_sup(path, s, L, probe, rng, n_pairs))
+        rows.append(pathmod.OrderRow(tree_name(s), float(path.u.order(s)),
+                                     list(scales), vals, fit_slope(scales, vals)))
+    return rows
 
 
 def path_rows_loop(path, seed, tol):
@@ -1231,6 +1251,22 @@ def test_order_scan_pairs_match_loop(request, monkeypatch, name):
     got = order_scan(p, sigmas, scales, n_pairs=80, seed=6)
     monkeypatch.setattr(pathmod, "_pair_sup", pair_sup_loop)
     assert got == order_scan(p, sigmas, scales, n_pairs=80, seed=6)
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+@pytest.mark.parametrize("name", ["coarse_path", "coarse_path_trig_310"],
+                         ids=["9/20", "3/10"])
+def test_order_scan_matches_sigma_outer_loop(request, name, seed):
+    # the smoothed trees go scale by scale and the sampled pairs tree by
+    # tree: every row is that of one loop over the trees, each over every
+    # scale, which draws the pairs in the same order
+    p = request.getfixturevalue(name)
+    sigmas = [s for s in p.u.T_cen + p.u.T_r if s.m_xi <= 3]   # scan --kind order
+    assert any(p.smoothable(s) for s in sigmas)
+    assert not all(p.smoothable(s) for s in sigmas)
+    scales = [1 / 8, 1 / 4, 1 / 2]
+    assert (order_scan(p, sigmas, scales, seed=seed)
+            == order_scan_loop(p, sigmas, scales, seed=seed))
 
 
 def test_batched_residuals_keep_their_errors(coarse_path, u920):
