@@ -24,7 +24,7 @@ import numpy as np
 
 from . import coalgebra, coeffs, equation, field as fieldmod, lift as liftmod, path as pathmod
 from .symtree import (
-    ENUMERATION_CAP, PROD, XI, EnumerationCapExceeded, I, InadmissibleDelta,
+    ENUMERATION_CAP, PROD, EnumerationCapExceeded, I, InadmissibleDelta,
     enumerate_universe, parse_delta, tree_name,
 )
 
@@ -63,6 +63,8 @@ class RunConfig:
                      "seed"):
             v = getattr(ns, name, None)
             if v is not None:
+                if isinstance(getattr(cfg, name), int):
+                    v = _parse_as(int, v, "--%s" % name)
                 setattr(cfg, name, v)
         for item in (getattr(ns, "tol", None) or []):
             name, _, val = item.partition("=")
@@ -512,12 +514,10 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     def run_products():
         p = path()
-        lp = p.lp
-        v1 = _smooth_v1(p.grid)
-        rel = equation.cube_formula_check(p, lp.rmap, v1)
-        tol = cfg.tol.get("cube", 1e-8 if lp.rmap is not None else 1e-10)
+        e = equation.TreeExpansion(p, _smooth_v1(p.grid))
+        rel = equation.cube_formula_check(p, e)
+        tol = cfg.tol.get("cube", 1e-8 if p.lp.rmap is not None else 1e-10)
         rows = [_summary_row("cube-formula", [rel], tol)]
-        e = equation.TreeExpansion(p, v1)
         gamma = coeffs.pick_gamma(u, Fraction(3, 2))
         mn = equation.modelled_norms(p, e, gamma, n_pairs=60, seed=cfg.seed)
         tol = cfg.tol.get("utau", 1e-8)
@@ -553,7 +553,8 @@ def cmd_solve(cfg: RunConfig) -> int:
     run, = batch["runs"]
     rec = {"trace": run["trace"], "k": batch["k"], "h": batch["h"],
            "steps": batch["steps"], "norms": run["norms"]}
-    cube = equation.cube_formula_check(p, p.lp.rmap, _smooth_v1(grid))
+    cube = equation.cube_formula_check(
+        p, equation.TreeExpansion(p, _smooth_v1(grid)))
     rng = np.random.default_rng(cfg.seed)
     nodes = pathmod.sample_nodes(grid, grid.probe_mask(), rng, 9)
     # Python's max over floats, tree by tree and triple by triple: it keeps
@@ -595,7 +596,7 @@ def cmd_scan(cfg: RunConfig, kind: str, radii) -> int:
     if kind == "reconstruction":
         v1 = 0.4 + 0.2 * np.sin(1.7 * grid.x_field) * np.cos(2.1 * grid.t_field)
         e = equation.TreeExpansion(p, v1)
-        rep = equation.reconstruction_check(p, e, XI, XI, scales)
+        rep = equation.reconstruction_check(p, e, scales)
         _emit(cfg, "scan-reconstruction", {"config": cfg.descriptor(), **rep})
         return 0
     raise ConfigError("unknown scan kind %s" % _shown(kind))
@@ -608,12 +609,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--delta", default=None)
-        p.add_argument("--dim", type=int, default=None)
+        p.add_argument("--dim", default=None)
         p.add_argument("--grid", default=None, help="h,k,S")
         p.add_argument("--noise", default=None, help="kind:seed:eps")
         p.add_argument("--lift", default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", default=None)
         p.add_argument("--tol", action="append", default=None,
                        help="name=value (repeatable)")
 

@@ -19,7 +19,7 @@ from .coeffs import classify_utau, is_resonant, monomial_product, upsilon_monomi
 from .field import grad_x
 from .lift import CountertermMap
 from .path import ALL, Path, fit_slope, order_scan, residual, sample_nodes, sup_on
-from .symtree import ONE, PROD, I, Ip, Tree, X, prod3, sign_of, tree_name
+from .symtree import ONE, PROD, XI, I, Ip, Tree, X, prod3, sign_of, tree_name
 
 
 class NumericalAbort(RuntimeError):
@@ -142,17 +142,16 @@ def renorm_constants(universe, rmap: CountertermMap | None) -> RenormConstants:
     return RenormConstants(r1, rphi, rphi2, tuple(rdphi))
 
 
-def cube_formula_check(path: Path, rmap: CountertermMap | None,
-                       v1: np.ndarray) -> float:
-    """Relative residual of the renormalized cube against the polynomial
-    formula in the function and its derivatives, on the probe region; exact
-    over stored tables for counterterm-built lifts."""
+def cube_formula_check(path: Path, e: TreeExpansion) -> float:
+    """Relative residual of the renormalized cube of the expansion e against
+    the polynomial formula in the function and its derivatives, with the
+    counterterms of the path's lift, on the probe region; exact over stored
+    tables for counterterm-built lifts."""
     grid = path.grid
     probe = grid.probe_mask()
-    e = TreeExpansion(path, v1)
     lhs = renorm_product(path, e, e, e)
     phi = e.pointwise()
-    c = renorm_constants(path.u, rmap)
+    c = renorm_constants(path.u, path.lp.rmap)
     rhs = phi ** 3 - float(c.r1) - float(c.r_phi) * phi - float(c.r_phi2) * phi ** 2
     coef = float(c.r_dphi[0])     # a Path has d = 1
     if coef:
@@ -578,43 +577,48 @@ def _channel_values(path: Path, e, t: Tree, composite: Tree, cutoff: Fraction,
     return values
 
 
-def reconstruction_check(path: Path, e, w1: Tree, w2: Tree, scales) -> dict:
-    """Decay of the reconstruction integral for the two-argument family built
-    on a pair of rough factors.
+def _total_values(path: Path, e, kept, scales) -> tuple:
+    """(values, masks) of the family's smoothed integrand per scale; each
+    scale's smoothings live in a memo of their own, for this call only."""
+    grid = path.grid
+    probe = grid.probe_mask()
+    f_diag = grid.zeros()
+    for t, tt in kept:
+        f_diag += e.theta(t) * path.diag[tt.uid]
+    values, masks = [], []
+    for L in scales:
+        memo: dict = {}
+        # every (nt, nx) smoothing at scale L, channels too, has f_diag's mask
+        acc = grid.zeros()
+        for t, tt in kept:
+            acc = acc + e.theta(t) * path.smoothed_centered_at_base(tt, L, memo)[0]
+        g0, mask = path.mol.smooth(f_diag, L)
+        masks.append(mask & probe)
+        values.append(sup_on(acc - g0, masks[-1]))
+    return values, masks
+
+
+def reconstruction_check(path: Path, e, scales) -> dict:
+    """Decay of the reconstruction integral for the two-argument family
+    [I(t) I(Xi) I(Xi)] over t in N, never empty as t = One is in N.
 
     The integrand splits exactly, tree by tree, into the diagonal field of a
     composite tree times a continuity error; the total decay exponent is
     compared against the smallest fitted per-channel exponent.
     """
     u = path.u
-    grid = path.grid
-    probe = grid.probe_mask()
     kept = []
     for t in u.N:
-        tt = prod3(I(t), I(w1), I(w2), u.delta)
+        tt = prod3(I(t), I(XI), I(XI), u.delta)
         if tt is not None:
             kept.append((t, tt))
-    if not kept:
-        raise ValueError("family is empty for the given rough factors")
     if len(scales) < 3:
         raise ValueError("need at least 3 scales")
-    cutoff = Fraction(-6) - u.order(w1) - u.order(w2)
+    cutoff = Fraction(-6) - 2 * u.order(XI)
     while any(u.order(t) == cutoff for t in u.N):
         cutoff += Fraction(1, 997)
 
-    f_diag = grid.zeros()
-    for t, tt in kept:
-        f_diag += e.theta(t) * path.diag[tt.uid]
-    values, masks = [], []
-    for L in scales:
-        # every (nt, nx) smoothing at scale L, channels too, has f_diag's mask
-        acc = grid.zeros()
-        for t, tt in kept:
-            acc = acc + e.theta(t) * path.smoothed_centered_at_base(tt, L)[0]
-        g0, mask = path.mol.smooth(f_diag, L)
-        masks.append(mask & probe)
-        values.append(sup_on(acc - g0, masks[-1]))
-    path.drop_smoothings()      # the channels smooth their own fields
+    values, masks = _total_values(path, e, kept, scales)
     terms = []
     for t, tt in kept:
         vals = _channel_values(path, e, t, tt, cutoff, scales, masks)

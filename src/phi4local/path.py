@@ -88,7 +88,6 @@ class Path:
         neg_x.flags.writeable = False
         self.cen_I[X(1).uid] = neg_x     # build_local_product takes d = 1 only
         self.mol = Mollifier(grid)
-        self.drop_smoothings()
 
     # entry rules of the tables, one canonical product tree each ------------
 
@@ -207,29 +206,6 @@ class Path:
 
     # order scans ---------------------------------------------------------------
 
-    def _mollified(self, t: Tree, L: float):
-        """(g, mask) of the stored field of t smoothed at scale L: the value
-        of an unplanted t, the heat solve of its child for t = I(w).  One
-        smoothing per canonical tree, as permuted trees read one stored
-        array, kept for one scale: each smoothing is read at its own scale
-        only, so the first read at another scale drops those of the last."""
-        scale = round(L, 12)
-        if scale != self._moll_scale:
-            self.drop_smoothings()
-            self._moll_scale = scale
-        uid = canon(t).uid
-        out = self._moll_cache.get(uid)
-        if out is None:
-            f = self.lp.ell(t.child) if t.kind == PLANTED else self.lp.value(t)
-            out = self._moll_cache[uid] = self.mol.smooth(f, L)
-            out[0].flags.writeable = False   # shared, as the mask is
-        return out
-
-    def drop_smoothings(self) -> None:
-        """Forget the smoothed tables of _mollified."""
-        self._moll_scale = None
-        self._moll_cache = {}
-
     def smoothable(self, s: Tree) -> bool:
         """Whether s carries a global field, smoothed at the base point: s
         in T_r, or s = I(w) with w in W."""
@@ -237,13 +213,25 @@ class Path:
         return u.member("T_r", s) or (s.kind == PLANTED and s.edge == EDGE_I
                                       and u.member("W", s.child))
 
-    def smoothed_centered_at_base(self, s: Tree, L: float):
+    def smoothed_centered_at_base(self, s: Tree, L: float, memo: dict):
         """Field x -> (X_{.,x} s)_L(x) with its validity mask, the one mask
-        of every smoothing at scale L."""
+        of every smoothing at scale L.  memo is the caller's dict of (g, mask)
+        at scale L by canonical uid (of the value, or of the heat solve of w
+        for I(w)); a tree missing from it is smoothed and added, read-only."""
         if not self.smoothable(s):
             raise ValueError("smoothed branch covers T_r and I(W) only")
-        return (self._expand(s, lambda l: self._mollified(l, L)[0], ALL, ALL),
-                self._mollified(s, L)[1])
+
+        def smoothed(t: Tree):
+            uid = canon(t).uid
+            out = memo.get(uid)
+            if out is None:
+                f = self.lp.ell(t.child) if t.kind == PLANTED else self.lp.value(t)
+                out = memo[uid] = self.mol.smooth(f, L)
+                out[0].flags.writeable = False   # shared, as the mask is
+            return out
+
+        return (self._expand(s, lambda l: smoothed(l)[0], ALL, ALL),
+                smoothed(s)[1])
 
 
 def residual(lhs, rhs) -> tuple:
@@ -302,12 +290,13 @@ def order_scan(path: Path, sigmas, scales, n_pairs: int = 400,
     rng = np.random.default_rng(seed)
     vals = [[] for _ in sigmas]
     smoothed = [n for n, s in enumerate(sigmas) if path.smoothable(s)]
-    # the smoothed values draw no samples, so they go scale by scale, and
-    # the Path keeps one scale's smoothings at a time; the sampled pairs
-    # keep the sigma-outer order of their draws
+    # the smoothed values draw no samples, so they go scale by scale, each
+    # scale with a memo of its own smoothings; the sampled pairs keep the
+    # sigma-outer order of their draws
     for L in scales:
+        memo: dict = {}
         for n in smoothed:
-            g, mask = path.smoothed_centered_at_base(sigmas[n], L)
+            g, mask = path.smoothed_centered_at_base(sigmas[n], L, memo)
             vals[n].append(sup_on(g, mask & probe))
     for n, s in enumerate(sigmas):
         if not path.smoothable(s):

@@ -142,7 +142,8 @@ def test_criterion_3_chen(u920, default_path_trig, default_path_gauss):
 
 
 def test_criterion_4_cube_formula(u920, cg920, default_path_trig, smooth_v1):
-    rel = cube_formula_check(default_path_trig, None, smooth_v1)
+    p = default_path_trig
+    rel = cube_formula_check(p, TreeExpansion(p, smooth_v1))
     ok1 = rel <= 1e-10
     grid = DEFAULT_GRID
     rmap, est = phi43_counterterms(grid, u920, seeds=range(6), eps=1 / 8,
@@ -151,7 +152,9 @@ def test_criterion_4_cube_formula(u920, cg920, default_path_trig, smooth_v1):
     lp = build_local_product(grid, u920, xi, rmap=rmap, coalg=cg920)
     # cube_formula_check compares on the probe region
     assert int(grid.probe_mask().sum()) >= 100
-    rel2 = cube_formula_check(Path(lp), rmap, smooth_v1)
+    p = Path(lp)
+    assert p.lp.rmap is rmap
+    rel2 = cube_formula_check(p, TreeExpansion(p, smooth_v1))
     ok2 = rel2 <= 1e-8
     c = renorm_constants(u920, rmap)
     ok3 = (c.r_phi == 3 * Fraction(est["c_wick"]) - 9 * Fraction(est["c_sunset"])
@@ -209,7 +212,7 @@ def test_criterion_7_kernel_and_reconstruction(default_path_gauss):
     v1 = (0.4 + 0.2 * np.sin(1.7 * grid.x_field) * np.cos(2.1 * grid.t_field)
           + 0.3 * p.lp.ell(XI))
     e = TreeExpansion(p, v1)
-    rep = reconstruction_check(p, e, XI, XI, [1 / 8, 1 / 4, 1 / 2])
+    rep = reconstruction_check(p, e, [1 / 8, 1 / 4, 1 / 2])
     gap = abs(rep["measured_exponent"] - rep["predicted_exponent"])
     ok2 = gap <= 0.3
     _report(7, "kernel-and-reconstruction", ok1 and ok2,

@@ -288,7 +288,8 @@ SMALL = ["--delta", "9/20", "--grid", "1/16,1/32,3"]
 # characters long: its error line quotes the input clipped
 LONG_INPUTS = ["long-noise-trig-seed", "long-noise-seed-not-integer",
                "long-config-seed-not-integer", "long-grid", "long-delta",
-               "long-tol-name", "long-radii", "long-negative-seed", "long-dim"]
+               "long-tol-name", "long-radii", "long-negative-seed", "long-dim",
+               "long-seed-not-integer"]
 # JSON config values whose type cannot be their field's
 JSON_TYPE_ERRORS = {
     "tol-number": {"tol": 5}, "tol-string-value": {"tol": {"chen": "small"}},
@@ -474,6 +475,9 @@ def _sidecar_manifest(base, key, value=None):
     lambda d: ["solve", "--grid", "1/16,1e308,3"],
     lambda d: ["verify", "--suite", "path", "--noise", "trig:%d" % 10 ** 400],
     lambda d: ["solve", "--lift", "phi43", "--seed", str(10 ** 400)],
+    # text that int() refuses, and a lift of no known kind
+    lambda d: ["enumerate", "--dim", "x"],
+    lambda d: ["verify", "--suite", "path", "--lift", "foo"],
     # inputs of hundreds of characters, which an error line quotes clipped
     lambda d: ["verify", "--suite", "path", "--grid", "1/8,1/16,3",
                "--noise", "trig:%d" % 10 ** 400],
@@ -486,6 +490,7 @@ def _sidecar_manifest(base, key, value=None):
     lambda d: ["scan", "--kind", "apriori", "--radii", "1." + "5" * 300],
     lambda d: ["verify", "--suite", "algebra", "--seed", str(-10 ** 300)],
     lambda d: ["enumerate", "--dim", str(10 ** 300)],
+    lambda d: ["verify", "--suite", "algebra", "--seed", "1." + "5" * 300],
 ], ids=["custom-missing", "counterterm-missing", "config-missing",
         "custom-malformed-name", "custom-vanishing-name", "custom-missing-field",
         "dim2-path", "dim2-products", "dim2-all", "dim2-solve", "dim2-scan",
@@ -521,7 +526,8 @@ def _sidecar_manifest(base, key, value=None):
         "grid-spacing-solve", "grid-short-time-path", "grid-short-time-solve",
         "grid-cells-overflow-path", "grid-cells-overflow-apriori",
         "grid-substeps-overflow-solve", "noise-trig-seed-overflow",
-        "phi43-seed-overflow", *LONG_INPUTS])
+        "phi43-seed-overflow", "dim-not-integer", "lift-unknown-kind",
+        *LONG_INPUTS])
 def test_bad_config_exit_code(request, tmp_path, capsys, argv):
     args = argv(tmp_path)
     for flag, value in zip(SMALL[::2], SMALL[1::2]):
@@ -708,9 +714,14 @@ def _config_files(draw):
     return "run.cfg", "".join("%s = %s\n" % kv for kv in lines)
 
 
+# --dim and --seed text that int() refuses
+_NOT_INTS = st.sampled_from(["x", "", "1.5", "1e3", "0x10", "2/1", "1." + "5" * 300])
+
+
 @settings(max_examples=120, deadline=None)
-@given(delta=st.none() | _DELTAS, dim=st.none() | st.integers(-3, 4),
-       seed=st.none() | st.integers(-3, 2 ** 64), tols=st.lists(_TOLS, max_size=2),
+@given(delta=st.none() | _DELTAS, dim=st.none() | st.integers(-3, 4) | _NOT_INTS,
+       seed=st.none() | st.integers(-3, 2 ** 64) | _NOT_INTS,
+       tols=st.lists(_TOLS, max_size=2),
        config=st.none() | _config_files())
 def test_enumerate_inputs_exit_0_or_2(delta, dim, seed, tols, config):
     """Bad enumerate input exits 2 with an error line, never 4."""

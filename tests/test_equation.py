@@ -137,19 +137,24 @@ def test_cube_formula_all_lifts(u920, cg920, smooth_v1):
     grid = DEFAULT_GRID
     xi = noise_field(grid, "trig", seed=0)
     mult = build_local_product(grid, u920, xi, coalg=cg920)
-    assert cube_formula_check(Path(mult), None, smooth_v1) <= 1e-10
+    p = Path(mult)
+    assert p.lp.rmap is None
+    assert cube_formula_check(p, TreeExpansion(p, smooth_v1)) <= 1e-10
     wick, sunset = standard_families(u920)
     rm = CountertermMap(u920, {**{t: -0.4 for t in wick},
                                **{t: -0.03 for t in sunset}})
     built = build_local_product(grid, u920, xi, rmap=rm, coalg=cg920)
-    assert cube_formula_check(Path(built), rm, smooth_v1) <= 1e-8
+    p = Path(built)
+    assert p.lp.rmap is rm
+    assert cube_formula_check(p, TreeExpansion(p, smooth_v1)) <= 1e-8
 
 
 def test_cube_formula_zero_base(u920, cg920):
     grid = COARSE_GRID
     xi = noise_field(grid, "trig", seed=0)
     lp = build_local_product(grid, u920, xi, coalg=cg920)
-    assert cube_formula_check(Path(lp), None, grid.zeros()) <= 1e-12
+    p = Path(lp)
+    assert cube_formula_check(p, TreeExpansion(p, grid.zeros())) <= 1e-12
 
 
 def test_prefactor_three_is_permutation_multiplicity(default_path_trig, u920):
@@ -341,7 +346,7 @@ def test_reconstruction_consistency(default_path_trig):
     grid = p.grid
     v1 = 0.4 + 0.2 * np.sin(1.7 * grid.x_field) * np.cos(2.1 * grid.t_field)
     e = TreeExpansion(p, v1)
-    rep = reconstruction_check(p, e, XI, XI, [1 / 8, 1 / 4, 1 / 2])
+    rep = reconstruction_check(p, e, [1 / 8, 1 / 4, 1 / 2])
     assert abs(rep["measured_exponent"] - rep["predicted_exponent"]) <= 0.3
     assert rep["values"][0] < rep["values"][-1]
 
@@ -349,16 +354,15 @@ def test_reconstruction_consistency(default_path_trig):
 def test_reconstruction_requires_scales(default_path_trig):
     e = TreeExpansion(default_path_trig, default_path_trig.grid.ones())
     with pytest.raises(ValueError):
-        reconstruction_check(default_path_trig, e, XI, XI, [0.5, 0.25])
+        reconstruction_check(default_path_trig, e, [0.5, 0.25])
 
 
 def test_scans_smooth_each_field_once_per_scale(monkeypatch, default_path_trig,
                                                 default_path_gauss):
-    # the CLI's scales on the default grid at delta 9/20, on fresh Paths (a
-    # Path keeps the smoothed tables of the scale it last read): 8 canonical
-    # trees per scale in the seminorm scan; per scale in the reconstruction
-    # scan, the 4 canonical trees the composites expand into, f_diag and the
-    # 7 distinct running fields of the nonzero channels
+    # the CLI's scales on the default grid at delta 9/20: 8 canonical trees
+    # per scale in the seminorm scan; per scale in the reconstruction scan,
+    # the 4 canonical trees the composites expand into, f_diag and the 7
+    # distinct running fields of the nonzero channels
     scales = [1 / 16, 1 / 8, 1 / 4, 1 / 2]
     calls = []
     smooth = Mollifier.smooth
@@ -368,19 +372,20 @@ def test_scans_smooth_each_field_once_per_scale(monkeypatch, default_path_trig,
         return smooth(self, f, L, n)
 
     monkeypatch.setattr(Mollifier, "smooth", counted)
-    p = Path(default_path_trig.lp)
+    p = default_path_trig
     seminorm_scale(p, scales)
     assert len(calls) == 32
     assert len(set(calls)) == len(calls)
     calls.clear()
+    memo: dict = {}
     for _ in range(2):       # the I(w) heat solves share the memo
-        p.smoothed_centered_at_base(I(XI), 1 / 8)
+        p.smoothed_centered_at_base(I(XI), 1 / 8, memo)
     assert len(calls) == 1
     calls.clear()
-    p = Path(default_path_gauss.lp)
+    p = default_path_gauss
     grid = p.grid
     v1 = 0.4 + 0.2 * np.sin(1.7 * grid.x_field) * np.cos(2.1 * grid.t_field)
-    reconstruction_check(p, TreeExpansion(p, v1), XI, XI, scales)
+    reconstruction_check(p, TreeExpansion(p, v1), scales)
     assert len(calls) == 48
 
 
@@ -410,7 +415,7 @@ def test_channels_without_field_values_have_zero_diagonal(monkeypatch, delta):
         return channel_values(*args)
 
     monkeypatch.setattr(equation, "_channel_values", record)
-    reconstruction_check(p, e, XI, XI, [1 / 8, 1 / 4, 1 / 2])
+    reconstruction_check(p, e, [1 / 8, 1 / 4, 1 / 2])
     missing = 0
     for args in seen:
         _p, _e, t, tt, cutoff, scales, _masks = args
@@ -457,7 +462,7 @@ def test_reconstruction_holds_one_channel_at_a_time(monkeypatch, u310):
 
     monkeypatch.setattr(Mollifier, "smooth", tracked)
     monkeypatch.setattr(equation, "_channel_values", one_channel)
-    reconstruction_check(p, TreeExpansion(p, v1), XI, XI, [1 / 8, 1 / 4, 1 / 2])
+    reconstruction_check(p, TreeExpansion(p, v1), [1 / 8, 1 / 4, 1 / 2])
     assert refs and all(r() is None for r in refs)
     # some channel starts after another one has smoothed its fields
     assert any(checked)
@@ -482,6 +487,22 @@ def test_seminorm_scan_holds_one_scale_of_smoothings(monkeypatch,
     assert {at for at, _r in made} == set(scales)
 
 
+def test_seminorm_scan_keeps_no_smoothing(monkeypatch, default_path_trig):
+    # the scan owns its smoothings: none is alive once it returns, and the
+    # Path holds none of them
+    made = []
+    smooth = Mollifier.smooth
+
+    def tracked(self, f, L, n=None):
+        g, mask = smooth(self, f, L, n)
+        made.append(weakref.ref(g))
+        return g, mask
+
+    monkeypatch.setattr(Mollifier, "smooth", tracked)
+    seminorm_scale(default_path_trig, [1 / 16, 1 / 8, 1 / 4, 1 / 2])
+    assert made and all(r() is None for r in made)
+
+
 def _reconstruction_path(u):
     grid = COARSE_GRID
     p = Path(build_local_product(grid, u,
@@ -491,26 +512,31 @@ def _reconstruction_path(u):
 
 
 def test_reconstruction_channels_hold_no_path_smoothing(monkeypatch, u310):
-    # the channels smooth their own fields: the Path's smoothings of the
-    # total are dropped before the first channel starts
+    # the channels smooth their own fields: every smoothing of the total,
+    # its memo's included, is dropped before the first channel starts
     p, e = _reconstruction_path(u310)
-    refs, calls = [], []
-    mollified = Path._mollified
+    refs, calls, inside = [], [], []
+    smooth = Mollifier.smooth
     channel_values = equation._channel_values
 
-    def tracked(self, t, L):
-        out = mollified(self, t, L)
-        refs.append(weakref.ref(out[0]))
-        return out
+    def tracked(self, f, L, n=None):
+        g, mask = smooth(self, f, L, n)
+        if not inside:
+            refs.append(weakref.ref(g))
+        return g, mask
 
     def one_channel(*args):
         assert all(r() is None for r in refs)
         calls.append(args)
-        return channel_values(*args)
+        inside.append(True)
+        try:
+            return channel_values(*args)
+        finally:
+            inside.pop()
 
-    monkeypatch.setattr(Path, "_mollified", tracked)
+    monkeypatch.setattr(Mollifier, "smooth", tracked)
     monkeypatch.setattr(equation, "_channel_values", one_channel)
-    reconstruction_check(p, e, XI, XI, [1 / 8, 1 / 4, 1 / 2])
+    reconstruction_check(p, e, [1 / 8, 1 / 4, 1 / 2])
     assert refs and calls
 
 
@@ -553,7 +579,7 @@ def test_reconstruction_channel_holds_one_base_field_at_a_time(monkeypatch, u310
     monkeypatch.setattr(_BaseFactor, "made", [])
     monkeypatch.setattr(Path, "cen_forest_at", marked)
     monkeypatch.setattr(equation, "_channel_values", one_channel)
-    reconstruction_check(p, e, XI, XI, [1 / 8, 1 / 4, 1 / 2])
+    reconstruction_check(p, e, [1 / 8, 1 / 4, 1 / 2])
     assert len(_BaseFactor.made) > 3
 
 
@@ -607,7 +633,7 @@ def test_scans_build_only_the_trees_they_read(u920, cg920, u310):
     assert 0 < len({t.uid for t in prods} & set(p.cen_I)) < len(prods)
     p = Path(build_local_product(grid, u920, xi, coalg=cg920))
     v1 = 0.4 + 0.2 * np.sin(1.7 * grid.x_field) * np.cos(2.1 * grid.t_field)
-    reconstruction_check(p, TreeExpansion(p, v1), XI, XI, scales)
+    reconstruction_check(p, TreeExpansion(p, v1), scales)
     assert 0 < len(p.diag) < len(prods)
     p = Path(build_local_product(grid, u310, xi))
     prods = [t for t in u310.T_r if t.kind == PROD]

@@ -509,7 +509,8 @@ def pair_sup_loop(path, s, L, probe, rng, n_pairs):
 
 def order_scan_loop(path, sigmas, scales, n_pairs=400, seed=5):
     """path.order_scan tree by tree, each over every scale: the smoothed
-    values and the pair samples in one loop, in the order of its draws."""
+    values and the pair samples in one loop, in the order of its draws.
+    Each smoothed value reads a memo of its own."""
     probe = path.grid.probe_mask()
     rng = np.random.default_rng(seed)
     rows = []
@@ -517,7 +518,7 @@ def order_scan_loop(path, sigmas, scales, n_pairs=400, seed=5):
         vals = []
         for L in scales:
             if path.smoothable(s):
-                g, mask = path.smoothed_centered_at_base(s, L)
+                g, mask = path.smoothed_centered_at_base(s, L, {})
                 vals.append(pathmod.sup_on(g, mask & probe))
             else:
                 vals.append(pathmod._pair_sup(path, s, L, probe, rng, n_pairs))
@@ -597,10 +598,10 @@ def im_diag_loop(path, t):
     return out
 
 
-def smoothed_centered_at_base_uid(path, memo, s, L):
-    """Path.smoothed_centered_at_base with the smoothed values memoised per
-    tree uid, so each child permutation of a product is smoothed again, and
-    the heat solve of I(w) smoothed on every call."""
+def smoothed_centered_at_base_uid(path, s, L, memo):
+    """Path.smoothed_centered_at_base with the smoothed values memoised in
+    memo per tree uid and scale, so each child permutation of a product is
+    smoothed again, and the heat solve of I(w) smoothed on every call."""
     u, lp = path.u, path.lp
 
     def mollified(t):
@@ -636,16 +637,15 @@ def channel_pairs_loop(path, e, t, composite, cutoff):
     return pairs
 
 
-def reconstruction_check_pairs(path, e, w1, w2, scales,
-                               channel_pairs=channel_pairs_loop):
+def reconstruction_check_pairs(path, e, scales, channel_pairs=channel_pairs_loop):
     """equation.reconstruction_check smoothing the running field of each
     pair on its own at every scale, and the composites through the per-uid
     memo."""
     u, grid = path.u, path.grid
     probe = grid.probe_mask()
-    kept = [(t, prod3(I(t), I(w1), I(w2), u.delta)) for t in u.N]
+    kept = [(t, prod3(I(t), I(XI), I(XI), u.delta)) for t in u.N]
     kept = [(t, tt) for t, tt in kept if tt is not None]
-    cutoff = Fraction(-6) - u.order(w1) - u.order(w2)
+    cutoff = Fraction(-6) - u.order(XI) - u.order(XI)
     while any(u.order(t) == cutoff for t in u.N):
         cutoff += Fraction(1, 997)
     f_diag = grid.zeros()
@@ -660,7 +660,7 @@ def reconstruction_check_pairs(path, e, w1, w2, scales,
         acc = grid.zeros()
         mask = None
         for t, tt in kept:
-            g, msk = smoothed_centered_at_base_uid(path, memo, tt, L)
+            g, msk = smoothed_centered_at_base_uid(path, tt, L, memo)
             acc = acc + e.theta(t) * g
             mask = msk if mask is None else (mask & msk)
         g0, msk0 = path.mol.smooth(f_diag, L)
@@ -1446,11 +1446,11 @@ def test_scans_smooth_as_per_pair_loops(request, monkeypatch, name):
     v1 = 0.4 + 0.2 * np.sin(1.7 * grid.x_field) * np.cos(2.1 * grid.t_field)
     e = TreeExpansion(p, v1)
     got = (order_scan(p, sigmas, scales), seminorm_scale(p, scales),
-           reconstruction_check(p, e, XI, XI, scales))
+           reconstruction_check(p, e, scales))
     monkeypatch.setattr(p, "smoothed_centered_at_base",
-                        functools.partial(smoothed_centered_at_base_uid, p, {}))
+                        functools.partial(smoothed_centered_at_base_uid, p))
     assert got == (order_scan(p, sigmas, scales), seminorm_scale(p, scales),
-                   reconstruction_check_pairs(p, e, XI, XI, scales))
+                   reconstruction_check_pairs(p, e, scales))
 
 
 @pytest.mark.parametrize("universe", ["u310", "u1350"], ids=["3/10", "13/50"])
@@ -1471,9 +1471,8 @@ def test_reconstruction_sums_pairs_in_order(request, universe):
             return []
         return channel_pairs_loop(path, e, t, composite, cutoff)
 
-    assert (reconstruction_check(p, e, XI, XI, scales)
-            == reconstruction_check_pairs(p, e, XI, XI, scales,
-                                          nonzero_channel_pairs))
+    assert (reconstruction_check(p, e, scales)
+            == reconstruction_check_pairs(p, e, scales, nonzero_channel_pairs))
 
 
 @pytest.mark.parametrize("name", FIXTURES)
