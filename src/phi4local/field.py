@@ -290,26 +290,57 @@ def max_depth(grid: Grid, L: float) -> int:
     return -1
 
 
-# scipy.fft is imported by the functions that transform, not at module load:
-# a command that smooths no field (enumerate, the algebra suite) never pays
-# for it, in start-up time or in memory.
+def _fast_len(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n: a padded length the real FFT is fast on."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            m = p35
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            p35 *= 3
+        p5 *= 5
+    return best
+
 
 def _fft_shapes(a_shape, b_shape) -> tuple:
     """(full, padded) shapes of the 2-d convolution of two real arrays."""
-    from scipy.fft import next_fast_len
     shape = [n + m - 1 for n, m in zip(a_shape, b_shape)]
-    return shape, [next_fast_len(n, True) for n in shape]
+    return shape, [_fast_len(n) for n in shape]
+
+
+def _rfft2(a: np.ndarray, fshape) -> np.ndarray:
+    """Real 2-d transform of a zero-padded to fshape: the real pass along
+    axis 1, then the complex one along axis 0, in one complex buffer."""
+    spec = np.empty((fshape[0], fshape[1] // 2 + 1), dtype=complex)
+    np.fft.rfft(a, fshape[1], axis=1, out=spec[: a.shape[0]])
+    spec[a.shape[0]:] = 0.0
+    return np.fft.fft(spec, axis=0, out=spec)
+
+
+def _irfft2(spec: np.ndarray, fshape) -> np.ndarray:
+    """Inverse of _rfft2 at fshape; spec is overwritten.  Both passes are
+    unscaled and the result is multiplied once by 1 / (fshape[0] * fshape[1]):
+    numpy's default scales each pass by its own length, which rounds
+    differently, and tests/test_field.py holds every smoothing to the one
+    factor bit for bit."""
+    np.fft.ifft(spec, axis=0, norm="forward", out=spec)
+    out = np.fft.irfft(spec, fshape[1], axis=1, norm="forward")
+    out *= 1.0 / (fshape[0] * fshape[1])
+    return out
 
 
 def _fftconvolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full 2-d convolution of two real arrays: the padding and real FFTs of
-    scipy.signal.fftconvolve, so the result is the same to the bit, without
-    importing scipy.signal (about a second of every process start)."""
-    from scipy.fft import irfftn, rfftn
+    """Full 2-d convolution of two real arrays by real FFTs at fast padded
+    lengths; tests/test_field.py checks it bit for bit against a reference
+    FFT convolution."""
     shape, fshape = _fft_shapes(a.shape, b.shape)
-    out = irfftn(rfftn(a, fshape, axes=(0, 1)) * rfftn(b, fshape, axes=(0, 1)),
-                 fshape, axes=(0, 1))
-    return out[: shape[0], : shape[1]]
+    spec = _rfft2(a, fshape)
+    spec *= _rfft2(b, fshape)
+    return _irfft2(spec, fshape)[: shape[0], : shape[1]]
 
 
 class Mollifier:
@@ -349,7 +380,6 @@ class Mollifier:
         and one inverse transform; the result is that of
         _fftconvolve(f, kernel) to the bit.
         """
-        from scipy.fft import irfftn, rfftn
         grid = self.grid
         if L < 2 * grid.h:
             raise ResolutionError("scale %g below resolution 2h=%g" % (L, 2 * grid.h))
@@ -366,9 +396,11 @@ class Mollifier:
             if nt > na and nx > 2 * nb:
                 mask[na:, nb: nx - nb] = True
             mask.flags.writeable = False     # shared by every caller
-            self._spectra[key] = fshape, rfftn(ker, fshape, axes=(0, 1)), mask
+            self._spectra[key] = fshape, _rfft2(ker, fshape), mask
         fshape, spec, mask = self._spectra[key]
-        full = irfftn(rfftn(f, fshape, axes=(0, 1)) * spec, fshape, axes=(0, 1))
+        buf = _rfft2(f, fshape)
+        buf *= spec
+        full = _irfft2(buf, fshape)
         g = np.where(mask, full[:nt, nb: nb + nx], 0.0)
         return g, mask
 

@@ -5,13 +5,15 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.fft import irfftn, next_fast_len, rfftn
 from scipy.signal import fftconvolve
 
 import phi4local
 from phi4local.field import (
-    COARSE_GRID, DEFAULT_GRID, Grid, Mollifier, ResolutionError,
-    StabilityError, _fftconvolve, _profile_weights, grad_x, heat_solve,
-    load_field, max_depth, noise_field, save_field,
+    COARSE_GRID, DEFAULT_GRID, DEFAULT_NOISE_EPS_CELLS, FINE_GRID, Grid,
+    Mollifier, ResolutionError, StabilityError, _fast_len, _fftconvolve,
+    _profile_weights, grad_x, heat_solve, load_field, max_depth, noise_field,
+    save_field,
 )
 
 G = DEFAULT_GRID
@@ -312,6 +314,38 @@ def test_fftconvolve_matches_scipy_signal(grid):
     assert cases >= 6
 
 
+@pytest.mark.parametrize("grid", [COARSE_GRID, DEFAULT_GRID, FINE_GRID],
+                         ids=["coarse", "default", "fine"])
+def test_smooth_matches_scipy_fft(grid):
+    # field.py transforms with numpy.fft; every smoothing, at each dyadic
+    # scale from 2h to 1/2 and at the gauss fixture's eps, is the scipy.fft
+    # convolution masked as smooth masks it, to the bit
+    white = np.random.default_rng(0).standard_normal((grid.nt, grid.nx))
+    scales = {DEFAULT_NOISE_EPS_CELLS * grid.h}
+    L = 2 * grid.h
+    while L <= 0.5:
+        scales.add(L)
+        L *= 2
+    mol = Mollifier(grid)
+    for f in (white, white[40:, 30:]):
+        for L in sorted(scales):
+            g, mask = mol.smooth(f, L)
+            ker = mol.kernel(L, max(max_depth(grid, L), 1))
+            fshape = [next_fast_len(n + m - 1, True)
+                      for n, m in zip(f.shape, ker.shape)]
+            full = irfftn(rfftn(f, fshape, axes=(0, 1))
+                          * rfftn(ker, fshape, axes=(0, 1)), fshape, axes=(0, 1))
+            nb = (ker.shape[1] - 1) // 2
+            want = np.where(mask, full[: f.shape[0], nb: nb + f.shape[1]], 0.0)
+            assert mask.any()
+            assert np.array_equal(g, want), (L, f.shape)
+
+
+def test_fast_len_matches_scipy_next_fast_len():
+    got = [_fast_len(n) for n in range(1, 20000)]
+    assert got == [next_fast_len(n, True) for n in range(1, 20000)]
+
+
 def test_cli_import_leaves_out_scipy_signal():
     src = os.path.dirname(os.path.dirname(phi4local.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -369,21 +403,23 @@ from phi4local.field import COARSE_GRID, Mollifier, noise_field
 out = sys.argv[1]
 assert cli.main(["verify", "--suite", "algebra", "--delta", "2/5", "--out", out]) == 0
 assert cli.main(["enumerate", "--delta", "2/5", "--out", out]) == 0
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert cli.main(["scan", "--kind", "apriori", "--grid", "1/16,1/32,3",
+                 "--noise", "gauss:1:0", "--out", out]) == 0
 g, mask = Mollifier(COARSE_GRID).smooth(noise_field(COARSE_GRID, "trig", seed=1), 0.25)
 np.save(out + "/smoothed.npy", np.where(mask, g, np.nan))
-print(json.dumps(loaded))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
 def test_algebra_and_enumerate_leave_out_scipy(tmp_path):
-    # scipy.fft is imported where a field is smoothed, so these two commands
-    # never load scipy; a smoothing afterwards imports it and reads the same
+    # field.py transforms with numpy.fft, so no command loads scipy: not the
+    # algebra suite and enumerate, which smooth nothing, nor a scan that
+    # smooths, nor a smoothing made afterwards, which reads as in this process
     src = os.path.dirname(os.path.dirname(phi4local.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", SCIPY_FREE, str(tmp_path)], env=env,
                          check=True, capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip().splitlines()[-1] == "[]"
     f = noise_field(COARSE_GRID, "trig", seed=1)
     g, mask = Mollifier(COARSE_GRID).smooth(f, 0.25)
     assert mask.any()
