@@ -12,8 +12,7 @@ from .coeffs import (
     upsilon_monomial,
 )
 from .field import (
-    Grid, StabilityError, grad_x, heat_solve, load_field, Mollifier,
-    noise_field, save_field,
+    Grid, grad_x, heat_solve, load_field, Mollifier, noise_field, save_field,
 )
 from .lift import (
     CountertermMap, LocalProduct, build_local_product, phi43_counterterms,

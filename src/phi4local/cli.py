@@ -127,7 +127,7 @@ class RunConfig:
             if as_json and not _json_type_fits(cur, val):
                 raise ConfigError("config key %r cannot take the JSON value %s"
                                   % (key, json.dumps(val)))
-            if isinstance(cur, int) and key != "tol":
+            if isinstance(cur, int):
                 val = _parse_as(int, val, "config key %s" % _shown(key))
             setattr(cfg, key, val)
         return cfg
@@ -148,23 +148,21 @@ class RunConfig:
                               "on the unit cylinder, got %s"
                               % (fieldmod.Grid.MIN_S, shown))
         # both node bounds read the float counts, which may be inf, before
-        # any round or ceil
+        # any round, and before the grid makes an array
+        grid = fieldmod.Grid(S=S, h=h, k_store=k)
         cells = 2 * S / h
         nx = cells + 1
-        nodes = nx * ((fieldmod.Grid.t1 - fieldmod.Grid.t0) / k + 1)
+        nodes = nx * ((grid.t1 - grid.t0) / k + 1)
         if nodes > MAX_GRID_NODES:
             raise ConfigError("grid %s has ~%.3g stored nodes, above the bound "
                               "of %d" % (shown, nodes, MAX_GRID_NODES))
-        sub = k / (h * h / 4)
-        if sub * nx <= MAX_GRID_NODES:
-            sub = max(1, math.ceil(sub))
-        if sub * nx > MAX_GRID_NODES:
+        if grid.substeps * nx > MAX_GRID_NODES:
             raise ConfigError("grid %s marches %g substeps of ~%d nodes, above "
-                              "the bound of %d" % (shown, sub, nx, MAX_GRID_NODES))
+                              "the bound of %d"
+                              % (shown, grid.substeps, nx, MAX_GRID_NODES))
         if abs(cells - round(cells)) > 1e-9 * cells:
             raise ConfigError("grid %s: 2S/h = %.6g is not a whole number, so "
                               "its nodes would not be h apart" % (shown, cells))
-        grid = fieldmod.Grid(S=S, h=h, k_store=k, substeps=sub)
         if grid.ts[-1] < 1.0:
             raise ConfigError("grid %s stores levels up to t = %g only; they "
                               "must reach t = 1" % (shown, grid.ts[-1]))

@@ -1,12 +1,14 @@
 """Parabolic space-time grid, cut-off heat solves, mollifiers and norms.
 
 Fields are float64 numpy arrays of shape (nt, nx) sampled on a stored grid
-with time step ``k_store``.  The heat solver marches one field or a stack of
-them at a finer internal step (``k_store / substeps``) to satisfy the
-explicit-scheme stability bound and writes back on the stored levels; the
-right-hand side is interpolated linearly in time between stored levels.  All
-algebraic identities downstream are exact over the stored values by
-construction, independent of resolution.
+with time step ``k_store``.  A grid is its half-width ``S``, its spacing ``h``
+and ``k_store``.  The heat solver marches one field or a stack of them at the
+internal step ``k_store / substeps``, where ``substeps`` is the fewest that
+keep the step at most h^2/4, inside the explicit scheme's stability bound
+h^2/2; it writes back on the stored levels, and the right-hand side is
+interpolated linearly in time between stored levels.  All algebraic
+identities downstream are exact over the stored values by construction,
+independent of resolution.
 
 The spatial dimension is fixed to 1 for the numerical layer.
 """
@@ -29,12 +31,12 @@ class Grid:
     """Space-time grid over [t0, t1] x [-S, S] with sup-norm parabolic metric."""
 
     S: float = 3.0
-    t0: float = -0.5
-    t1: float = 1.1
     h: float = 1 / 32
     k_store: float = 1 / 128
-    substeps: int = 32
-    d: int = 1
+
+    # Every grid stores its levels from t0 to t1, k_store apart.
+    t0: ClassVar[float] = -0.5
+    t1: ClassVar[float] = 1.1
 
     # The cutoff is 1 for |x| <= CUTOFF_FLAT and ramps to 0 at S - CUTOFF_GAP.
     # For S <= MIN_S there is no ramp: the cutoff is 0 on the unit cylinder
@@ -42,14 +44,6 @@ class Grid:
     CUTOFF_FLAT: ClassVar[float] = 2.0
     CUTOFF_GAP: ClassVar[float] = 0.05
     MIN_S: ClassVar[float] = CUTOFF_FLAT + CUTOFF_GAP
-
-    def __post_init__(self):
-        if self.d != 1:
-            raise ValueError("numerical layer supports d=1 only")
-        k_march = self.k_store / self.substeps
-        if k_march > self.h ** 2 / (2 * self.d) + 1e-15:
-            raise StabilityError(
-                "march step %.3g violates k <= h^2/2 (h=%.3g)" % (k_march, self.h))
 
     @cached_property
     def xs(self) -> np.ndarray:
@@ -68,6 +62,13 @@ class Grid:
     @property
     def nt(self) -> int:
         return self.ts.size
+
+    @property
+    def substeps(self) -> int:
+        """March steps per stored step, the fewest of at most h^2/4 each; inf
+        where k_store / (h^2/4) overflows, so that a bound can read it."""
+        n = self.k_store / (self.h * self.h / 4)
+        return max(1, math.ceil(n)) if n < math.inf else n
 
     @property
     def k_march(self) -> float:
@@ -123,17 +124,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class StabilityError(RuntimeError):
-    pass
-
-
 class ResolutionError(ValueError):
     pass
 
 
-DEFAULT_GRID = Grid(k_store=1 / 256, substeps=16)
-COARSE_GRID = Grid(h=1 / 16, k_store=1 / 32, substeps=32)
-FINE_GRID = Grid(h=1 / 64, k_store=1 / 1024, substeps=16)
+DEFAULT_GRID = Grid(k_store=1 / 256)
+COARSE_GRID = Grid(h=1 / 16, k_store=1 / 32)
+FINE_GRID = Grid(h=1 / 64, k_store=1 / 1024)
 
 
 # Stored levels each dependency level of a march runs behind the one before,
@@ -465,7 +462,9 @@ def save_field(path, grid: Grid, f: np.ndarray, meta: dict | None = None) -> Non
 
 def load_field(path) -> tuple:
     """(grid, field) as save_field stored them; an IOError also when the
-    sidecar lacks a key or holds a value of the wrong type."""
+    sidecar lacks a key or holds a value of the wrong type.  The grid is read
+    from its keys S, h and k_store, so a sidecar that also records t0, t1,
+    substeps and d (as save_field once wrote) loads too."""
     path = FSPath(path)
     text = path.with_suffix(".json").read_text()
     raw = path.with_suffix(".bin").read_bytes()
@@ -474,7 +473,9 @@ def load_field(path) -> tuple:
         if hashlib.sha256(raw).hexdigest() != sidecar["sha256"]:
             raise IOError("checksum mismatch for %s" % path)
         f = np.frombuffer(raw, dtype=sidecar["dtype"]).reshape(sidecar["shape"]).copy()
-        return Grid(**sidecar["grid"]), f
-    except (KeyError, TypeError, ValueError, StabilityError) as exc:
+        g = sidecar["grid"]
+        grid = Grid(S=float(g["S"]), h=float(g["h"]), k_store=float(g["k_store"]))
+        return grid, f
+    except (KeyError, TypeError, ValueError) as exc:
         raise IOError("malformed sidecar of %s: %s: %s"
                       % (path, type(exc).__name__, exc)) from exc

@@ -369,9 +369,10 @@ def _sidecar_manifest(base, key, value=None):
     lambda d: ["verify", "--suite", "path", "--lift", _nan_manifest(d)],
     lambda d: ["verify", "--suite", "path", "--grid", "1/32,1/256,3",
                "--lift", _grid_manifest(d, COARSE_GRID)],
-    # the run grid (SMALL) has the shape of the stored one
-    lambda d: ["verify", "--suite", "path", "--lift",
-               _grid_manifest(d, replace(COARSE_GRID, substeps=64))],
+    # the run grid (SMALL) has the shape of the stored one: a k_store 1%
+    # longer stores as many levels
+    lambda d: ["verify", "--suite", "path", "--lift", _grid_manifest(
+        d, replace(COARSE_GRID, k_store=COARSE_GRID.k_store * 1.01))],
     *[lambda d, v=v: ["--config", str(_write(d, "typed.json", json.dumps(v))),
                       "verify", "--suite", "products"]
       for v in JSON_TYPE_ERRORS.values()],

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -9,9 +11,10 @@ from scipy.fft import irfftn, next_fast_len, rfftn
 from scipy.signal import fftconvolve
 
 import phi4local
+from phi4local.cli import RunConfig
 from phi4local.field import (
     COARSE_GRID, DEFAULT_GRID, DEFAULT_NOISE_EPS_CELLS, FINE_GRID, Grid,
-    Mollifier, ResolutionError, StabilityError, _fast_len, _fftconvolve,
+    Mollifier, ResolutionError, _fast_len, _fftconvolve,
     _profile_weights, grad_x, heat_solve, load_field, max_depth, noise_field,
     save_field,
 )
@@ -107,12 +110,26 @@ def holder_seminorm(grid: Grid, f: np.ndarray, alpha: float,
     return best
 
 
-def test_stability_guard():
-    with pytest.raises(StabilityError):
-        Grid(h=1 / 32, k_store=1 / 4, substeps=1)
+@pytest.mark.parametrize("spec", [
+    "", "1/16,1/32,3", "1/64,1/1024,3", "1/20,1/60,3", "1/24,1/100,5/2",
+    "1/8,1/16,3", "0.1,0.07,3", "1/32,1/4,3",
+], ids=lambda spec: spec or "default")
+def test_march_step_is_at_most_a_quarter_h_squared(spec):
+    grid = RunConfig(grid=spec).make_grid()
+    assert grid.k_march <= grid.h ** 2 / 4
+    assert grid.substeps == max(1, math.ceil(grid.k_store / (grid.h * grid.h / 4)))
+
+
+def test_preset_substeps():
+    presets = [DEFAULT_GRID, COARSE_GRID, FINE_GRID]
+    assert [g.substeps for g in presets] == [16, 32, 16]
+    specs = ("", "1/16,1/32,3", "1/64,1/1024,3")
+    assert [RunConfig(grid=s).make_grid() for s in specs] == presets
 
 
 def test_grid_geometry():
+    # the march is derived from S, h and k_store; a new knob must change this
+    assert [f.name for f in dataclasses.fields(Grid)] == ["S", "h", "k_store"]
     assert G.xs[0] == -G.S and G.xs[-1] == G.S
     assert abs(G.ts[0] - G.t0) < 1e-12
     j, m = index_of(G, 0.0, 1.0)
@@ -286,6 +303,14 @@ def test_field_io_roundtrip(tmp_path):
     g2, f2 = load_field(tmp_path / "f")
     assert g2 == G
     assert np.array_equal(f, f2)
+    # a sidecar from when the grid also stored t0, t1, substeps and d
+    sidecar = json.loads((tmp_path / "f.json").read_text())
+    sidecar["grid"] = {"S": 3.0, "d": 1, "h": 0.03125, "k_store": 0.00390625,
+                       "substeps": 16, "t0": -0.5, "t1": 1.1}
+    (tmp_path / "f.json").write_text(json.dumps(sidecar, indent=1, sort_keys=True))
+    g3, f3 = load_field(tmp_path / "f")
+    assert g3 == DEFAULT_GRID
+    assert np.array_equal(f, f3)
     raw = (tmp_path / "f.bin").read_bytes()
     (tmp_path / "f.bin").write_bytes(raw[:-8] + b"corrupted")
     with pytest.raises(IOError):
@@ -344,15 +369,6 @@ def test_smooth_matches_scipy_fft(grid):
 def test_fast_len_matches_scipy_next_fast_len():
     got = [_fast_len(n) for n in range(1, 20000)]
     assert got == [next_fast_len(n, True) for n in range(1, 20000)]
-
-
-def test_cli_import_leaves_out_scipy_signal():
-    src = os.path.dirname(os.path.dirname(phi4local.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, phi4local.cli; print('scipy.signal' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "False"
 
 
 def smooth_uncached(mol, f, L):

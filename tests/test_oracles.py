@@ -1017,7 +1017,7 @@ LEVEL_SIZES = {"u920": [2, 4, 3], "u25": [2, 4, 3, 2], "u310": [2, 4, 6, 7, 4],
 # a custom field reads no solve, so it stays in the level it comes in
 CUSTOM_LEVEL_SIZES = {"u920": [2, 4, 3], "u25": [2, 4, 5], "u310": [2, 4, 6, 8, 3]}
 # nt = 4, shorter than the lag of one level behind the one before
-SHORT_GRID = Grid(h=1 / 4, k_store=1 / 2, substeps=32)
+SHORT_GRID = Grid(h=1 / 4, k_store=1 / 2)
 
 
 @pytest.fixture(scope="module")
