@@ -375,6 +375,8 @@ def _build_lift(cfg: RunConfig, grid, u, cg):
                 grid, u, seeds, eps, kind=noise_kind if noise_kind != "zero" else "gauss")
         except ValueError as exc:
             raise ConfigError("lift phi43: %s" % exc) from exc
+        except liftmod.EnsembleTooSmall as exc:
+            raise equation.NumericalAbort("lift phi43: %s" % exc, exc.report) from exc
         return liftmod.build_local_product(grid, u, xi, rmap=rmap, coalg=cg), rep
     if kind == "counterterm":
         values = {}
@@ -438,15 +440,6 @@ def _smooth_v1(grid) -> np.ndarray:
     return 0.5 + 0.3 * np.sin(2.0 * grid.x_field) * np.cos(1.5 * grid.t_field)
 
 
-def _summary_row(identity: str, residuals, tol: float) -> dict:
-    """The report row of an identity from its largest residual.  np.max keeps
-    a NaN that max() would drop, and a non-finite maximum reads FAIL."""
-    worst = float(np.max(residuals)) if len(residuals) else 0.0
-    ok = math.isfinite(worst) and worst <= tol
-    return {"identity": identity, "tree": "*", "status": "pass" if ok else "FAIL",
-            "residual": worst}
-
-
 # -- commands -------------------------------------------------------------------
 
 def cmd_enumerate(cfg: RunConfig) -> int:
@@ -494,17 +487,17 @@ def cmd_verify(cfg: RunConfig) -> int:
         inner = (0 < z2[1]) & (z2[1] < grid.nx - 1)
         zi, xi = (z2[0][inner], z2[1][inner]), (x2[0][inner], x2[1][inner])
         rows = [
-            _summary_row("chen", np.concatenate([
-                p.chen_residual(s, z3, u3, x3)[1] for s in u.T]), tol),
-            _summary_row("strong-chen", np.concatenate([
-                p.strong_chen_residual(I(t), z2, x2)[1] for t in u.N]), tol),
-            _summary_row("derivative-edge", np.concatenate([
-                p.derivative_residual(t, zi, xi)[1] for t in u.T_r]), tol),
+            fieldmod.check_row("chen", "*", np.concatenate([
+                p.chen_residual(s, z3, u3, x3) for s in u.T]), tol),
+            fieldmod.check_row("strong-chen", "*", np.concatenate([
+                p.strong_chen_residual(I(t), z2, x2) for t in u.N]), tol),
+            fieldmod.check_row("derivative-edge", "*", np.concatenate([
+                p.derivative_residual(t, zi, xi) for t in u.T_r]), tol),
         ]
         if lp.rmap is not None:
             ruid = lp.rmap.as_uid_map()
-            rows.append(_summary_row("path-rewrite", np.concatenate([
-                p.renorm_path_residual(ruid, t, z2, x2)[1]
+            rows.append(fieldmod.check_row("path-rewrite", "*", np.concatenate([
+                p.renorm_path_residual(ruid, t, z2, x2)
                 for t in u.T_r if t.kind == PROD]), tol))
             rows += liftmod.extension_consistency_report(lp)
         reports["path"] = rows
@@ -515,13 +508,14 @@ def cmd_verify(cfg: RunConfig) -> int:
         e = equation.TreeExpansion(p, _smooth_v1(p.grid))
         rel = equation.cube_formula_check(p, e)
         tol = cfg.tol.get("cube", 1e-8 if p.lp.rmap is not None else 1e-10)
-        rows = [_summary_row("cube-formula", [rel], tol)]
+        rows = [fieldmod.check_row("cube-formula", "*", rel, tol)]
         gamma = coeffs.pick_gamma(u, Fraction(3, 2))
         mn = equation.modelled_norms(p, e, gamma, n_pairs=60, seed=cfg.seed)
         tol = cfg.tol.get("utau", 1e-8)
-        rows.append(_summary_row("utau-classified", [mn.max_rel_mismatch], tol))
+        rows.append(fieldmod.check_row("utau-classified", "*",
+                                       mn.max_rel_mismatch, tol))
         tp = equation.three_point_residual(p, e, gamma, n_triples=40, seed=cfg.seed)
-        rows.append(_summary_row("three-point", [tp["max_rel_residual"]], tol))
+        rows.append(fieldmod.check_row("three-point", "*", tp, tol))
         reports["products"] = rows
         failures.extend(coalgebra.report_failures(rows))
 
@@ -555,12 +549,9 @@ def cmd_solve(cfg: RunConfig) -> int:
         p, equation.TreeExpansion(p, _smooth_v1(grid)))
     rng = np.random.default_rng(cfg.seed)
     nodes = pathmod.sample_nodes(grid, grid.probe_mask(), rng, 9)
-    # Python's max over floats, tree by tree and triple by triple: it keeps
-    # a NaN only in first place
-    chen = max(r for s in u.T_r[:4]
-               for r in p.chen_residual(s, *_strided(nodes, 3))[1].tolist())
-    rec["residuals"] = {"cube_formula": cube,
-                        "chen_spot": chen}
+    chen = fieldmod.sup(np.concatenate([p.chen_residual(s, *_strided(nodes, 3))
+                                        for s in u.T_r[:4]]))
+    rec["residuals"] = {"cube_formula": cube, "chen_spot": chen}
     _emit(cfg, "solve", {"config": cfg.descriptor(), "run": rec,
                          "lift": lift_rep})
     return 0
@@ -631,7 +622,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--kind", default="order",
                    choices=["order", "apriori", "reconstruction"])
-    p.add_argument("--radii", default="0.1,0.2,0.4")
+    p.add_argument("--radii", default=",".join(
+        map(str, equation.SolveConfig.radii)))
     return ap
 
 

@@ -16,9 +16,9 @@ from fractions import Fraction
 import numpy as np
 
 from .coeffs import classify_utau, is_resonant, monomial_product, upsilon_monomial
-from .field import grad_x
+from .field import grad_x, sup
 from .lift import CountertermMap
-from .path import ALL, Path, fit_slope, order_scan, residual, sample_nodes, sup_on
+from .path import ALL, Path, fit_slope, order_scan, residual, sample_nodes
 from .symtree import ONE, PROD, XI, I, Ip, Tree, X, prod3, sign_of, tree_name
 
 
@@ -156,8 +156,7 @@ def cube_formula_check(path: Path, e: TreeExpansion) -> float:
     coef = float(c.r_dphi[0])     # a Path has d = 1
     if coef:
         rhs = rhs - coef * grad_x(grid, phi)
-    scale = max(1.0, float(np.max(np.abs(rhs[probe]))))
-    return float(np.max(np.abs((lhs - rhs)[probe]))) / scale
+    return sup((lhs - rhs)[probe]) / max(1.0, sup(rhs[probe]))
 
 
 # -- remainder equation ----------------------------------------------------------
@@ -356,18 +355,18 @@ def solve_remainder(path: Path, coeffs: RemainderCoeffs, traces,
                 passed += 1
             if passed:
                 np.maximum(seg[passed - 1], av, out=seg[passed - 1])
-    sup = np.zeros((len(config.radii), len(traces)))
+    norms = np.zeros((len(config.radii), len(traces)))
     for j, R in enumerate(config.radii):
         msk = np.abs(xs) < 1.0 - R
         if msk.any():
             for r2, m in zip(thresholds, seg):
                 if r2 >= R * R:
-                    sup[j] = np.maximum(sup[j], np.max(m[:, msk], axis=1))
+                    norms[j] = np.maximum(norms[j], np.max(m[:, msk], axis=1))
     return {
         "k": k, "h": h, "steps": nsteps,
         "runs": [{"trace": {"kind": tr.kind, "magnitude": tr.magnitude,
                             "seed": tr.seed},
-                  "norms": {("%g" % R): float(sup[j, i])
+                  "norms": {("%g" % R): float(norms[j, i])
                             for j, R in enumerate(config.radii)}}
                  for i, tr in enumerate(traces)],
     }
@@ -460,7 +459,6 @@ def classified_u_tau_at(path: Path, e, t: Tree, cutoff: Fraction, y, x) -> np.nd
 
 @dataclass
 class ModelledNorms:
-    gamma: Fraction
     rows: list
     max_rel_mismatch: float
 
@@ -492,21 +490,18 @@ def modelled_norms(path: Path, e, gamma: Fraction, n_pairs: int = 100,
     for t in u.N:
         vals = u_tau_at(path, e, t, cutoff, ys_nodes, xs_nodes)
         cls_vals = classified_u_tau_at(path, e, t, cutoff, ys_nodes, xs_nodes)
-        rel = float(np.max(residual(vals, cls_vals)[1]))
+        rel = sup(residual(vals, cls_vals))
         expo = float(cutoff - u.order(t))
-        # Python's float power and max, pair by pair
-        semi = max((abs(v) / d ** expo) for v, d in zip(vals.tolist(), dists)
-                   if d > 0)
+        # Python's float power, pair by pair
+        semi = sup([v / d ** expo for v, d in zip(vals.tolist(), dists) if d > 0])
         rows.append({"tree": tree_name(t), "mismatch": rel,
                      "seminorm": semi, "exponent": expo})
-    # np.max, unlike max, keeps a NaN mismatch
-    worst = float(np.max([0.0] + [r["mismatch"] for r in rows]))
-    return ModelledNorms(gamma, rows, worst)
+    return ModelledNorms(rows, sup([r["mismatch"] for r in rows]))
 
 
 def three_point_residual(path: Path, e, gamma: Fraction, n_triples: int = 50,
-                         seed: int = 12) -> dict:
-    """The change-of-base-point identity for the truncated expansion."""
+                         seed: int = 12) -> float:
+    """The largest relative residual of the change-of-base-point identity."""
     u = path.u
     gamma = Fraction(gamma)
     if is_resonant(u, gamma):
@@ -526,8 +521,7 @@ def three_point_residual(path: Path, e, gamma: Fraction, n_triples: int = 50,
     for t in u.N:
         if t is not ONE and u.order(t) < cutoff:
             rhs -= u_tau_at(path, e, t, cutoff, ys, xs) * path.value_at(I(t), zs, ys)
-    residuals = np.append(0.0, residual(lhs, rhs)[1])
-    return {"max_rel_residual": float(np.max(residuals)), "gamma": str(gamma)}
+    return sup(residual(lhs, rhs))
 
 
 # -- reconstruction ---------------------------------------------------------------
@@ -573,7 +567,7 @@ def _channel_values(path: Path, e, t: Tree, composite: Tree, cutoff: Fraction,
             else:       # the base field, formed here and dropped at once
                 ch = ch + smoothed[n] * (-float(c) * e.theta(tb)
                                          * path.cen_forest_at(gf, ALL))
-        values.append(sup_on(ch, mask))
+        values.append(sup(ch[mask]))
     return values
 
 
@@ -594,7 +588,7 @@ def _total_values(path: Path, e, kept, scales) -> tuple:
             acc = acc + e.theta(t) * path.smoothed_centered_at_base(tt, L, memo)[0]
         g0, mask = path.mol.smooth(f_diag, L)
         masks.append(mask & probe)
-        values.append(sup_on(acc - g0, masks[-1]))
+        values.append(sup((acc - g0)[masks[-1]]))
     return values, masks
 
 
@@ -641,33 +635,31 @@ def seminorm_scale(path: Path, scales) -> dict:
     delta = float(u.delta)
     powers = {}
     for t, row in zip(trees, rows):
-        semi = max(v * L ** (-row.target) for v, L in zip(row.values, row.scales))
+        semi = sup([v * L ** (-row.target) for v, L in zip(row.values, row.scales)])
         powers[tree_name(t)] = semi ** (1.0 / (delta * t.m_xi))
-    return {"powers": powers, "scale": max(powers.values())}
+    return {"powers": powers, "scale": sup(list(powers.values()))}
 
 
 def apriori_scan(path: Path, coeffs: RemainderCoeffs, traces, radii,
                  scales=(1 / 16, 1 / 8, 1 / 4, 1 / 2)) -> dict:
     """Solve across boundary traces and fit the single constant dominating
-    the measured norm curves by max(1/R, seminorm powers)."""
+    the measured norm curves by max(1/R, seminorm powers); with no R = 0.5
+    norm, half_cylinder_variation is None."""
     sem = seminorm_scale(path, scales)
     S = sem["scale"]
     runs = solve_remainder(path, coeffs, traces,
                            SolveConfig(radii=tuple(radii)))["runs"]
-    c_hat = 0.0
-    for rec in runs:
-        for R in radii:
-            bound = max(1.0 / R, S)
-            c_hat = max(c_hat, rec["norms"]["%g" % R] / bound)
+    c_hat = sup([rec["norms"]["%g" % R] / max(1.0 / R, S)
+                 for rec in runs for R in radii])
     by_mag = {}
     for rec in runs:
         key = (rec["trace"]["kind"], rec["trace"]["seed"],
                rec["trace"]["magnitude"] >= 0)
         by_mag.setdefault(key, {})[rec["trace"]["magnitude"]] = rec
-    half_variation = 0.0
+    half_variation = 0.0 if any("0.5" in rec["norms"] for rec in runs) else None
     for key, group in by_mag.items():
         mags = sorted(group, key=abs)
-        if len(mags) >= 2 and "0.5" in group[mags[-1]]["norms"]:
+        if len(mags) >= 2 and half_variation is not None:
             hi = group[mags[-1]]["norms"]["0.5"]
             lo = group[mags[-2]]["norms"]["0.5"]
             if hi > 0:

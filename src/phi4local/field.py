@@ -242,6 +242,23 @@ def grad_x(grid: Grid, f: np.ndarray) -> np.ndarray:
     return np.gradient(f, grid.h, axis=1)
 
 
+# -- norms and the rows of numeric checks --------------------------------------
+
+def sup(a) -> float:
+    """max |a|, 0.0 when a is empty and NaN when any entry is NaN: the one
+    reduction of every numeric check, so a NaN residual ranks first."""
+    return float(np.max(np.abs(a), initial=0.0))
+
+
+def check_row(identity: str, tree: str, residual, tol: float) -> dict:
+    """The report row of a numeric check from the sup of its residual: a
+    non-finite sup reads FAIL."""
+    worst = sup(residual)
+    ok = math.isfinite(worst) and worst <= tol
+    return {"identity": identity, "tree": tree,
+            "status": "pass" if ok else "FAIL", "residual": worst}
+
+
 # -- mollification kernels ----------------------------------------------------
 
 def _profile_weights(grid: Grid, scale: float) -> np.ndarray:

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .coalgebra import Coalgebra
-from .field import Grid, grad_x, heat_solve, noise_field
+from .field import Grid, check_row, grad_x, heat_solve, noise_field, sup
 from .symtree import (
     EDGE_I, EDGE_IM, EDGE_IP, GEN, ONE, PROD, XI,
     I, Tree, canon, prod3, tree_name,
@@ -280,11 +280,8 @@ def extension_consistency_report(lp: LocalProduct) -> list:
         val = np.zeros_like(lp.xi)
         for forest, c in cg.renorm_expand(ruid, canon(t)).items():
             val += lp.forest_rows(forest, float(c))
-        err = float(np.max(np.abs(val - lp.value(t))))
-        scale = max(1.0, float(np.max(np.abs(val))))
-        rows.append({"identity": "extension-rewrite", "tree": tree_name(t),
-                     "status": "pass" if err <= 1e-10 * scale else "FAIL",
-                     "residual": err})
+        rows.append(check_row("extension-rewrite", tree_name(t),
+                              val - lp.value(t), 1e-10 * max(1.0, sup(val))))
     return rows
 
 

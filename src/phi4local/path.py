@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import Mollifier
+from .field import Mollifier, sup
 from .lift import LocalProduct
 from .symtree import (
     EDGE_I, EDGE_IP, GEN, ONE, PLANTED, PROD, XI,
@@ -166,13 +166,13 @@ class Path:
 
     # identity residuals -------------------------------------------------------
 
-    def chen_residual(self, s: Tree, z, uu, x) -> tuple:
+    def chen_residual(self, s: Tree, z, uu, x) -> np.ndarray:
         lhs = 0.0
         for (l, f), c in self.cg.delta(s).items():
             lhs += float(c) * self.value_at(l, z, uu) * self.forest_at(f, uu, x)
         return residual(lhs, self.value_at(s, z, x))
 
-    def strong_chen_residual(self, s: Tree, x, y) -> tuple:
+    def strong_chen_residual(self, s: Tree, x, y) -> np.ndarray:
         """Centering change of base point on a planted tree s = I(tau)."""
         if s.kind != PLANTED or s.edge != EDGE_I:
             raise ValueError("strong form applies to I-planted trees")
@@ -185,7 +185,7 @@ class Path:
             rhs += float(c) * self.cen_at(l, x) * self.forest_at(f, x, y)
         return residual(self.cen_at(s, y), rhs)
 
-    def derivative_residual(self, t: Tree, z, x) -> tuple:
+    def derivative_residual(self, t: Tree, z, x) -> np.ndarray:
         """Spatial difference of the centered planted tree against the
         derivative-edge evaluator; exact for interior z by construction."""
         j, m = z
@@ -196,7 +196,7 @@ class Path:
             / (2 * self.grid.h)
         return residual(fd, self.value_at(Im(1, t), z, x))
 
-    def renorm_path_residual(self, rmap_uid: dict, t: Tree, z, x) -> tuple:
+    def renorm_path_residual(self, rmap_uid: dict, t: Tree, z, x) -> np.ndarray:
         """X_{z,x} tau against X_{z,x} R tau for counterterm-built lifts."""
         lhs = self.value_at(t, z, x)
         rhs = 0.0
@@ -234,17 +234,11 @@ class Path:
                 smoothed(s)[1])
 
 
-def residual(lhs, rhs) -> tuple:
-    """(absolute, relative) difference of the two sides of an identity,
-    relative to the larger side floored at 1, node by node.  fmax skips a
-    NaN side as max(1.0, ...) over floats does."""
-    err = np.abs(lhs - rhs)
-    return err, err / np.fmax(np.fmax(1.0, np.abs(lhs)), np.abs(rhs))
-
-
-def sup_on(g: np.ndarray, mask: np.ndarray) -> float:
-    """max |g| over the nodes of mask; 0 on an empty mask."""
-    return float(np.abs(g[mask]).max()) if mask.any() else 0.0
+def residual(lhs, rhs) -> np.ndarray:
+    """The difference of the two sides of an identity relative to the larger
+    side floored at 1, node by node.  fmax skips a NaN side as max(1.0, ...)
+    over floats does; the difference is NaN then."""
+    return np.abs(lhs - rhs) / np.fmax(np.fmax(1.0, np.abs(lhs)), np.abs(rhs))
 
 
 @dataclass
@@ -257,7 +251,10 @@ class OrderRow:
 
 
 def fit_slope(scales, values) -> float:
-    floor = 1e-13 * max(values, default=0.0)
+    top = sup(values)
+    if math.isnan(top):
+        return math.nan
+    floor = 1e-13 * top
     xs, ys = [], []
     for L, v in zip(scales, values):
         if v > floor and v > 0:
@@ -297,7 +294,7 @@ def order_scan(path: Path, sigmas, scales, n_pairs: int = 400,
         memo: dict = {}
         for n in smoothed:
             g, mask = path.smoothed_centered_at_base(sigmas[n], L, memo)
-            vals[n].append(sup_on(g, mask & probe))
+            vals[n].append(sup(g[mask & probe]))
     for n, s in enumerate(sigmas):
         if not path.smoothable(s):
             vals[n] = [_pair_sup(path, s, L, probe, rng, n_pairs) for L in scales]
@@ -317,9 +314,7 @@ def _pair_sup(path: Path, s: Tree, L: float, probe, rng, n_pairs: int) -> float:
     zj = xj + np.tile([0, 0, oj, -oj], n_pairs)
     zm = xm + np.tile([om, -om, 0, 0], n_pairs)
     on = (0 <= zj) & (zj < grid.nt) & (0 <= zm) & (zm < grid.nx)
-    vals = np.abs(path.value_at(s, (zj[on], zm[on]), (xj[on], xm[on])))
-    # Python's max over floats, 0.0 first: a NaN value never wins
-    return max([0.0, *vals.tolist()])
+    return sup(path.value_at(s, (zj[on], zm[on]), (xj[on], xm[on])))
 
 
 def sample_nodes(grid, probe, rng, n: int) -> tuple:

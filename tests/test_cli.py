@@ -627,6 +627,39 @@ def test_numerical_abort_sidecar(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--lift", "phi43", "--noise", "trig:0:0", "--seed", "22"],
+    ["verify", "--suite", "path", "--lift", "phi43", "--noise", "trig",
+     "--seed", "22", "--grid", "1/16,1/32,3"],
+], ids=["solve", "verify-path"])
+def test_phi43_ensemble_too_noisy_exit_code(tmp_path, capsys, argv):
+    # the trig ensemble of seeds 22-27 has a sunset standard error above half
+    # its constant: a numerical abort whose diagnostics are the ensemble report
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical abort: lift phi43: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 3
+    data = json.loads((out / "numerical-abort.json").read_text())
+    assert data["diagnostics"]["seeds"] == list(range(22, 28))
+
+
+def test_apriori_radii_default(tmp_path):
+    # the scan's default radii are the solver's, which hold R = 0.5; radii
+    # without it report no half-cylinder variation, not 0.0
+    ns = build_parser().parse_args(["scan", "--kind", "apriori"])
+    assert cli._parse_radii(ns.radii) == equation.SolveConfig.radii
+    reports = {}
+    for name, radii in (("default", []), ("no-half", ["--radii", "0.1,0.2,0.4"])):
+        out = tmp_path / name
+        assert main(["scan", "--kind", "apriori", *SMALL, *radii,
+                     "--out", str(out)]) == 0
+        reports[name] = json.loads((out / "scan-apriori.json").read_text())
+    assert reports["default"]["half_cylinder_variation"] > 0
+    assert reports["no-half"]["half_cylinder_variation"] is None
+
+
 def test_internal_error_exit_code(monkeypatch, capsys):
     # a ValueError raised inside the program is a bug, not bad input
     for exc, head in ((KeyError("lost"), "KeyError: 'lost'"),
@@ -640,10 +673,10 @@ def test_internal_error_exit_code(monkeypatch, capsys):
 
 
 def test_summary_row_fails_on_nan():
-    assert cli._summary_row("chen", [0.0, 1e-12], 1e-8)["status"] == "pass"
-    assert cli._summary_row("chen", [], 1e-8)["status"] == "pass"
+    assert fieldmod.check_row("chen", "*", [0.0, 1e-12], 1e-8)["status"] == "pass"
+    assert fieldmod.check_row("chen", "*", [], 1e-8)["status"] == "pass"
     for bad in ([0.0, math.nan, 1e-12], [math.nan], [math.inf]):
-        row = cli._summary_row("chen", bad, 1e-8)
+        row = fieldmod.check_row("chen", "*", bad, 1e-8)
         assert row["status"] == "FAIL" and not math.isfinite(row["residual"])
 
 
@@ -654,13 +687,13 @@ def _strict_loads(text):
 
 
 def test_emit_writes_nonfinite_floats_as_strings(tmp_path, monkeypatch, capsys):
-    finite = {"rows": [cli._summary_row("chen", [0.0, 1e-12], 1e-8)],
+    finite = {"rows": [fieldmod.check_row("chen", "*", [0.0, 1e-12], 1e-8)],
               "x": np.arange(3.0), "c": np.float32(0.5)}
     cli._emit(RunConfig(), "report", finite)
     # finite reports keep the bytes of a plain dump
     assert capsys.readouterr().out == json.dumps(
         finite, indent=1, sort_keys=True, default=cli._json_default) + "\n"
-    row = cli._summary_row("chen", [0.0, math.nan], 1e-8)
+    row = fieldmod.check_row("chen", "*", [0.0, math.nan], 1e-8)
     cli._emit(RunConfig(), "report", {"rows": [row], "x": np.array([-math.inf])})
     data = _strict_loads(capsys.readouterr().out)
     assert data["rows"][0]["residual"] == "NaN" and data["x"] == ["-Infinity"]

@@ -42,7 +42,8 @@ from phi4local.equation import (
     reconstruction_check, seminorm_scale,
 )
 from phi4local.field import (
-    COARSE_GRID, DEFAULT_GRID, Grid, grad_x, heat_solve, noise_field,
+    COARSE_GRID, DEFAULT_GRID, Grid, check_row, grad_x, heat_solve, noise_field,
+    sup,
 )
 from phi4local.lift import (
     LocalProduct, _check_triangular, _substitute_first_x, build_local_product,
@@ -268,8 +269,7 @@ def left_at_scalar(path, l, z):
 # nodes and must give these floats node by node.
 
 def residual_scalar(lhs, rhs):
-    err = abs(lhs - rhs)
-    return err, err / max(1.0, abs(lhs), abs(rhs))
+    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
 
 def cen_at_scalar(path, p, x):
@@ -458,7 +458,7 @@ def modelled_norms_loop(path, e, gamma, n_pairs, seed):
             vals.append(u_tau_loop(path, e, t, cutoff, y, x))
             cls_vals.append(classified_u_tau_loop(path, e, t, cutoff, y, x))
             dists.append(grid.pdist(grid.node(*y), grid.node(*x)))
-        rel = float(np.max([residual_scalar(a, b)[1]
+        rel = float(np.max([residual_scalar(a, b)
                             for a, b in zip(vals, cls_vals)]))
         expo = float(cutoff - u.order(t))
         semi = max((abs(v) / d ** expo) for v, d in zip(vals, dists) if d > 0)
@@ -483,8 +483,8 @@ def three_point_loop(path, e, gamma, n_triples, seed):
             if t is not ONE and u.order(t) < cutoff:
                 rhs -= (u_tau_loop(path, e, t, cutoff, y, x)
                         * value_at_scalar(path, I(t), z, y))
-        residuals.append(residual_scalar(lhs, rhs)[1])
-    return {"max_rel_residual": float(np.max(residuals)), "gamma": str(gamma)}
+        residuals.append(residual_scalar(lhs, rhs))
+    return float(np.max(residuals))
 
 
 def pair_sup_loop(path, s, L, probe, rng, n_pairs):
@@ -519,7 +519,7 @@ def order_scan_loop(path, sigmas, scales, n_pairs=400, seed=5):
         for L in scales:
             if path.smoothable(s):
                 g, mask = path.smoothed_centered_at_base(s, L, {})
-                vals.append(pathmod.sup_on(g, mask & probe))
+                vals.append(sup(g[mask & probe]))
             else:
                 vals.append(pathmod._pair_sup(path, s, L, probe, rng, n_pairs))
         rows.append(pathmod.OrderRow(tree_name(s), float(path.u.order(s)),
@@ -536,30 +536,31 @@ def path_rows_loop(path, seed, tol):
     triples = [nodes[n:n + 3] for n in range(0, len(nodes) - 2, 3)]
     pairs = [nodes[n:n + 2] for n in range(0, len(nodes) - 1, 2)]
     rows = [
-        cli._summary_row("chen", [chen_residual_scalar(path, s, z, uu, x)[1]
-                             for s in u.T for z, uu, x in triples], tol),
-        cli._summary_row("strong-chen", [
-            strong_chen_residual_scalar(path, I(t), x, y)[1]
+        check_row("chen", "*", [chen_residual_scalar(path, s, z, uu, x)
+                                for s in u.T for z, uu, x in triples], tol),
+        check_row("strong-chen", "*", [
+            strong_chen_residual_scalar(path, I(t), x, y)
             for t in u.N for x, y in pairs], tol),
-        cli._summary_row("derivative-edge", [
-            derivative_residual_scalar(path, t, z, x)[1]
+        check_row("derivative-edge", "*", [
+            derivative_residual_scalar(path, t, z, x)
             for t in u.T_r for z, x in pairs if 0 < z[1] < grid.nx - 1], tol),
     ]
     if path.lp.rmap is not None:
         ruid = path.lp.rmap.as_uid_map()
-        rows.append(cli._summary_row("path-rewrite", [
-            renorm_path_residual_scalar(path, ruid, t, z, x)[1]
+        rows.append(check_row("path-rewrite", "*", [
+            renorm_path_residual_scalar(path, ruid, t, z, x)
             for t in u.T_r if t.kind == PROD for z, x in pairs], tol))
     return rows
 
 
 def chen_spot_loop(path, seed):
-    """The chen_spot of the CLI's solve report, triple by triple."""
+    """The chen_spot of the CLI's solve report, triple by triple; np.max
+    ranks a NaN first."""
     grid = path.grid
     rng = np.random.default_rng(seed)
     nodes = node_list(sample_nodes(grid, grid.probe_mask(), rng, 9))
-    return max(chen_residual_scalar(path, s, *nodes[n:n + 3])[1]
-               for s in path.u.T_r[:4] for n in range(0, 7, 3))
+    return float(np.max([chen_residual_scalar(path, s, *nodes[n:n + 3])
+                         for s in path.u.T_r[:4] for n in range(0, 7, 3)]))
 
 
 def v2_terms_pairs(universe, level):
@@ -1179,11 +1180,6 @@ def _coarse_lift_path(u, lift):
     return Path(build_local_product(grid, u, xi, rmap=rmap, custom=custom))
 
 
-def _same_residuals(got, want) -> bool:
-    """Whether the (abs, rel) batches got hold the scalar pairs want."""
-    return all(same_bits(g, [w[i] for w in want]) for i, g in enumerate(got))
-
-
 def test_point_path_matches_scalar(lift_path):
     # every evaluator of a batch gives the floats of the evaluation at each
     # node alone, sign bits included, on every branch of the path domain
@@ -1218,10 +1214,10 @@ def test_point_path_matches_scalar(lift_path):
     for s in u.T_cen:
         assert same_bits(p.cen_at(s, x), [cen_at_scalar(p, s, b) for b in xs])
     for s in u.T:
-        assert _same_residuals(p.chen_residual(s, z, uu, x), [
+        assert same_bits(p.chen_residual(s, z, uu, x), [
             chen_residual_scalar(p, s, *n) for n in zip(zs, us, xs)]), tree_name(s)
     for t in u.N:
-        assert _same_residuals(p.strong_chen_residual(I(t), z, x), [
+        assert same_bits(p.strong_chen_residual(I(t), z, x), [
             strong_chen_residual_scalar(p, I(t), *n) for n in zip(zs, xs)])
     # the differences at columns 1 and nx - 2 read the boundary columns
     inner = [n for n, (_j, m) in enumerate(zs) if 0 < m < p.grid.nx - 1]
@@ -1229,14 +1225,14 @@ def test_point_path_matches_scalar(lift_path):
     zi = (np.append(zi[0], [2, 5]), np.append(zi[1], [1, p.grid.nx - 2]))
     xi = (np.resize(x[0], zi[0].size), np.resize(x[1], zi[0].size))
     for t in u.T_r:
-        assert _same_residuals(p.derivative_residual(t, zi, xi), [
+        assert same_bits(p.derivative_residual(t, zi, xi), [
             derivative_residual_scalar(p, t, *n)
             for n in zip(node_list(zi), node_list(xi))])
     if p.lp.rmap is not None:
         ruid = p.lp.rmap.as_uid_map()
         for t in u.T_r:
             if t.kind == PROD:
-                assert _same_residuals(p.renorm_path_residual(ruid, t, z, x), [
+                assert same_bits(p.renorm_path_residual(ruid, t, z, x), [
                     renorm_path_residual_scalar(p, ruid, t, *n)
                     for n in zip(zs, xs)])
 
@@ -1315,8 +1311,8 @@ def test_cli_point_rows_match_loops(request, monkeypatch, tmp_path, name):
     _rows, worst = modelled_norms_loop(p, e, gamma, 60, seed)
     three = three_point_loop(p, e, gamma, 40, seed)
     assert products["reports"]["products"][1:] == [
-        cli._summary_row("utau-classified", [worst], 1e-8),
-        cli._summary_row("three-point", [three["max_rel_residual"]], 1e-8)]
+        check_row("utau-classified", "*", worst, 1e-8),
+        check_row("three-point", "*", three, 1e-8)]
     solve = json.loads((tmp_path / "solve.json").read_text())
     assert solve["run"]["residuals"]["chen_spot"] == chen_spot_loop(p, seed)
 
@@ -1369,14 +1365,15 @@ def _run_with_nan(monkeypatch, tmp_path, path, table, t, node, argv):
 
 def test_nan_in_a_lift_value_fails_the_rows(monkeypatch, tmp_path, coarse_path):
     # a NaN in one stored value keeps the chen and utau-classified rows at
-    # FAIL, written as "NaN"
+    # FAIL, written as "NaN", whether the first triple or a later one reads it
     grid = coarse_path.grid
-    code, report, _p = _run_with_nan(
-        monkeypatch, tmp_path, coarse_path, "_X", XI, _nth_node(grid, 0, 150),
-        ["verify", "--suite", "path"])
-    chen = report["reports"]["path"][0]
-    assert code == 1 and chen["identity"] == "chen"
-    assert chen["status"] == "FAIL" and chen["residual"] == "NaN"
+    for k in (0, 3):
+        code, report, _p = _run_with_nan(
+            monkeypatch, tmp_path, coarse_path, "_X", XI,
+            _nth_node(grid, 0, 150, k), ["verify", "--suite", "path"])
+        chen = report["reports"]["path"][0]
+        assert code == 1 and chen["identity"] == "chen"
+        assert chen["status"] == "FAIL" and chen["residual"] == "NaN"
     # the continuity errors read the solve of [I(Xi) I(Xi) I(Xi)] at the
     # first y node
     xi3 = prod3(I(XI), I(XI), I(XI), coarse_path.u.delta)
@@ -1388,19 +1385,28 @@ def test_nan_in_a_lift_value_fails_the_rows(monkeypatch, tmp_path, coarse_path):
     assert code == 1 and utau["status"] == "FAIL" and utau["residual"] == "NaN"
 
 
+def test_order_scan_ranks_a_nan_pair_first(coarse_path):
+    # NaN in the solve of [I(Xi) I(Xi) I(Xi)] at the z node of the second
+    # sampled pair at the first scale: that value and the slope read NaN
+    p, grid = coarse_path, coarse_path.grid
+    xi3 = prod3(I(XI), I(XI), I(XI), p.u.delta)
+    scales, seed = [1 / 8, 1 / 4, 1 / 2], 6
+    xj, xm = _nth_node(grid, seed, 20, k=1)
+    z = (xj, xm + max(1, int(round(scales[0] / grid.h))))
+    row, = order_scan(_with_nan(p, "_ell", xi3, z), [I(xi3)], scales,
+                      n_pairs=20, seed=seed)
+    assert math.isnan(row.values[0]) and math.isnan(row.slope)
+
+
 @pytest.mark.parametrize("k", [0, 3], ids=["first", "later"])
-def test_chen_spot_keeps_python_max_over_a_nan(monkeypatch, tmp_path,
-                                               coarse_path, k):
+def test_chen_spot_ranks_a_nan_first(monkeypatch, tmp_path, coarse_path, k):
     # Xi at z node k makes the chen residual of Xi NaN on triple k / 3, and
-    # no other residual of chen_spot: Python's max over floats in order keeps
-    # it only in first place
+    # no other residual of chen_spot: the sup reads NaN wherever it sits
     code, report, poisoned = _run_with_nan(
         monkeypatch, tmp_path, coarse_path, "_X", XI,
         _nth_node(coarse_path.grid, 0, 9, k), ["solve"])
-    want = chen_spot_loop(poisoned, 0)
-    assert math.isnan(want) == (k == 0)
-    got = report["run"]["residuals"]["chen_spot"]
-    assert code == 0 and got == ("NaN" if k == 0 else want)
+    assert math.isnan(chen_spot_loop(poisoned, 0))
+    assert code == 0 and report["run"]["residuals"]["chen_spot"] == "NaN"
 
 
 @pytest.mark.parametrize("delta", ["9/20", "2/5", "3/10", "13/50"])

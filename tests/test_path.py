@@ -111,16 +111,14 @@ def test_chen_exact_on_rough(coarse_path, u920):
     p = coarse_path
     z, uu, x = _batch((10, 30)), _batch((20, 60)), _batch((30, 90))
     for w in u920.W:
-        a, _ = p.chen_residual(w, z, uu, x)
-        assert np.all(a == 0.0)
+        assert np.all(p.chen_residual(w, z, uu, x) == 0.0)
 
 
 def test_chen_degenerate_triple(coarse_path, u920):
     p = coarse_path
     z, x = _batch((10, 30)), _batch((25, 80))
     for s in u920.T:
-        a, rel = p.chen_residual(s, z, x, x)
-        assert np.all(rel < 1e-12)
+        assert np.all(p.chen_residual(s, z, x, x) < 1e-12)
 
 
 def test_chen_sampled(coarse_path, u920):
@@ -129,7 +127,7 @@ def test_chen_sampled(coarse_path, u920):
     nodes = sample_nodes(p.grid, p.grid.probe_mask(), rng, 60)
     worst = 0.0
     for s in u920.T:
-        _a, rel = p.chen_residual(s, *_strided(nodes, 3, 57))
+        rel = p.chen_residual(s, *_strided(nodes, 3, 57))
         worst = max(worst, np.max(rel))
     assert worst <= 1e-8
 
@@ -140,21 +138,19 @@ def test_strong_chen(coarse_path, u920):
     nodes = sample_nodes(p.grid, p.grid.probe_mask(), rng, 40)
     worst = 0.0
     for t in u920.N:
-        _a, rel = p.strong_chen_residual(I(t), *_strided(nodes, 2, 38))
+        rel = p.strong_chen_residual(I(t), *_strided(nodes, 2, 38))
         worst = max(worst, np.max(rel))
     assert worst <= 1e-8
     # degenerate pairs
     for t in u920.N:
-        _a, rel = p.strong_chen_residual(I(t), nodes, nodes)
-        assert np.all(rel < 1e-12)
+        assert np.all(p.strong_chen_residual(I(t), nodes, nodes) < 1e-12)
 
 
 def test_derivative_consistency(coarse_path, u920):
     p = coarse_path
     z, x = _batch((14, 60), (3, 1)), _batch((28, 85), (0, 0))
     for t in u920.T_r:
-        _a, rel = p.derivative_residual(t, z, x)
-        assert np.all(rel <= 1e-10)
+        assert np.all(p.derivative_residual(t, z, x) <= 1e-10)
 
 
 def test_renorm_path_identity(u920, cg920):
@@ -169,7 +165,7 @@ def test_renorm_path_identity(u920, cg920):
     for t in u920.T_r:
         if t.kind != "prod":
             continue
-        _a, rel = p.renorm_path_residual(ruid, t, *_strided(nodes, 2, 18))
+        rel = p.renorm_path_residual(ruid, t, *_strided(nodes, 2, 18))
         assert np.all(rel <= 1e-10)
 
 
