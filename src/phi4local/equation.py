@@ -526,70 +526,66 @@ def three_point_residual(path: Path, e, gamma: Fraction, n_triples: int = 50,
 
 # -- reconstruction ---------------------------------------------------------------
 
-def _channel_values(path: Path, e, t: Tree, composite: Tree, cutoff: Fraction,
-                    scales, masks) -> list:
-    """Sup over each scale's mask of the channel y -> diag(y) * U^t(y, x)
-    smoothed at that scale; its fields live for this call only.
+def _channel(path: Path, e, t: Tree, composite: Tree, cutoff: Fraction):
+    """The channel y -> diag(y) * U^t(y, x) as (running, pairs), or None
+    when its composite diagonal is identically zero: then it reads 0, as
+    each of its terms is exactly +-0, and its running forests may hold
+    trees with no field value.
 
     The channel factorizes into (running field, base field) pairs, so its
     smoothing is a sum, in pair order, of smoothed running fields (one per
-    left forest) times base-point coefficients.  The running fields are
-    kept, one smoothing of each for the scale being summed; a base field is
-    formed where the sum reads it, so one lives at a time.  A channel whose
-    composite diagonal is identically zero reads 0, as each of its terms is
-    exactly +-0; its running forests may hold trees with no field value.
-    """
+    left forest) times base-point coefficients.  running[n]() builds the
+    n-th running field, and a pair is (n, c, tb, gf): its base field is
+    -c * theta(tb) times the centerings of gf, and 1.0 for the first pair."""
     cg, lp = path.cg, path.lp
     dg = path.diag[composite.uid]
     if not dg.any():
-        return [0.0] * len(scales)
-    fields = [dg * e.theta(t)]
-    # (running field, c, tb, gf) per pair: its base field is -c * theta(tb)
-    # times the centerings of gf, and 1.0 for the first pair
+        return None
+    running = [lambda: dg * e.theta(t)]
     pairs = [(0, None, None, None)]
     index: dict = {}
     for tb, f in _cut_terms(path, t, cutoff):
         for (lf, gf), c in cg.delta_forest(f).items():
             key = tuple(p.uid for p in lf)
             if key not in index:
-                index[key] = len(fields)
-                fields.append(dg * lp.forest_rows(lf))
+                index[key] = len(running)
+                running.append(lambda lf=lf: dg * lp.forest_rows(lf))
             pairs.append((index[key], c, tb, gf))
-    values = []
-    for L, mask in zip(scales, masks):
-        smoothed: dict = {}     # frees the last scale's first
-        ch = path.grid.zeros()
-        for n, c, tb, gf in pairs:
-            if n not in smoothed:
-                smoothed[n] = path.mol.smooth(fields[n], L)[0]
-            if tb is None:
-                ch = ch + smoothed[n] * 1.0
-            else:       # the base field, formed here and dropped at once
-                ch = ch + smoothed[n] * (-float(c) * e.theta(tb)
-                                         * path.cen_forest_at(gf, ALL))
-        values.append(sup(ch[mask]))
-    return values
+    return running, pairs
 
 
-def _total_values(path: Path, e, kept, scales) -> tuple:
-    """(values, masks) of the family's smoothed integrand per scale; each
+def _channel_value(path: Path, e, channel, L: float, mask) -> float:
+    """Sup over the mask of the channel smoothed at scale L.  Each running
+    field is built just before its first smoothing and only the smoothing
+    is kept, so one running field lives at a time; a base field is formed
+    where the sum reads it and dropped at once."""
+    if channel is None:
+        return 0.0
+    running, pairs = channel
+    smoothed: dict = {}
+    ch = path.grid.zeros()
+    for n, c, tb, gf in pairs:
+        if n not in smoothed:
+            smoothed[n] = path.mol.smooth(running[n](), L)[0]
+        if tb is None:
+            ch = ch + smoothed[n] * 1.0
+        else:
+            ch = ch + smoothed[n] * (-float(c) * e.theta(tb)
+                                     * path.cen_forest_at(gf, ALL))
+    return sup(ch[mask])
+
+
+def _total_value(path: Path, e, kept, f_diag, L: float, probe) -> tuple:
+    """(value, mask) of the family's smoothed integrand at scale L; the
     scale's smoothings live in a memo of their own, for this call only."""
-    grid = path.grid
-    probe = grid.probe_mask()
-    f_diag = grid.zeros()
+    memo: dict = {}
+    # every (nt, nx) smoothing at scale L, channels too, has f_diag's mask
+    acc = path.grid.zeros()
     for t, tt in kept:
-        f_diag += e.theta(t) * path.diag[tt.uid]
-    values, masks = [], []
-    for L in scales:
-        memo: dict = {}
-        # every (nt, nx) smoothing at scale L, channels too, has f_diag's mask
-        acc = grid.zeros()
-        for t, tt in kept:
-            acc = acc + e.theta(t) * path.smoothed_centered_at_base(tt, L, memo)[0]
-        g0, mask = path.mol.smooth(f_diag, L)
-        masks.append(mask & probe)
-        values.append(sup((acc - g0)[masks[-1]]))
-    return values, masks
+        acc = acc + e.theta(t) * path.smoothed_centered_at_base(tt, L, memo)[0]
+    g0, mask = path.mol.smooth(f_diag, L)
+    mask = mask & probe
+    return sup((acc - g0)[mask]), mask
 
 
 def reconstruction_check(path: Path, e, scales) -> dict:
@@ -598,7 +594,9 @@ def reconstruction_check(path: Path, e, scales) -> dict:
 
     The integrand splits exactly, tree by tree, into the diagonal field of a
     composite tree times a continuity error; the total decay exponent is
-    compared against the smallest fitted per-channel exponent.
+    compared against the smallest fitted per-channel exponent.  The scan
+    holds one scale at a time: at each, the total's value, then each
+    channel's.
     """
     u = path.u
     kept = []
@@ -612,15 +610,25 @@ def reconstruction_check(path: Path, e, scales) -> dict:
     while any(u.order(t) == cutoff for t in u.N):
         cutoff += Fraction(1, 997)
 
-    values, masks = _total_values(path, e, kept, scales)
-    terms = []
+    grid = path.grid
+    probe = grid.probe_mask()
+    f_diag = grid.zeros()
     for t, tt in kept:
-        vals = _channel_values(path, e, t, tt, cutoff, scales, masks)
-        terms.append({"tree": tree_name(tt), "values": vals,
-                      "gamma": fit_slope(scales, vals)})
+        f_diag += e.theta(t) * path.diag[tt.uid]
+    channels = [_channel(path, e, t, tt, cutoff) for t, tt in kept]
+    values = []
+    channel_values = [[] for _ in kept]
+    for L in scales:
+        value, mask = _total_value(path, e, kept, f_diag, L, probe)
+        values.append(value)
+        for vals, channel in zip(channel_values, channels):
+            vals.append(_channel_value(path, e, channel, L, mask))
+    terms = [{"tree": tree_name(tt), "values": vals,
+              "gamma": fit_slope(scales, vals)}
+             for (_t, tt), vals in zip(kept, channel_values)]
     return {"scales": list(scales), "values": values,
             "measured_exponent": fit_slope(scales, values),
-            "predicted_exponent": min(p["gamma"] for p in terms),
+            "predicted_exponent": float(np.min([p["gamma"] for p in terms])),
             "terms": terms}
 
 

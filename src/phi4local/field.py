@@ -81,16 +81,17 @@ class Grid:
         return np.ones((self.nt, self.nx))
 
     # The whole-grid fields below are cached on the grid and shared by every
-    # caller (the default grids are module globals), so they are read-only.
+    # caller (the default grids are module globals).  Each depends on x alone
+    # or on t alone, so it is a read-only broadcast view of one row or one
+    # column, and holds no (nt, nx) buffer.
 
     @cached_property
     def x_field(self) -> np.ndarray:
-        return _read_only(np.broadcast_to(self.xs, (self.nt, self.nx)).copy())
+        return np.broadcast_to(self.xs, (self.nt, self.nx))
 
     @cached_property
     def t_field(self) -> np.ndarray:
-        return _read_only(
-            np.broadcast_to(self.ts[:, None], (self.nt, self.nx)).copy())
+        return np.broadcast_to(self.ts[:, None], (self.nt, self.nx))
 
     @cached_property
     def cutoff(self) -> np.ndarray:
@@ -100,7 +101,7 @@ class Grid:
         r = (np.abs(self.xs) - lo) / (hi - lo)
         r = np.clip(r, 0.0, 1.0)
         ramp = 1.0 - r * r * r * (r * (6 * r - 15) + 10)   # quintic smoothstep
-        return _read_only(np.broadcast_to(ramp, (self.nt, self.nx)).copy())
+        return np.broadcast_to(ramp, (self.nt, self.nx))
 
     def node(self, j: int, m: int) -> tuple:
         return float(self.ts[j]), float(self.xs[m])
@@ -117,11 +118,6 @@ class Grid:
     def probe_mask(self) -> np.ndarray:
         """The unit cylinder shrunk by 0.1, where identities are probed."""
         return self.domain_mask(0.1)
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 class ResolutionError(ValueError):
@@ -164,10 +160,11 @@ def heat_solve(grid: Grid, f) -> np.ndarray | None:
     marches on unread.
 
     The forcing k * rhs of all substeps between two stored levels is formed
-    as one block; each substep then updates the interior in place, with the
-    elementwise operations of u + lam * (u[2:] - 2u + u[:-2]) + k * rhs in
-    that order, so no row is allocated inside the march.  A lift's levels
-    are written to their out arrays, and None is returned."""
+    as one block, in buffers allocated once per march; each substep then
+    updates the interior in place, with the elementwise operations of
+    u + lam * (u[2:] - 2u + u[:-2]) + k * rhs in that order, so no row is
+    allocated inside the march.  A lift's levels are written to their out
+    arrays, and None is returned."""
     if not isinstance(f, np.ndarray):
         _march(grid, f)
         return None
@@ -201,8 +198,11 @@ def _march(grid: Grid, levels) -> None:
     lam = np.float64(k / grid.h ** 2)
     ns = grid.substeps
     theta = (np.arange(ns) / ns)[:, None]
+    omt = 1.0 - theta
     left, inner, right = u[:-2 * n], u[n:-n], u[2 * n:]
     lap = np.empty_like(inner)
+    block = np.empty((ns, inner.size))  # k * rhs of a stored step's substeps
+    scratch = np.empty_like(block)
     # bound once: the loop body is call overhead on rows of a few hundred nodes
     add, subtract, multiply = np.add, np.subtract, np.multiply
     steps = nt - 1 + behind[-1]
@@ -220,15 +220,18 @@ def _march(grid: Grid, levels) -> None:
                 rf[a + d - J0: b + d - J0, :, c] = rows.transpose(1, 2, 0)
         for J in range(J0, J1):
             i = J - J0
-            block = k * ((1.0 - theta) * rf_rows[i, n:-n]
-                         + theta * rf_rows[i + 1, n:-n])
+            # k * ((1 - theta) * rf[i] + theta * rf[i + 1]), in place
+            multiply(omt, rf_rows[i, n:-n], block)
+            multiply(theta, rf_rows[i + 1, n:-n], scratch)
+            add(block, scratch, block)
+            multiply(k, block, block)
             for row in block:
-                add(inner, inner, out=lap)
-                subtract(right, lap, out=lap)
-                add(lap, left, out=lap)
-                multiply(lap, lam, out=lap)
-                add(inner, lap, out=lap)
-                add(lap, row, out=inner)
+                add(inner, inner, lap)
+                subtract(right, lap, lap)
+                add(lap, left, lap)
+                multiply(lap, lam, lap)
+                add(inner, lap, lap)
+                add(lap, row, inner)
             done[i] = nodes
         for (out, _forcing), d, c in zip(levels, behind, cols):
             a, b = max(J0 + 1 - d, 1), min(J1 + 1 - d, nt)
@@ -388,11 +391,12 @@ class Mollifier:
         (nodes whose backward kernel window stays inside the field) and 0
         elsewhere.  The field may have any (levels, nodes) shape on the
         grid's spacing; the mask depends on L, n and that shape alone, so
-        every smoothing of an (nt, nx) field at one scale, as the scans make,
-        returns one read-only mask.  The mask and the kernel's spectrum are
-        computed once per (L, n, field shape), so a smoothing is one forward
-        and one inverse transform; the result is that of
-        _fftconvolve(f, kernel) to the bit.
+        smoothings at one (L, n, shape) in a row return one read-only mask.
+        The Mollifier keeps the mask and the kernel's spectrum of one
+        (L, n, field shape) key, and a new key drops them: the scans smooth
+        scale by scale, so each scale's spectrum is transformed once per
+        command and a smoothing is one forward and one inverse transform.
+        The result is that of _fftconvolve(f, kernel) to the bit.
         """
         grid = self.grid
         if L < 2 * grid.h:
@@ -405,6 +409,7 @@ class Mollifier:
         nt, nx = f.shape
         key = (round(L, 12), n, f.shape)
         if key not in self._spectra:
+            self._spectra.clear()           # one key at a time
             _full, fshape = _fft_shapes(f.shape, ker.shape)
             mask = np.zeros(f.shape, dtype=bool)
             if nt > na and nx > 2 * nb:

@@ -70,8 +70,7 @@ class LocalProduct:
         self._X: dict = {}
         self._ell: dict = {}
         self._grad: dict = {}
-        self._one = grid.ones()
-        self._one.flags.writeable = False
+        self._one = np.broadcast_to(1.0, (grid.nt, grid.nx))  # read-only
 
     # table access ----------------------------------------------------------
 

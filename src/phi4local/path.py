@@ -84,9 +84,8 @@ class Path:
         self.diag_im: dict = {}
 
         self.cen_I[ONE.uid] = lp.planted_field(I(ONE))
-        neg_x = -grid.x_field
-        neg_x.flags.writeable = False
-        self.cen_I[X(1).uid] = neg_x     # build_local_product takes d = 1 only
+        # a read-only view, as the lift's 1 is; build_local_product takes d = 1 only
+        self.cen_I[X(1).uid] = np.broadcast_to(-grid.xs, (grid.nt, grid.nx))
         self.mol = Mollifier(grid)
 
     # entry rules of the tables, one canonical product tree each ------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from phi4local.coeffs import classify_utau, pick_gamma
-from phi4local import equation
+from phi4local import equation, field
 from phi4local.field import (
     COARSE_GRID, DEFAULT_GRID, Grid, Mollifier, grad_x, noise_field,
 )
@@ -406,18 +406,24 @@ def test_channels_without_field_values_have_zero_diagonal(monkeypatch, delta):
     grid = COARSE_GRID
     p = Path(build_local_product(grid, u, noise_field(grid, "trig", seed=0)))
     e = TreeExpansion(p, grid.ones())
-    channel_values = equation._channel_values
+    channel = equation._channel
+    scales = [1 / 8, 1 / 4, 1 / 2]
     seen = []
 
     def record(*args):
         seen.append(args)
-        return channel_values(*args)
+        return channel(*args)
 
-    monkeypatch.setattr(equation, "_channel_values", record)
-    reconstruction_check(p, e, [1 / 8, 1 / 4, 1 / 2])
+    def channel_values(*args):
+        ch = channel(*args)
+        return [equation._channel_value(p, e, ch, L, grid.probe_mask())
+                for L in scales]
+
+    monkeypatch.setattr(equation, "_channel", record)
+    reconstruction_check(p, e, scales)
     missing = 0
     for args in seen:
-        _p, _e, t, tt, cutoff, scales, _masks = args
+        _p, _e, t, tt, cutoff = args
         lefts = {q for _tb, f in equation._cut_terms(p, t, cutoff)
                  for (lf, _gf) in p.cg.delta_forest(f) for q in lf}
         if all(_has_field_value(p.lp, q) for q in lefts):
@@ -432,17 +438,18 @@ def test_channels_without_field_values_have_zero_diagonal(monkeypatch, delta):
 
 
 def test_reconstruction_holds_one_channel_at_a_time(monkeypatch, u310):
-    # each channel builds, smooths and drops its own fields: as a channel
-    # starts, and once the check returns, no field that an earlier channel
-    # smoothed, nor any of its smoothings, is alive.  Arrays are counted
-    # through weak references, not read off the RSS
+    # at each scale each channel builds, smooths and drops its own fields:
+    # as a channel's value at a scale starts, and once the check returns,
+    # no field that an earlier channel value smoothed, nor any of its
+    # smoothings, is alive.  Arrays are counted through weak references,
+    # not read off the RSS
     grid = COARSE_GRID
     p = Path(build_local_product(grid, u310,
                                  noise_field(grid, "trig", seed=0, amp=2.0)))
     v1 = 0.4 + 0.2 * np.sin(1.7 * grid.x_field) * np.cos(2.1 * grid.t_field)
     refs, inside, checked = [], [], []
     smooth = Mollifier.smooth
-    channel_values = equation._channel_values
+    channel_value = equation._channel_value
 
     def tracked(self, f, L, n=None):
         g, mask = smooth(self, f, L, n)
@@ -455,12 +462,12 @@ def test_reconstruction_holds_one_channel_at_a_time(monkeypatch, u310):
         checked.append(len(refs))
         inside.append(True)
         try:
-            return channel_values(*args)
+            return channel_value(*args)
         finally:
             inside.pop()
 
     monkeypatch.setattr(Mollifier, "smooth", tracked)
-    monkeypatch.setattr(equation, "_channel_values", one_channel)
+    monkeypatch.setattr(equation, "_channel_value", one_channel)
     reconstruction_check(p, TreeExpansion(p, v1), [1 / 8, 1 / 4, 1 / 2])
     assert refs and all(r() is None for r in refs)
     # some channel starts after another one has smoothed its fields
@@ -511,12 +518,13 @@ def _reconstruction_path(u):
 
 
 def test_reconstruction_channels_hold_no_path_smoothing(monkeypatch, u310):
-    # the channels smooth their own fields: every smoothing of the total,
-    # its memo's included, is dropped before the first channel starts
+    # the channels smooth their own fields: every smoothing of the total at
+    # a scale, its memo's included, is dropped before the first channel
+    # starts at that scale
     p, e = _reconstruction_path(u310)
     refs, calls, inside = [], [], []
     smooth = Mollifier.smooth
-    channel_values = equation._channel_values
+    channel_value = equation._channel_value
 
     def tracked(self, f, L, n=None):
         g, mask = smooth(self, f, L, n)
@@ -529,19 +537,20 @@ def test_reconstruction_channels_hold_no_path_smoothing(monkeypatch, u310):
         calls.append(args)
         inside.append(True)
         try:
-            return channel_values(*args)
+            return channel_value(*args)
         finally:
             inside.pop()
 
     monkeypatch.setattr(Mollifier, "smooth", tracked)
-    monkeypatch.setattr(equation, "_channel_values", one_channel)
+    monkeypatch.setattr(equation, "_channel_value", one_channel)
     reconstruction_check(p, e, [1 / 8, 1 / 4, 1 / 2])
     assert refs and calls
 
 
 class _BaseFactor(np.ndarray):
-    """A centering field that records, by weak reference, each array formed
-    from it: the base fields of a reconstruction channel."""
+    """A field that records, by weak reference, each array formed from it,
+    and finds none formed before it alive: a centering field marks the base
+    fields of a reconstruction channel, and a diagonal its running fields."""
 
     made: list = []
 
@@ -549,17 +558,18 @@ class _BaseFactor(np.ndarray):
         out = getattr(ufunc, method)(
             *(np.asarray(a) if isinstance(a, _BaseFactor) else a
               for a in inputs), **kwargs)
-        assert all(r() is None for r in _BaseFactor.made)
-        _BaseFactor.made.append(weakref.ref(out))
+        if isinstance(out, np.ndarray):     # not the scalar of diag.any()
+            assert all(r() is None for r in _BaseFactor.made)
+            _BaseFactor.made.append(weakref.ref(out))
         return out
 
 
 def test_reconstruction_channel_holds_one_base_field_at_a_time(monkeypatch, u310):
-    # a channel keeps its running fields, but forms each base field where
-    # its scale's sum reads it: no two base fields are alive together
+    # a channel forms each base field where its scale's sum reads it: no
+    # two base fields are alive together
     p, e = _reconstruction_path(u310)
     cen_forest_at = Path.cen_forest_at
-    channel_values = equation._channel_values
+    channel_value = equation._channel_value
     inside = []
 
     def marked(self, forest, x):
@@ -571,15 +581,71 @@ def test_reconstruction_channel_holds_one_base_field_at_a_time(monkeypatch, u310
     def one_channel(*args):
         inside.append(True)
         try:
-            return channel_values(*args)
+            return channel_value(*args)
         finally:
             inside.pop()
 
     monkeypatch.setattr(_BaseFactor, "made", [])
     monkeypatch.setattr(Path, "cen_forest_at", marked)
-    monkeypatch.setattr(equation, "_channel_values", one_channel)
+    monkeypatch.setattr(equation, "_channel_value", one_channel)
     reconstruction_check(p, e, [1 / 8, 1 / 4, 1 / 2])
     assert len(_BaseFactor.made) > 3
+
+
+def test_reconstruction_channel_holds_one_running_field_at_a_time(monkeypatch,
+                                                                  u310):
+    # a channel builds each running field, diag times theta(t) or times a
+    # left forest, just before its first smoothing at a scale, and keeps
+    # only the smoothing: no two running fields are alive together.  The
+    # diagonals mark every array formed from them, the total's too
+    diag_entry = Path._diag_entry
+    monkeypatch.setattr(Path, "_diag_entry",
+                        lambda self, t: diag_entry(self, t).view(_BaseFactor))
+    monkeypatch.setattr(_BaseFactor, "made", [])
+    p, e = _reconstruction_path(u310)
+    scales = [1 / 8, 1 / 4, 1 / 2]
+    rep = reconstruction_check(p, e, scales)
+    nonzero = sum(1 for term in rep["terms"] if any(term["values"]))
+    assert len(_BaseFactor.made) > 2 * nonzero * len(scales)
+
+
+def test_reconstruction_transforms_each_kernel_once_per_scale(
+        monkeypatch, default_path_gauss):
+    # the total and every channel smooth scale by scale, so the Mollifier,
+    # which keeps the spectrum of one scale, transforms each scale's kernel
+    # once
+    p = Path(default_path_gauss.lp)
+    rfft2 = field._rfft2
+    kernels = []
+
+    def counted(a, fshape):
+        if any(a is k for k in p.mol._kernels.values()):
+            kernels.append(a.shape)
+        return rfft2(a, fshape)
+
+    monkeypatch.setattr(field, "_rfft2", counted)
+    scales = [1 / 16, 1 / 8, 1 / 4, 1 / 2]
+    grid = p.grid
+    v1 = 0.4 + 0.2 * np.sin(1.7 * grid.x_field) * np.cos(2.1 * grid.t_field)
+    reconstruction_check(p, TreeExpansion(p, v1), scales)
+    assert len(kernels) == len(scales)
+
+
+def test_reconstruction_reports_a_nan_channel(monkeypatch, coarse_path):
+    # a channel whose values read NaN makes the predicted exponent NaN,
+    # also when it is not the first channel, where Python's min dropped it
+    p = coarse_path
+    grid = p.grid
+    tt = prod3(I(X(1)), I(XI), I(XI), p.u.delta)
+    poisoned = p.diag[tt.uid].copy()
+    poisoned[grid.nt // 2, grid.nx // 2] = np.nan
+    monkeypatch.setitem(p.diag, tt.uid, poisoned)
+    v1 = 0.4 + 0.2 * np.sin(1.7 * grid.x_field) * np.cos(2.1 * grid.t_field)
+    rep = reconstruction_check(p, TreeExpansion(p, v1), [1 / 8, 1 / 4, 1 / 2])
+    gammas = {term["tree"]: term["gamma"] for term in rep["terms"]}
+    assert list(gammas).index(tree_name(tt)) > 0
+    assert math.isnan(gammas[tree_name(tt)])
+    assert math.isnan(rep["predicted_exponent"])
 
 
 def telescoping_residual(path, f, L, depth, probe=None):

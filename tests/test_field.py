@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -410,6 +411,24 @@ def test_smooth_returns_one_read_only_mask_per_scale_and_shape():
     assert mol.smooth(f, 0.5)[1] is not mask
     assert mol.smooth(f, 0.25, n=1)[1] is not mask
     assert mol.smooth(f[40:, 30:].copy(), 0.25)[1] is not mask
+
+def test_mollifier_holds_the_spectrum_of_one_key():
+    # a smoothing at a new (scale, depth, shape) drops the spectrum and the
+    # mask of the last one, so one kernel spectrum is alive at a time
+    mol = Mollifier(G)
+    f = noise_field(G, "trig", seed=1)
+    spectra = []
+    for g, L, n in [(f, 0.25, None), (f, 0.25, None), (f, 0.5, None),
+                    (f, 0.5, 1), (f[40:, 30:].copy(), 0.5, 1), (f, 0.25, None)]:
+        mask = mol.smooth(g, L, n)[1]
+        assert len(mol._spectra) == 1
+        (_fshape, spec, held), = mol._spectra.values()
+        assert held is mask
+        if not spectra or spectra[-1]() is not spec:
+            spectra.append(weakref.ref(spec))
+        assert all(r() is None for r in spectra[:-1])
+    assert len(spectra) == 5
+
 
 SCIPY_FREE = """
 import json, sys

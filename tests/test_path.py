@@ -61,6 +61,20 @@ def test_shared_fields_are_read_only(coarse_path):
     assert p.cen_forest_at((), ALL) == 1.0
 
 
+def test_constant_fields_hold_no_grid_buffer(coarse_path):
+    # x, t, the cutoff, the lift's 1 and the centering -x each depend on x
+    # alone or on t alone: a read-only broadcast view of one row or column
+    p = coarse_path
+    grid = p.grid
+    shared = [grid.x_field, grid.t_field, grid.cutoff,
+              p.lp.planted_field(I(ONE)), p.lp.planted_field(Ip(1, X(1), D)),
+              p.cen_I[ONE.uid], p.cen_I[X(1).uid]]
+    for f in shared:
+        lo, hi = np.lib.array_utils.byte_bounds(f)
+        assert f.shape == (grid.nt, grid.nx) and not f.flags.writeable
+        assert hi - lo <= max(grid.nt, grid.nx) * f.itemsize
+
+
 def test_rough_paths_basepoint_free(coarse_path, u920):
     p = coarse_path
     z, x1, x2 = _batch((12, 30)), _batch((30, 80)), _batch((5, 92))
